@@ -9,7 +9,7 @@ estimator.  A replication engine and a sampler for the weak-instrument
 limiting distribution support coverage and distributional studies.
 """
 
-from .data import CsvSchema, Dataset, FoldAssignment, ObservedUnit, load_csv, make_folds, write_csv
+from .data import CsvSchema, Dataset, FoldAssignment, load_csv, make_folds, write_csv
 from .errors import (
     CsvParseError,
     DecompositionError,
@@ -23,19 +23,11 @@ from .errors import (
 from .inference import (
     ConfidenceSet,
     DrmlResult,
-    EmptySet,
-    FiniteInterval,
-    LeftRay,
-    Point,
     QuadCoefficients,
-    RightRay,
-    TwoRays,
-    WholeLine,
     dn_statistic,
     drml_estimate,
     instrument_is_weak,
     invert_score_test,
-    normal_quantile,
     quad_coefficients,
     score_confidence_set,
     score_statistic,

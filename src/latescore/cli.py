@@ -7,7 +7,7 @@ statistic on a theta grid, and ``weakiv-limit`` samples the
 weak-instrument limiting distribution.
 
 Exit statuses are a stable contract: 0 success, 2 configuration or parse
-error, 3 degenerate data.
+error (an output path that cannot be written included), 3 degenerate data.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .errors import (
     PositivityError,
 )
 from .inference import (
-    dn_statistic,
     drml_estimate,
+    instrument_is_weak,
     invert_score_test,
     quad_coefficients,
     zero_tolerances,
@@ -48,8 +48,8 @@ _G_NAMES = {"ols": "ols_linear", "cellmean": "cell_mean"}
 _R_NAMES = {"logit": "logistic", "cellmean": "cell_mean"}
 
 
-def _learner_spec(args, default_propensity: str) -> LearnerSpec:
-    propensity = getattr(args, "propensity", default_propensity)
+def _learner_spec(args) -> LearnerSpec:
+    propensity = args.propensity
     if propensity == "logit":
         m_learner, m_value = "logistic", 0.5
     elif propensity.startswith("known:"):
@@ -96,7 +96,7 @@ def _add_data_flags(sub) -> None:
 
 def _fit_scores(args):
     data = load_csv(args.data, _schema(args))
-    spec = _learner_spec(args, default_propensity="logit")
+    spec = _learner_spec(args)
     folds = make_folds(data.n, spec.K, args.seed)
     preds = cross_fit(data, spec, folds)
     return data, compute_scores(data, preds)
@@ -105,31 +105,15 @@ def _fit_scores(args):
 def cmd_analyze(args) -> int:
     data, scores = _fit_scores(args)
     coeffs = quad_coefficients(scores, args.alpha)
-    if coeffs.degenerate:
-        raise DegenerateDataError("both score vectors are identically zero")
     cset = invert_score_test(coeffs)
     tol_a, tol_delta = zero_tolerances(coeffs)
     drml = drml_estimate(scores, args.alpha)
-    dn0 = dn_statistic(scores.psi_a, 0.0)
+    dn0, weak = instrument_is_weak(scores.psi_a, args.alpha)
     z = coeffs.z_crit
-    weak = dn0 <= z * z
     diam_s = cset.diameter()
     diam_w = drml.diameter()
     ratio = diam_s / diam_w if math.isfinite(diam_s) and math.isfinite(diam_w) and diam_w > 0 else float("nan")
 
-    print(f"n = {data.n}, covariates = {data.p}, alpha = {args.alpha}")
-    print(f"point estimate   : {drml.phi_hat:.6g}")
-    print(f"sigma_hat        : {math.sqrt(drml.sigma2_hat):.6g}")
-    print(f"wald interval    : [{drml.wald_lo:.6g}, {drml.wald_hi:.6g}]")
-    print(f"score set        : {cset.tag} {cset}")
-    print(f"D_n(0)           : {dn0:.6g}  (z^2 = {z * z:.6g})")
-    print(f"weak instrument  : {'yes' if weak else 'no'}")
-    print(
-        f"quadratic        : a={coeffs.a:.6g} b={coeffs.b:.6g} c={coeffs.c:.6g} "
-        f"delta={coeffs.delta:.6g} (zero tolerances {tol_a:.3g}, {tol_delta:.3g})"
-    )
-    if math.isfinite(ratio):
-        print(f"diameter ratio   : {ratio:.6g}")
     if args.out:
         e = cset.endpoints()
         e1 = repr(e[0]) if len(e) > 0 else ""
@@ -147,6 +131,20 @@ def cmd_analyze(args) -> int:
                 f"{coeffs.delta!r},{tol_a!r},{tol_delta!r},"
                 f"{diam_s!r},{diam_w!r},{ratio!r}\n"
             )
+
+    print(f"n = {data.n}, covariates = {data.p}, alpha = {args.alpha}")
+    print(f"point estimate   : {drml.phi_hat:.6g}")
+    print(f"sigma_hat        : {math.sqrt(drml.sigma2_hat):.6g}")
+    print(f"wald interval    : [{drml.wald_lo:.6g}, {drml.wald_hi:.6g}]")
+    print(f"score set        : {cset.tag} {cset}")
+    print(f"D_n(0)           : {dn0:.6g}  (z^2 = {z * z:.6g})")
+    print(f"weak instrument  : {'yes' if weak else 'no'}")
+    print(
+        f"quadratic        : a={coeffs.a:.6g} b={coeffs.b:.6g} c={coeffs.c:.6g} "
+        f"delta={coeffs.delta:.6g} (zero tolerances {tol_a:.3g}, {tol_delta:.3g})"
+    )
+    if math.isfinite(ratio):
+        print(f"diameter ratio   : {ratio:.6g}")
     return EXIT_OK
 
 
@@ -194,16 +192,10 @@ def cmd_scan(args) -> int:
         raise InvalidConfigError("--grid-points must be at least 2")
     data, scores = _fit_scores(args)
     coeffs = quad_coefficients(scores, args.alpha)
-    if coeffs.degenerate:
-        raise DegenerateDataError("both score vectors are identically zero")
     cset = invert_score_test(coeffs)
     z = coeffs.z_crit
     n = scores.n
-    ma = float(np.mean(scores.psi_a))
-    mb = float(np.mean(scores.psi_b))
-    maa = float(np.mean(scores.psi_a**2))
-    mbb = float(np.mean(scores.psi_b**2))
-    mab = float(np.mean(scores.psi_a * scores.psi_b))
+    ma, mb, maa, mbb, mab = scores.moments()
     thetas = np.linspace(args.theta_min, args.theta_max, args.grid_points)
     mismatches = 0
     with open(args.out, "w", newline="") as handle:
@@ -233,7 +225,7 @@ def cmd_scan(args) -> int:
         with open(scores_path, "w", newline="") as handle:
             handle.write("psi_a,psi_b\n")
             for va, vb in zip(scores.psi_a, scores.psi_b):
-                handle.write(f"{va!r},{vb!r}\n")
+                handle.write(f"{float(va)!r},{float(vb)!r}\n")
         print(f"wrote {scores_path}")
     return EXIT_OK
 
@@ -241,14 +233,11 @@ def cmd_scan(args) -> int:
 def cmd_weakiv_limit(args) -> int:
     if args.samples < 1:
         raise InvalidConfigError("--samples must be at least 1")
-    try:
-        cfg = WeakIVConfig(
-            c_a=args.ca,
-            c_b=args.cb,
-            sigma_ab=np.array([[args.s11, args.s12], [args.s12, args.s22]]),
-        )
-    except DecompositionError as exc:
-        raise InvalidConfigError(str(exc)) from None
+    cfg = WeakIVConfig(
+        c_a=args.ca,
+        c_b=args.cb,
+        sigma_ab=np.array([[args.s11, args.s12], [args.s12, args.s22]]),
+    )
     rng = np.random.Generator(np.random.PCG64(args.seed))
     draws = sample_weak_limit(cfg, rng, size=args.samples)
     with open(args.out, "w", newline="") as handle:
@@ -310,7 +299,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (InvalidConfigError, CsvParseError, DecompositionError) as exc:
+    except (InvalidConfigError, CsvParseError, DecompositionError, OSError) as exc:
+        # load_csv reports unreadable input as CsvParseError, so an OSError
+        # here comes from an output file or directory.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DegenerateDataError, DegenerateFoldError, PositivityError) as exc:

@@ -10,31 +10,10 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import CsvParseError, InvalidConfigError
-
-
-@dataclass(frozen=True)
-class ObservedUnit:
-    """A single observation (outcome, treatment, instrument, covariates)."""
-
-    y: float
-    a: int
-    z: int
-    x: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.a not in (0, 1):
-            raise InvalidConfigError(f"treatment must be 0 or 1, got {self.a}")
-        if self.z not in (0, 1):
-            raise InvalidConfigError(f"instrument must be 0 or 1, got {self.z}")
-        if not np.isfinite(self.y):
-            raise InvalidConfigError(f"outcome must be finite, got {self.y}")
-        if not all(np.isfinite(v) for v in self.x):
-            raise InvalidConfigError("covariates must be finite")
 
 
 class Dataset:
@@ -87,40 +66,6 @@ class Dataset:
     def p(self) -> int:
         return self.x.shape[1]
 
-    @classmethod
-    def from_units(cls, units: Sequence[ObservedUnit]) -> "Dataset":
-        if len(units) >= 2:
-            p = len(units[0].x)
-            if any(len(u.x) != p for u in units):
-                raise InvalidConfigError("units have inconsistent covariate dimension")
-        return cls(
-            y=[u.y for u in units],
-            a=[u.a for u in units],
-            z=[u.z for u in units],
-            x=[u.x for u in units],
-        )
-
-    def unit(self, i: int) -> ObservedUnit:
-        return ObservedUnit(
-            y=float(self.y[i]), a=int(self.a[i]), z=int(self.z[i]), x=tuple(self.x[i])
-        )
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __iter__(self) -> Iterator[ObservedUnit]:
-        return (self.unit(i) for i in range(self.n))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return (
-            np.array_equal(self.y, other.y)
-            and np.array_equal(self.a, other.a)
-            and np.array_equal(self.z, other.z)
-            and np.array_equal(self.x, other.x)
-        )
-
     def __repr__(self) -> str:
         return f"Dataset(n={self.n}, p={self.p})"
 
@@ -170,11 +115,7 @@ def make_folds(n: int, K: int, seed: int) -> FoldAssignment:
     perm = rng.permutation(n)
     base, extra = divmod(n, K)
     fold_of = np.empty(n, dtype=int)
-    start = 0
-    for k in range(K):
-        size = base + (1 if k < extra else 0)
-        fold_of[perm[start : start + size]] = k
-        start += size
+    fold_of[perm] = np.repeat(np.arange(K), [base + (k < extra) for k in range(K)])
     return FoldAssignment(fold_of=fold_of, K=K)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -26,55 +27,24 @@ from .errors import DegenerateDataError, InvalidConfigError, WeakDenominatorErro
 from .scores import ScoreSample
 
 #: Relative tolerance for treating a or delta as zero when classifying
-#: the quadratic; the matching absolute tolerances are exposed through
+#: the quadratic, and mean(psi_a) as zero in the ratio estimator; the
+#: matching absolute tolerances of the quadratic are exposed through
 #: :func:`zero_tolerances` for auditing.
-DEFAULT_ZERO_TOL = 1e-12
+ZERO_TOL = 1e-12
 
 
-def normal_quantile(p: float) -> float:
-    """Standard-normal quantile via the AS 241 rational approximation.
+def _z_crit(alpha: float) -> float:
+    """The 1-alpha/2 standard-normal quantile, for 0 < alpha < 1.
 
-    Implemented internally (double-precision PPND16 scheme); absolute
-    error is far below 1e-12 over (0, 1).
+    An alpha below about 1.1e-16 leaves 1 - alpha/2 == 1.0 in double
+    precision, where the quantile is infinite; it is rejected too.
     """
-    if not 0.0 < p < 1.0:
-        raise InvalidConfigError(f"quantile argument must lie in (0, 1), got {p}")
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        r = 0.180625 - q * q
-        num = (((((((2.5090809287301226727e3 * r + 3.3430575583588128105e4) * r
-                    + 6.7265770927008700853e4) * r + 4.5921953931549871457e4) * r
-                  + 1.3731693765509461125e4) * r + 1.9715909503065514427e3) * r
-                + 1.3314166789178437745e2) * r + 3.3871328727963666080e0)
-        den = (((((((5.2264952788528545610e3 * r + 2.8729085735721942674e4) * r
-                    + 3.9307895800092710610e4) * r + 2.1213794301586595867e4) * r
-                  + 5.3941960214247511077e3) * r + 6.8718700749205790830e2) * r
-                + 4.2313330701600911252e1) * r + 1.0)
-        return q * num / den
-    r = p if q < 0 else 1.0 - p
-    r = math.sqrt(-math.log(r))
-    if r <= 5.0:
-        r -= 1.6
-        num = (((((((7.74545014278341407640e-4 * r + 2.27238449892691845833e-2) * r
-                    + 2.41780725177450611770e-1) * r + 1.27045825245236838258e0) * r
-                  + 3.64784832476320460504e0) * r + 5.76949722146069140550e0) * r
-                + 4.63033784615654529590e0) * r + 1.42343711074968357734e0)
-        den = (((((((1.05075007164441684324e-9 * r + 5.47593808499534494600e-4) * r
-                    + 1.51986665636164571966e-2) * r + 1.48103976427480074590e-1) * r
-                  + 6.89767334985100004550e-1) * r + 1.67638483018380384940e0) * r
-                + 2.05319162663775882187e0) * r + 1.0)
-    else:
-        r -= 5.0
-        num = (((((((2.01033439929228813265e-7 * r + 2.71155556874348757815e-5) * r
-                    + 1.24266094738807843860e-3) * r + 2.65321895265761230930e-2) * r
-                  + 2.96560571828504891230e-1) * r + 1.78482653991729133580e0) * r
-                + 5.46378491116411436990e0) * r + 6.65790464350110377720e0)
-        den = (((((((2.04426310338993978564e-15 * r + 1.42151175831644588870e-7) * r
-                    + 1.84631831751005468180e-5) * r + 7.86869131145613259100e-4) * r
-                  + 1.48753612908506148525e-2) * r + 1.36929880922735805310e-1) * r
-                + 5.99832206555887937690e-1) * r + 1.0)
-    value = num / den
-    return -value if q < 0 else value
+    if not 0.0 < alpha < 1.0:
+        raise InvalidConfigError(f"alpha must lie in (0, 1), got {alpha}")
+    p = 1.0 - alpha / 2.0
+    if p == 1.0:
+        raise InvalidConfigError(f"alpha={alpha} is too small: 1 - alpha/2 rounds to 1")
+    return NormalDist().inv_cdf(p)
 
 
 def score_statistic(scores: ScoreSample, theta: float) -> float:
@@ -109,18 +79,12 @@ class QuadCoefficients:
 
 def quad_coefficients(scores: ScoreSample, alpha: float) -> QuadCoefficients:
     """Assemble the quadratic from the empirical score moments."""
-    if not 0.0 < alpha < 1.0:
-        raise InvalidConfigError(f"alpha must lie in (0, 1), got {alpha}")
+    z = _z_crit(alpha)
     n = scores.n
     if n < 2:
         raise InvalidConfigError(f"need at least 2 score pairs, got {n}")
-    z = normal_quantile(1.0 - alpha / 2.0)
     z2 = z * z
-    ma = float(np.mean(scores.psi_a))
-    mb = float(np.mean(scores.psi_b))
-    maa = float(np.mean(scores.psi_a * scores.psi_a))
-    mbb = float(np.mean(scores.psi_b * scores.psi_b))
-    mab = float(np.mean(scores.psi_a * scores.psi_b))
+    ma, mb, maa, mbb, mab = scores.moments()
     a = n * ma * ma - z2 * maa
     b = -2.0 * n * ma * mb + 2.0 * z2 * mab
     c = n * mb * mb - z2 * mbb
@@ -136,159 +100,73 @@ def quad_coefficients(scores: ScoreSample, alpha: float) -> QuadCoefficients:
     )
 
 
-class ConfidenceSet:
-    """Base of the seven set forms; see the concrete subclasses."""
-
-    tag: str = ""
-
-    def contains(self, theta: float) -> bool:
-        raise NotImplementedError
-
-    def diameter(self) -> float:
-        raise NotImplementedError
-
-    def endpoints(self) -> tuple[float, ...]:
-        return ()
+# Per shape: its text form over the endpoints it keeps, and their names.
+_SHAPES = {
+    "finite_interval": ("[{}, {}]", ("lo", "hi")),
+    "two_rays": ("(-inf, {}] U [{}, inf)", ("lo", "hi")),
+    "empty": ("{{}}", ()),
+    "whole_line": ("(-inf, inf)", ()),
+    "left_ray": ("(-inf, {}]", ("hi",)),
+    "right_ray": ("[{}, inf)", ("lo",)),
+    "point": ("{{{}}}", ("lo",)),
+}
 
 
 @dataclass(frozen=True)
-class FiniteInterval(ConfidenceSet):
-    lo: float
-    hi: float
-    tag = "finite_interval"
+class ConfidenceSet:
+    """The solution set of the membership inequality, one of seven shapes.
+
+    ``tag`` names the shape and ``lo``/``hi`` bound it.  The set is
+    ``[lo, hi]`` for every shape but two_rays, which is
+    ``(-inf, lo] U [hi, inf)``; so a left_ray keeps lo = -inf, a
+    right_ray hi = inf, the whole_line both, and a point lo = hi.  The
+    empty set is the one shape with lo > hi (it keeps lo = inf,
+    hi = -inf), which leaves no theta between them.
+    """
+
+    tag: str
+    lo: float = -math.inf
+    hi: float = math.inf
 
     def __post_init__(self) -> None:
-        if not self.lo <= self.hi:
-            raise InvalidConfigError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
+        if self.tag not in _SHAPES:
+            raise InvalidConfigError(f"unknown set shape {self.tag!r}")
+        ordered = self.lo > self.hi if self.tag == "empty" else self.lo <= self.hi
+        if not ordered:
+            raise InvalidConfigError(f"{self.tag} endpoints out of order: [{self.lo}, {self.hi}]")
 
-    def contains(self, theta: float) -> bool:
-        return self.lo <= theta <= self.hi
-
-    def diameter(self) -> float:
-        return self.hi - self.lo
-
-    def endpoints(self) -> tuple[float, ...]:
-        return (self.lo, self.hi)
-
-    def __str__(self) -> str:
-        return f"[{self.lo:.6g}, {self.hi:.6g}]"
-
-
-@dataclass(frozen=True)
-class TwoRays(ConfidenceSet):
-    """(-inf, left_hi] union [right_lo, inf)."""
-
-    left_hi: float
-    right_lo: float
-    tag = "two_rays"
-
-    def contains(self, theta: float) -> bool:
-        return theta <= self.left_hi or theta >= self.right_lo
+    def contains(self, theta):
+        """Membership of theta, elementwise when theta is a numpy array."""
+        if self.tag == "two_rays":
+            return (theta <= self.lo) | (theta >= self.hi)
+        return (self.lo <= theta) & (theta <= self.hi)
 
     def diameter(self) -> float:
+        if self.tag in ("empty", "point"):
+            return 0.0
+        if self.tag == "finite_interval":
+            return self.hi - self.lo
         return math.inf
 
     def endpoints(self) -> tuple[float, ...]:
-        return (self.left_hi, self.right_lo)
+        return tuple(getattr(self, name) for name in _SHAPES[self.tag][1])
 
     def __str__(self) -> str:
-        return f"(-inf, {self.left_hi:.6g}] U [{self.right_lo:.6g}, inf)"
+        return _SHAPES[self.tag][0].format(*(f"{v:.6g}" for v in self.endpoints()))
 
 
-@dataclass(frozen=True)
-class EmptySet(ConfidenceSet):
-    tag = "empty"
-
-    def contains(self, theta: float) -> bool:
-        return False
-
-    def diameter(self) -> float:
-        return 0.0
-
-    def __str__(self) -> str:
-        return "{}"
+_EMPTY = ConfidenceSet("empty", math.inf, -math.inf)
+_WHOLE_LINE = ConfidenceSet("whole_line")
 
 
-@dataclass(frozen=True)
-class WholeLine(ConfidenceSet):
-    tag = "whole_line"
-
-    def contains(self, theta: float) -> bool:
-        return True
-
-    def diameter(self) -> float:
-        return math.inf
-
-    def __str__(self) -> str:
-        return "(-inf, inf)"
-
-
-@dataclass(frozen=True)
-class LeftRay(ConfidenceSet):
-    """(-inf, hi]."""
-
-    hi: float
-    tag = "left_ray"
-
-    def contains(self, theta: float) -> bool:
-        return theta <= self.hi
-
-    def diameter(self) -> float:
-        return math.inf
-
-    def endpoints(self) -> tuple[float, ...]:
-        return (self.hi,)
-
-    def __str__(self) -> str:
-        return f"(-inf, {self.hi:.6g}]"
-
-
-@dataclass(frozen=True)
-class RightRay(ConfidenceSet):
-    """[lo, inf)."""
-
-    lo: float
-    tag = "right_ray"
-
-    def contains(self, theta: float) -> bool:
-        return theta >= self.lo
-
-    def diameter(self) -> float:
-        return math.inf
-
-    def endpoints(self) -> tuple[float, ...]:
-        return (self.lo,)
-
-    def __str__(self) -> str:
-        return f"[{self.lo:.6g}, inf)"
-
-
-@dataclass(frozen=True)
-class Point(ConfidenceSet):
-    value: float
-    tag = "point"
-
-    def contains(self, theta: float) -> bool:
-        return theta == self.value
-
-    def diameter(self) -> float:
-        return 0.0
-
-    def endpoints(self) -> tuple[float, ...]:
-        return (self.value,)
-
-    def __str__(self) -> str:
-        return f"{{{self.value:.6g}}}"
-
-
-def zero_tolerances(coeffs: QuadCoefficients, tol: float = DEFAULT_ZERO_TOL) -> tuple[float, float]:
+def zero_tolerances(coeffs: QuadCoefficients) -> tuple[float, float]:
     """Absolute thresholds below which a and delta are classified as zero."""
-    tol_a = tol * coeffs.a_scale
-    tol_delta = tol * max(coeffs.b * coeffs.b, 4.0 * abs(coeffs.a * coeffs.c), 1.0)
+    tol_a = ZERO_TOL * coeffs.a_scale
+    tol_delta = ZERO_TOL * max(coeffs.b * coeffs.b, 4.0 * abs(coeffs.a * coeffs.c), 1.0)
     return tol_a, tol_delta
 
 
-def invert_score_test(coeffs: QuadCoefficients, tol: float = DEFAULT_ZERO_TOL) -> ConfidenceSet:
+def invert_score_test(coeffs: QuadCoefficients) -> ConfidenceSet:
     """Solve a*theta^2 + b*theta + c <= 0 exactly, by case analysis.
 
     Classification of the signs of a and delta uses the banded zero
@@ -304,6 +182,8 @@ def invert_score_test(coeffs: QuadCoefficients, tol: float = DEFAULT_ZERO_TOL) -
     - delta = 0, a = 0: whole line if c <= 0 else empty set
 
     with r1 = (-b - sqrt(delta)) / (2a) and r2 = (-b + sqrt(delta)) / (2a).
+    Identically-zero score data (``coeffs.degenerate``) has no set and
+    raises :class:`DegenerateDataError`.
     At delta = 0 the quadratic is a*(theta + b/(2a))^2; for a < 0 this
     is a downward parabola with maximum zero, so the inequality holds
     everywhere and only a > 0 pins the set to the vertex.  That branch
@@ -311,41 +191,41 @@ def invert_score_test(coeffs: QuadCoefficients, tol: float = DEFAULT_ZERO_TOL) -
     treatment decision in the realized sample, psi_b can be an exact
     multiple of psi_a and delta vanishes identically.
     """
+    if coeffs.degenerate:
+        raise DegenerateDataError("both score vectors are identically zero")
     a, b, c, delta = coeffs.a, coeffs.b, coeffs.c, coeffs.delta
-    tol_a, tol_delta = zero_tolerances(coeffs, tol)
+    tol_a, tol_delta = zero_tolerances(coeffs)
     a_zero = abs(a) <= tol_a
     delta_zero = abs(delta) <= tol_delta
 
     if a_zero and delta_zero:
-        return WholeLine() if c <= 0.0 else EmptySet()
+        return _WHOLE_LINE if c <= 0.0 else _EMPTY
     if a_zero:
         if b > 0.0:
-            return LeftRay(hi=-c / b)
+            return ConfidenceSet("left_ray", hi=-c / b)
         if b < 0.0:
-            return RightRay(lo=-c / b)
+            return ConfidenceSet("right_ray", lo=-c / b)
         # b is exactly zero yet delta escaped the band: a and b are both
         # negligible, so the inequality reduces to c <= 0.
-        return WholeLine() if c <= 0.0 else EmptySet()
+        return _WHOLE_LINE if c <= 0.0 else _EMPTY
     if delta_zero:
-        return Point(value=-b / (2.0 * a)) if a > 0.0 else WholeLine()
+        if a > 0.0:
+            vertex = -b / (2.0 * a)
+            return ConfidenceSet("point", vertex, vertex)
+        return _WHOLE_LINE
     if delta > 0.0:
         root = math.sqrt(delta)
         r1 = (-b - root) / (2.0 * a)
         r2 = (-b + root) / (2.0 * a)
         if a > 0.0:
-            return FiniteInterval(lo=r1, hi=r2)
-        return TwoRays(left_hi=r2, right_lo=r1)
-    return EmptySet() if a > 0.0 else WholeLine()
+            return ConfidenceSet("finite_interval", r1, r2)
+        return ConfidenceSet("two_rays", r2, r1)
+    return _EMPTY if a > 0.0 else _WHOLE_LINE
 
 
-def score_confidence_set(
-    scores: ScoreSample, alpha: float, tol: float = DEFAULT_ZERO_TOL
-) -> ConfidenceSet:
+def score_confidence_set(scores: ScoreSample, alpha: float) -> ConfidenceSet:
     """Convenience wrapper: coefficients plus inversion in one call."""
-    coeffs = quad_coefficients(scores, alpha)
-    if coeffs.degenerate:
-        raise DegenerateDataError("both score vectors are identically zero")
-    return invert_score_test(coeffs, tol)
+    return invert_score_test(quad_coefficients(scores, alpha))
 
 
 @dataclass(frozen=True)
@@ -365,28 +245,23 @@ class DrmlResult:
         return self.wald_lo <= theta <= self.wald_hi
 
 
-def drml_estimate(
-    scores: ScoreSample, alpha: float, tol: float = DEFAULT_ZERO_TOL
-) -> DrmlResult:
+def drml_estimate(scores: ScoreSample, alpha: float) -> DrmlResult:
     """Point estimate mean(psi_b)/mean(psi_a) with its Wald interval.
 
     The variance estimate is mean((psi_b - phi_hat*psi_a)^2) divided by
     mean(psi_a)^2; the interval is phi_hat -/+ z * sigma_hat / sqrt(n).
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidConfigError(f"alpha must lie in (0, 1), got {alpha}")
+    z = _z_crit(alpha)
     n = scores.n
-    ma = float(np.mean(scores.psi_a))
-    maa = float(np.mean(scores.psi_a * scores.psi_a))
-    if abs(ma) <= tol * max(math.sqrt(maa), 1.0):
+    ma, mb, maa, _, _ = scores.moments()
+    if abs(ma) <= ZERO_TOL * max(math.sqrt(maa), 1.0):
         raise WeakDenominatorError(
             "mean(psi_a) is numerically zero; the ratio estimator is undefined "
             "and the score confidence set should be used instead"
         )
-    phi_hat = float(np.mean(scores.psi_b)) / ma
+    phi_hat = mb / ma
     resid = scores.psi_b - phi_hat * scores.psi_a
     sigma2 = float(np.mean(resid * resid)) / (ma * ma)
-    z = normal_quantile(1.0 - alpha / 2.0)
     half = z * math.sqrt(sigma2 / n)
     return DrmlResult(
         phi_hat=phi_hat,
@@ -423,6 +298,6 @@ def instrument_is_weak(psi_a: np.ndarray, alpha: float) -> tuple[float, bool]:
     The score confidence set has infinite diameter exactly when the flag
     is set (apart from the degenerate all-zero-coefficient corner).
     """
+    z = _z_crit(alpha)
     dn0 = dn_statistic(psi_a, 0.0)
-    z = normal_quantile(1.0 - alpha / 2.0)
     return dn0, dn0 <= z * z

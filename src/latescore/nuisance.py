@@ -22,6 +22,11 @@ G_LEARNERS = ("ols_linear", "cell_mean")
 R_LEARNERS = ("logistic", "cell_mean")
 M_LEARNERS = ("logistic", "known_constant", "known_function")
 
+# IRLS stops after this many Newton steps or once every gradient entry
+# is this small.
+_IRLS_MAX_ITER = 100
+_IRLS_GRAD_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class LearnerSpec:
@@ -104,8 +109,6 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
 
 def _with_intercept(features: np.ndarray) -> np.ndarray:
     features = np.asarray(features, dtype=float)
-    if features.ndim == 1:
-        features = features.reshape(-1, 1)
     return np.column_stack([np.ones(features.shape[0]), features])
 
 
@@ -179,12 +182,7 @@ class LogisticModel:
         return np.clip(p, self._PRED_CLIP, 1.0 - self._PRED_CLIP)
 
 
-def fit_logistic(
-    features: np.ndarray,
-    labels: np.ndarray,
-    max_iter: int = 100,
-    grad_tol: float = 1e-8,
-) -> LogisticModel:
+def fit_logistic(features: np.ndarray, labels: np.ndarray) -> LogisticModel:
     """Maximum-likelihood logistic regression via IRLS.
 
     Labels of a single class yield a constant-probability model.  Under
@@ -198,11 +196,11 @@ def fit_logistic(
         return LogisticModel(intercept=0.0, slopes=np.zeros(d - 1), constant=float(labels[0]))
     beta = np.zeros(d)
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_IRLS_MAX_ITER):
         p = _sigmoid(design @ beta)
         p = np.clip(p, 1e-10, 1.0 - 1e-10)
         grad = design.T @ (labels - p) / n
-        if np.max(np.abs(grad)) <= grad_tol:
+        if np.max(np.abs(grad)) <= _IRLS_GRAD_TOL:
             converged = True
             break
         w = p * (1.0 - p)
@@ -262,30 +260,20 @@ def fit_cell_mean(z: np.ndarray, x: np.ndarray, values: np.ndarray) -> CellMeanM
     return CellMeanModel(cell_means=means, marginal=float(values.mean()))
 
 
-def _fit_predict_g(spec, data, train, test):
-    if spec.g_learner == "cell_mean":
-        model = fit_cell_mean(data.z[train], data.x[train], data.y[train])
+def _fit_predict(learner, targets, data, train, test):
+    """Fit one regression on the training units and predict it inside the
+    fold at z=1 and at z=0."""
+    if learner == "cell_mean":
+        model = fit_cell_mean(data.z[train], data.x[train], targets[train])
         return model.predict(1, data.x[test]), model.predict(0, data.x[test])
     features = np.column_stack([data.z[train], data.x[train]])
-    model = fit_ols(features, data.y[train])
+    if learner == "ols_linear":
+        predict = fit_ols(features, targets[train]).predict
+    else:
+        predict = fit_logistic(features, targets[train]).predict_proba
     x_test = data.x[test]
     ones = np.ones(x_test.shape[0])
-    g1 = model.predict(np.column_stack([ones, x_test]))
-    g0 = model.predict(np.column_stack([0.0 * ones, x_test]))
-    return g1, g0
-
-
-def _fit_predict_r(spec, data, train, test):
-    if spec.r_learner == "cell_mean":
-        model = fit_cell_mean(data.z[train], data.x[train], data.a[train])
-        return model.predict(1, data.x[test]), model.predict(0, data.x[test])
-    features = np.column_stack([data.z[train], data.x[train]])
-    model = fit_logistic(features, data.a[train])
-    x_test = data.x[test]
-    ones = np.ones(x_test.shape[0])
-    r1 = model.predict_proba(np.column_stack([ones, x_test]))
-    r0 = model.predict_proba(np.column_stack([0.0 * ones, x_test]))
-    return r1, r0
+    return predict(np.column_stack([ones, x_test])), predict(np.column_stack([0.0 * ones, x_test]))
 
 
 def cross_fit(data: Dataset, spec: LearnerSpec, folds: FoldAssignment) -> NuisancePredictions:
@@ -299,6 +287,8 @@ def cross_fit(data: Dataset, spec: LearnerSpec, folds: FoldAssignment) -> Nuisan
     """
     if folds.n != data.n:
         raise InvalidConfigError(f"folds cover {folds.n} units but the data has {data.n}")
+    if data.p == 0 and "cell_mean" in (spec.g_learner, spec.r_learner):
+        raise InvalidConfigError("cell-mean learners split on the first covariate; the data has none")
     n = data.n
     g1 = np.empty(n)
     g0 = np.empty(n)
@@ -320,8 +310,8 @@ def cross_fit(data: Dataset, spec: LearnerSpec, folds: FoldAssignment) -> Nuisan
             raise DegenerateFoldError(
                 f"training complement of fold {k} contains only instrument level {int(z_train[0])}"
             )
-        g1[test], g0[test] = _fit_predict_g(spec, data, train, test)
-        r1[test], r0[test] = _fit_predict_r(spec, data, train, test)
+        g1[test], g0[test] = _fit_predict(spec.g_learner, data.y, data, train, test)
+        r1[test], r0[test] = _fit_predict(spec.r_learner, data.a, data, train, test)
         if spec.m_learner == "logistic":
             model = fit_logistic(data.x[train], z_train)
             m1[test] = model.predict_proba(data.x[test])

@@ -47,6 +47,18 @@ class ScoreSample:
     def n(self) -> int:
         return self.psi_a.shape[0]
 
+    def moments(self) -> tuple[float, float, float, float, float]:
+        """The five empirical moments every statistic is built from:
+        mean(psi_a), mean(psi_b), mean(psi_a^2), mean(psi_b^2), mean(psi_a*psi_b)."""
+        psi_a, psi_b = self.psi_a, self.psi_b
+        return (
+            float(np.mean(psi_a)),
+            float(np.mean(psi_b)),
+            float(np.mean(psi_a * psi_a)),
+            float(np.mean(psi_b * psi_b)),
+            float(np.mean(psi_a * psi_b)),
+        )
+
 
 def compute_scores(data: Dataset, preds: NuisancePredictions) -> ScoreSample:
     """Plug nuisance predictions into the score formulas, unit by unit."""

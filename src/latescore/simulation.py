@@ -66,15 +66,22 @@ class DgpParams:
             raise InvalidConfigError(f"pi must be finite, got {self.pi}")
 
 
+def _draw(params: DgpParams, rng: np.random.Generator, size: int):
+    """Draw ``size`` units (x, z, a, y) from the law.
+
+    a is a float 0/1 array, so the oracle's score arithmetic needs no cast.
+    """
+    u = rng.standard_normal(size)
+    x = rng.standard_normal(size)
+    z = (rng.random(size) < 0.5).astype(int)
+    a = (params.pi * z * (x > 0) + u > 0).astype(float)
+    y = 2.0 * np.sign(u) + params.treatment_shift * a
+    return x, z, a, y
+
+
 def dgp_generate(params: DgpParams, seed: int) -> Dataset:
     """Draw one sample from the law, deterministically in the seed."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    n = params.n
-    u = rng.standard_normal(n)
-    x = rng.standard_normal(n)
-    z = (rng.random(n) < 0.5).astype(int)
-    a = (params.pi * z * (x > 0) + u > 0).astype(int)
-    y = 2.0 * np.sign(u) + params.treatment_shift * a
+    x, z, a, y = _draw(params, np.random.Generator(np.random.PCG64(seed)), params.n)
     return Dataset(y=y, a=a, z=z, x=x.reshape(-1, 1))
 
 
@@ -105,11 +112,7 @@ def oracle_scores(params: DgpParams, rng: np.random.Generator, size: int):
     g(1,X)-g(0,X), whose sample means are exact (Rao-Blackwellized)
     estimates of E[psi_a] and E[psi_b].
     """
-    u = rng.standard_normal(size)
-    x = rng.standard_normal(size)
-    z = (rng.random(size) < 0.5).astype(int)
-    a = (params.pi * z * (x > 0) + u > 0).astype(float)
-    y = 2.0 * np.sign(u) + params.treatment_shift * a
+    x, z, a, y = _draw(params, rng, size)
     pos = x > 0
     phi_pi = _norm_cdf(params.pi)
     r1 = np.where(pos, phi_pi, 0.5)
@@ -209,11 +212,7 @@ class StudyCell:
     failures: list[tuple[int, str]]
 
 
-def run_study(
-    spec: StudySpec,
-    order: Optional[Sequence[int]] = None,
-    progress=None,
-) -> list[StudyCell]:
+def run_study(spec: StudySpec, order: Optional[Sequence[int]] = None) -> list[StudyCell]:
     """Run the full grid.  ``order`` permutes replication execution (the
     collected results are identical for any order); per-replication
     degenerate-data failures are recorded, not raised."""
@@ -230,8 +229,6 @@ def run_study(
                 results.append(run_replication(params, spec, rep_id))
             except LatescoreError as exc:
                 failures.append((rep_id, str(exc)))
-            if progress is not None:
-                progress(n, rep_id)
         results.sort(key=lambda r: r.rep_id)
         failures.sort()
         cells.append(StudyCell(setting=spec.setting, pi=params.pi, n=n, results=results, failures=failures))

@@ -24,6 +24,9 @@ import numpy as np
 from .errors import DecompositionError, InvalidConfigError
 from .simulation import DgpParams, oracle_scores
 
+# Oracle draws per batch in the calibrator, which bounds its memory.
+_ORACLE_BATCH = 1_000_000
+
 
 def _cholesky_2x2(sigma: np.ndarray) -> np.ndarray:
     """Lower-triangular square root of a symmetric PSD 2x2 matrix."""
@@ -50,44 +53,41 @@ def _cholesky_2x2(sigma: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeakIVConfig:
-    """Limit parameters (c_a, c_b, Sigma_ab); c_a must be nonzero."""
+    """Limit parameters (c_a, c_b, Sigma_ab); c_a must be nonzero, both finite."""
 
     c_a: float
     c_b: float
     sigma_ab: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.c_a == 0.0:
-            raise InvalidConfigError("c_a must be nonzero")
+        if not (math.isfinite(self.c_a) and math.isfinite(self.c_b)):
+            raise InvalidConfigError(f"c_a and c_b must be finite, got {self.c_a} and {self.c_b}")
+        # c_a^2 centres the denominator.  Where it underflows to zero and N_a
+        # has no variance, the redraw loop never ends; where it overflows,
+        # every draw is 0 or NaN.
+        if not 0.0 < self.c_a * self.c_a < math.inf:
+            raise InvalidConfigError(f"c_a must be nonzero with c_a^2 in double range, got {self.c_a}")
         sigma = np.asarray(self.sigma_ab, dtype=float)
         _cholesky_2x2(sigma)  # validates symmetry and PSD
         sigma.setflags(write=False)
         object.__setattr__(self, "sigma_ab", sigma)
 
 
-def sample_bivariate_normal(
-    sigma_ab: np.ndarray, rng: np.random.Generator, size: int | None = None
-):
-    """Draw (N_a, N_b) ~ N(0, Sigma_ab) via the triangular square root."""
+def sample_bivariate_normal(sigma_ab: np.ndarray, rng: np.random.Generator, size: int):
+    """Draw ``size`` pairs (N_a, N_b) ~ N(0, Sigma_ab) via the triangular square root."""
     chol = _cholesky_2x2(sigma_ab)
-    m = 1 if size is None else size
-    e = rng.standard_normal((m, 2))
-    draws = e @ chol.T
-    if size is None:
-        return float(draws[0, 0]), float(draws[0, 1])
+    draws = rng.standard_normal((size, 2)) @ chol.T
     return draws[:, 0], draws[:, 1]
 
 
-def sample_weak_limit(
-    cfg: WeakIVConfig, rng: np.random.Generator, size: int | None = None
-):
-    """Draw from (c_a*N_b - c_b*N_a) / (c_a^2 + c_a*N_a).
+def sample_weak_limit(cfg: WeakIVConfig, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw ``size`` values of (c_a*N_b - c_b*N_a) / (c_a^2 + c_a*N_a).
 
     An exactly-zero denominator (a probability-zero event) triggers a
-    redraw, which leaves the distribution unchanged.
+    redraw, which leaves the distribution unchanged.  Parameters whose
+    draws overflow double precision are rejected.
     """
-    m = 1 if size is None else size
-    na, nb = sample_bivariate_normal(cfg.sigma_ab, rng, size=m)
+    na, nb = sample_bivariate_normal(cfg.sigma_ab, rng, size=size)
     num = cfg.c_a * nb - cfg.c_b * na
     den = cfg.c_a * cfg.c_a + cfg.c_a * na
     bad = den == 0.0
@@ -97,8 +97,8 @@ def sample_weak_limit(
         den[bad] = cfg.c_a * cfg.c_a + cfg.c_a * na2
         bad = den == 0.0
     draws = num / den
-    if size is None:
-        return float(draws[0])
+    if not np.all(np.isfinite(draws)):
+        raise InvalidConfigError("the limit parameters give draws beyond double range")
     return draws
 
 
@@ -120,15 +120,11 @@ class WeakIVCalibration:
     cb_violated: bool
     draws: int
 
-    def config(self) -> WeakIVConfig:
-        return WeakIVConfig(c_a=self.c_a, c_b=self.c_b, sigma_ab=self.sigma_ab)
-
 
 def estimate_weakiv_config(
     params: DgpParams,
     oracle_draws: int,
     seed: int = 0,
-    batch: int = 1_000_000,
 ) -> WeakIVCalibration:
     """Calibrate (c_a, c_b, Sigma_ab) for a law by oracle Monte Carlo.
 
@@ -149,7 +145,7 @@ def estimate_weakiv_config(
     sum_cb2 = 0.0
     sums = np.zeros(5)  # psi_a, psi_b, psi_a^2, psi_b^2, psi_a*psi_b
     while total < oracle_draws:
-        m = min(batch, oracle_draws - total)
+        m = min(_ORACLE_BATCH, oracle_draws - total)
         psi_a, psi_b, contrast_a, contrast_b = oracle_scores(params, rng, m)
         sum_ca += contrast_a.sum()
         sum_ca2 += (contrast_a * contrast_a).sum()

@@ -3,8 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latescore import DgpParams, dgp_generate, write_csv
+from latescore import (
+    DgpParams,
+    LearnerSpec,
+    compute_scores,
+    cross_fit,
+    dgp_generate,
+    load_csv,
+    make_folds,
+    write_csv,
+)
 from latescore.cli import main
 
 
@@ -17,6 +28,13 @@ def _export_dgp(tmp_path, pi, n, seed, name):
 def _read_rows(path):
     with open(path, newline="") as handle:
         return list(csv.DictReader(handle))
+
+
+def _assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestAnalyze:
@@ -77,6 +95,27 @@ class TestAnalyze:
         data_path = _export_dgp(tmp_path, pi=5.0, n=100, seed=34, name="flag.csv")
         assert main(["analyze", "--data", data_path, "--propensity", "known:abc"]) == 2
 
+    def test_missing_out_directory_exits_2(self, tmp_path, capsys):
+        data_path = _export_dgp(tmp_path, pi=5.0, n=100, seed=34, name="out.csv")
+        capsys.readouterr()
+        status = main([
+            "analyze", "--data", data_path, "--propensity", "known:0.5",
+            "--out", str(tmp_path / "nodir" / "x.csv"),
+        ])
+        assert status == 2
+        _assert_one_error_line(capsys)
+
+    def test_no_covariates(self, tmp_path, capsys):
+        data_path = _export_dgp(tmp_path, pi=5.0, n=300, seed=39, name="nocov.csv")
+        base = ["analyze", "--data", data_path, "--covariates", ""]
+        capsys.readouterr()
+        assert main(base + ["--g", "cellmean", "--r", "cellmean"]) == 2
+        _assert_one_error_line(capsys)
+        assert main(base + ["--g", "cellmean", "--r", "logit"]) == 2
+        assert main(base + ["--g", "ols", "--r", "cellmean"]) == 2
+        assert main(base + ["--g", "ols", "--r", "logit", "--propensity", "logit"]) == 0
+        assert "covariates = 0" in capsys.readouterr().out
+
 
 class TestSimulate:
     def test_small_run_writes_tables(self, tmp_path, capsys):
@@ -108,6 +147,15 @@ class TestSimulate:
         for name in ("replications.csv", "summary.csv"):
             with open(f"{dir1}/{name}", "rb") as f1, open(f"{dir2}/{name}", "rb") as f2:
                 assert f1.read() == f2.read()
+
+    def test_out_dir_under_a_file_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        status = main([
+            "simulate", "--n", "100", "--reps", "1", "--out-dir", str(blocker / "study"),
+        ])
+        assert status == 2
+        _assert_one_error_line(capsys)
 
     def test_custom_setting_requires_pi(self, tmp_path):
         status = main([
@@ -157,6 +205,23 @@ class TestScan:
         scores = _read_rows(out_path + ".scores.csv")
         assert len(scores) == 100
         assert set(scores[0]) == {"psi_a", "psi_b"}
+        data = load_csv(data_path)
+        spec = LearnerSpec(
+            g_learner="cell_mean", r_learner="cell_mean", m_learner="known_constant", m_value=0.5
+        )
+        expected = compute_scores(data, cross_fit(data, spec, make_folds(data.n, spec.K, 0)))
+        assert [float(r["psi_a"]) for r in scores] == expected.psi_a.tolist()
+        assert [float(r["psi_b"]) for r in scores] == expected.psi_b.tolist()
+
+    def test_missing_out_directory_exits_2(self, tmp_path, capsys):
+        data_path = _export_dgp(tmp_path, pi=5.0, n=100, seed=37, name="scan5.csv")
+        capsys.readouterr()
+        status = main([
+            "scan", "--data", data_path, "--propensity", "known:0.5",
+            "--theta-min", "-1", "--theta-max", "1", "--out", str(tmp_path / "nodir" / "s.csv"),
+        ])
+        assert status == 2
+        _assert_one_error_line(capsys)
 
     def test_bad_grid_exits_2(self, tmp_path):
         data_path = _export_dgp(tmp_path, pi=5.0, n=100, seed=38, name="scan4.csv")
@@ -199,6 +264,22 @@ class TestWeakIVLimit:
         ])
         assert status == 2
 
+    @pytest.mark.parametrize("ca,cb", [("nan", "1"), ("1", "inf"), ("-inf", "1"), ("1", "nan")])
+    def test_non_finite_means_exit_2(self, tmp_path, ca, cb):
+        status = main([
+            "weakiv-limit", f"--ca={ca}", f"--cb={cb}", "--s11", "1", "--s12", "0",
+            "--s22", "1", "--samples", "10", "--out", str(tmp_path / "d.csv"),
+        ])
+        assert status == 2
+
+    def test_missing_out_directory_exits_2(self, tmp_path, capsys):
+        status = main([
+            "weakiv-limit", "--ca", "1", "--cb", "1", "--s11", "1", "--s12", "0",
+            "--s22", "1", "--samples", "10", "--out", str(tmp_path / "nodir" / "d.csv"),
+        ])
+        assert status == 2
+        _assert_one_error_line(capsys)
+
     def test_non_psd_sigma_exits_2(self, tmp_path):
         status = main([
             "weakiv-limit", "--ca", "1", "--cb", "1", "--s11", "1", "--s12", "2",
@@ -212,3 +293,66 @@ class TestEntryPoint:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+# Flag values at the edges of each command's domain: non-finite and
+# out-of-range numbers, values that overflow or underflow in the
+# statistics, and ordinary ones.
+_NUMBERS = st.sampled_from(["nan", "inf", "-inf", "0", "1", "0.03", "-2", "1e-300", "1e200", "4"])
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("contract")
+    write_csv(dgp_generate(DgpParams(pi=5.0, n=200), seed=40), str(root / "strong.csv"))
+    (root / "degenerate.csv").write_text(
+        "y,a,z,x1\n" + "".join(f"0.0,0,{i % 2},0.5\n" for i in range(40))
+    )
+    (root / "file").write_text("")
+    return root
+
+
+def _argv(draw, root):
+    """One command line for any of the four commands, drawn from edge values."""
+    out = str(root / draw(st.sampled_from(["out.csv", "nodir/out.csv"])))
+    command = draw(st.sampled_from(["analyze", "scan", "simulate", "weakiv-limit"]))
+    if command == "weakiv-limit":
+        flags = [f"--{name}={draw(_NUMBERS)}" for name in ("ca", "cb", "s11", "s12", "s22")]
+        samples = draw(st.sampled_from(["0", "1", "50"]))
+        return [command, *flags, "--samples", samples, "--out", out]
+    alpha = draw(st.sampled_from(["0.05", "0.5"]) | _NUMBERS)
+    if command == "simulate":
+        setting = draw(st.sampled_from(["weak", "strong", "custom"]))
+        out_dir = str(root / draw(st.sampled_from(["study", "file/study"])))
+        return [
+            command, "--setting", setting, f"--pi={draw(_NUMBERS)}",
+            "--n", draw(st.sampled_from(["1", "60", "60,80", "abc"])),
+            "--reps", draw(st.sampled_from(["0", "1", "2"])), f"--alpha={alpha}", "--out-dir", out_dir,
+        ]
+    argv = [
+        command, "--data", str(root / draw(st.sampled_from(["strong.csv", "degenerate.csv", "absent.csv"]))),
+        "--covariates", draw(st.sampled_from(["", "x1", "x1,nope"])),
+        "--g", draw(st.sampled_from(["ols", "cellmean"])),
+        "--r", draw(st.sampled_from(["logit", "cellmean"])),
+        "--propensity", draw(st.sampled_from(["logit", "known:0.5", "known:nan", "known:1"])),
+        f"--alpha={alpha}", "--folds", draw(st.sampled_from(["2", "5"])),
+    ]
+    if command == "scan":
+        return argv + [
+            f"--theta-min={draw(_NUMBERS)}", f"--theta-max={draw(_NUMBERS)}",
+            "--grid-points", draw(st.sampled_from(["1", "2", "11"])), "--out", out,
+        ]
+    return argv + ["--out", draw(st.sampled_from([out, ""]))]
+
+
+class TestExitContract:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_command_line_exits_0_2_or_3(self, contract_dir, data):
+        argv = _argv(data.draw, contract_dir)
+        status = main(argv)
+        assert status in (0, 2, 3), argv
+        if argv[0] == "weakiv-limit" and status == 0:
+            draws = [float(r["draw"]) for r in _read_rows(argv[-1])]
+            assert len(draws) == int(argv[argv.index("--samples") + 1])
+            assert all(math.isfinite(v) for v in draws), argv

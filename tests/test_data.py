@@ -8,7 +8,6 @@ from latescore import (
     CsvSchema,
     Dataset,
     InvalidConfigError,
-    ObservedUnit,
     load_csv,
     make_folds,
     write_csv,
@@ -63,22 +62,6 @@ class TestMakeFolds:
             assert not members & complement
 
 
-class TestObservedUnit:
-    def test_valid(self):
-        u = ObservedUnit(y=1.5, a=1, z=0, x=(0.3, -2.0))
-        assert u.a == 1
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(y=1.0, a=2, z=0, x=(0.0,)),
-        dict(y=1.0, a=0, z=-1, x=(0.0,)),
-        dict(y=float("nan"), a=0, z=0, x=(0.0,)),
-        dict(y=0.0, a=0, z=0, x=(float("inf"),)),
-    ])
-    def test_invalid(self, kwargs):
-        with pytest.raises(InvalidConfigError):
-            ObservedUnit(**kwargs)
-
-
 class TestDataset:
     def test_requires_two_rows(self):
         with pytest.raises(InvalidConfigError):
@@ -93,11 +76,19 @@ class TestDataset:
         with pytest.raises(ValueError):
             data.y[0] = 5.0
 
-    def test_unit_round_trip(self):
-        data = Dataset(y=[1.0, 2.0], a=[0, 1], z=[1, 0], x=[[0.5], [-0.5]])
-        units = list(data)
-        rebuilt = Dataset.from_units(units)
-        assert rebuilt == data
+    @pytest.mark.parametrize("kwargs", [
+        dict(y=1.0, a=2, z=0, x=(0.0,)),
+        dict(y=1.0, a=0, z=-1, x=(0.0,)),
+        dict(y=float("nan"), a=0, z=0, x=(0.0,)),
+        dict(y=0.0, a=0, z=0, x=(float("inf"),)),
+    ])
+    def test_rejects_invalid_row(self, kwargs):
+        rows = [dict(y=0.5, a=1, z=1, x=(0.25,)), kwargs]
+        with pytest.raises(InvalidConfigError):
+            Dataset(
+                y=[r["y"] for r in rows], a=[r["a"] for r in rows],
+                z=[r["z"] for r in rows], x=[r["x"] for r in rows],
+            )
 
 
 def _write(tmp_path, text, name="data.csv"):

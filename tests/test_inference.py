@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -6,29 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latescore import (
+    ConfidenceSet,
     DegenerateDataError,
-    EmptySet,
-    FiniteInterval,
     InvalidConfigError,
-    LeftRay,
-    Point,
     QuadCoefficients,
-    RightRay,
     ScoreSample,
-    TwoRays,
     WeakDenominatorError,
-    WholeLine,
     dn_statistic,
     drml_estimate,
     instrument_is_weak,
     invert_score_test,
-    normal_quantile,
     quad_coefficients,
     score_confidence_set,
     score_statistic,
 )
 
 Z975 = 1.959963984540054
+EMPTY = ConfidenceSet("empty", math.inf, -math.inf)
+WHOLE_LINE = ConfidenceSet("whole_line")
 
 
 def make_coeffs(a, b, c):
@@ -44,28 +40,29 @@ def random_scores(rng, n=50, strong=False):
 
 
 class TestNormalQuantile:
-    def test_median(self):
-        assert normal_quantile(0.5) == 0.0
+    """The critical value z, the 1-alpha/2 standard-normal quantile."""
+
+    SCORES = ScoreSample(psi_a=np.array([1.0, 2.0]), psi_b=np.array([0.0, 1.0]))
 
     def test_upper_975(self):
-        assert abs(normal_quantile(0.975) - 1.959963984540054) < 1e-12
-
-    def test_symmetry(self):
-        for p in np.arange(0.01, 1.0, 0.01):
-            assert abs(normal_quantile(p) + normal_quantile(1.0 - p)) < 1e-12
+        assert abs(quad_coefficients(self.SCORES, 0.05).z_crit - 1.959963984540054) < 1e-12
 
     def test_against_scipy_oracle(self):
         scipy_stats = pytest.importorskip("scipy.stats")
-        grid = np.concatenate(
-            [np.linspace(1e-9, 1 - 1e-9, 4001), [1e-300, 1e-15, 0.5, 1 - 1e-15]]
-        )
-        for p in grid:
-            assert abs(normal_quantile(float(p)) - scipy_stats.norm.ppf(p)) < 1e-12
+        alphas = np.concatenate([np.linspace(1e-9, 1 - 1e-9, 4001), [1e-15, 0.05, 1 - 1e-15]])
+        for alpha in alphas:
+            z = quad_coefficients(self.SCORES, float(alpha)).z_crit
+            assert abs(z - scipy_stats.norm.ppf(1.0 - alpha / 2.0)) < 1e-12
 
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 1.5])
-    def test_domain(self, p):
+    # 1e-300 is inside (0, 1), but 1 - alpha/2 rounds to 1.0 and z is infinite.
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5, 1e-300, math.nan])
+    def test_domain(self, alpha):
         with pytest.raises(InvalidConfigError):
-            normal_quantile(p)
+            quad_coefficients(self.SCORES, alpha)
+        with pytest.raises(InvalidConfigError):
+            drml_estimate(self.SCORES, alpha)
+        with pytest.raises(InvalidConfigError):
+            instrument_is_weak(self.SCORES.psi_a, alpha)
 
 
 class TestScoreStatistic:
@@ -135,47 +132,45 @@ class TestQuadCoefficients:
 class TestInvertScoreTest:
     def test_finite_interval(self):
         cset = invert_score_test(make_coeffs(1.0, 0.0, -1.0))
-        assert cset == FiniteInterval(lo=-1.0, hi=1.0)
+        assert cset == ConfidenceSet("finite_interval", -1.0, 1.0)
 
     def test_two_rays(self):
         cset = invert_score_test(make_coeffs(-1.0, 0.0, 1.0))
-        assert cset == TwoRays(left_hi=-1.0, right_lo=1.0)
+        assert cset == ConfidenceSet("two_rays", -1.0, 1.0)
         assert cset.contains(-2.0) and cset.contains(2.0) and not cset.contains(0.0)
 
     def test_empty(self):
-        assert invert_score_test(make_coeffs(1.0, 0.0, 1.0)) == EmptySet()
+        assert invert_score_test(make_coeffs(1.0, 0.0, 1.0)) == EMPTY
 
     def test_whole_line_negative_definite(self):
-        assert invert_score_test(make_coeffs(-1.0, 0.0, -1.0)) == WholeLine()
+        assert invert_score_test(make_coeffs(-1.0, 0.0, -1.0)) == WHOLE_LINE
 
     def test_left_ray(self):
-        assert invert_score_test(make_coeffs(0.0, 2.0, -4.0)) == LeftRay(hi=2.0)
+        assert invert_score_test(make_coeffs(0.0, 2.0, -4.0)) == ConfidenceSet("left_ray", hi=2.0)
 
     def test_right_ray(self):
-        assert invert_score_test(make_coeffs(0.0, -2.0, -4.0)) == RightRay(lo=-2.0)
+        assert invert_score_test(make_coeffs(0.0, -2.0, -4.0)) == ConfidenceSet("right_ray", lo=-2.0)
 
     def test_point_requires_upward_parabola(self):
-        assert invert_score_test(make_coeffs(1.0, -2.0, 1.0)) == Point(value=1.0)
+        assert invert_score_test(make_coeffs(1.0, -2.0, 1.0)) == ConfidenceSet("point", 1.0, 1.0)
 
     def test_tangent_downward_parabola_is_whole_line(self):
         # -(theta-1)^2 <= 0 holds everywhere, not only at the vertex
         cset = invert_score_test(make_coeffs(-1.0, 2.0, -1.0))
-        assert cset == WholeLine()
+        assert cset == WHOLE_LINE
 
     def test_degenerate_constant_cases(self):
-        assert invert_score_test(make_coeffs(0.0, 0.0, -1.0)) == WholeLine()
-        assert invert_score_test(make_coeffs(0.0, 0.0, 1.0)) == EmptySet()
-        assert invert_score_test(make_coeffs(0.0, 0.0, 0.0)) == WholeLine()
+        assert invert_score_test(make_coeffs(0.0, 0.0, -1.0)) == WHOLE_LINE
+        assert invert_score_test(make_coeffs(0.0, 0.0, 1.0)) == EMPTY
+        assert invert_score_test(make_coeffs(0.0, 0.0, 0.0)) == WHOLE_LINE
 
     def test_root_ordering(self):
         rng = np.random.Generator(np.random.PCG64(10))
         for _ in range(500):
             a, b, c = rng.standard_normal(3) * 10.0
             cset = invert_score_test(make_coeffs(a, b, c))
-            if isinstance(cset, FiniteInterval):
+            if cset.tag in ("finite_interval", "two_rays"):
                 assert cset.lo <= cset.hi
-            elif isinstance(cset, TwoRays):
-                assert cset.left_hi <= cset.right_lo
 
     @given(
         a=st.floats(allow_nan=False, allow_infinity=False, width=64),
@@ -215,13 +210,59 @@ class TestInvertScoreTest:
 
 class TestDiameters:
     def test_forms(self):
-        assert FiniteInterval(1.0, 3.5).diameter() == 2.5
-        assert TwoRays(0.0, 1.0).diameter() == math.inf
-        assert EmptySet().diameter() == 0.0
-        assert WholeLine().diameter() == math.inf
-        assert LeftRay(2.0).diameter() == math.inf
-        assert RightRay(2.0).diameter() == math.inf
-        assert Point(4.0).diameter() == 0.0
+        assert ConfidenceSet("finite_interval", 1.0, 3.5).diameter() == 2.5
+        assert ConfidenceSet("two_rays", 0.0, 1.0).diameter() == math.inf
+        assert EMPTY.diameter() == 0.0
+        assert WHOLE_LINE.diameter() == math.inf
+        assert ConfidenceSet("left_ray", hi=2.0).diameter() == math.inf
+        assert ConfidenceSet("right_ray", lo=2.0).diameter() == math.inf
+        assert ConfidenceSet("point", 4.0, 4.0).diameter() == 0.0
+
+
+class TestConfidenceSetRecord:
+    # (set, str, endpoints, diameter, membership of each of THETAS)
+    THETAS = np.array([-1e9, -1.23456789, 0.0, 2e-7, 3.5, 4.0, 1e9, math.inf, -math.inf])
+    FORMS = [
+        (ConfidenceSet("finite_interval", -1.23456789, 3.5), "[-1.23457, 3.5]",
+         (-1.23456789, 3.5), 4.73456789, [0, 1, 1, 1, 1, 0, 0, 0, 0]),
+        (ConfidenceSet("two_rays", -0.5, 2e-7), "(-inf, -0.5] U [2e-07, inf)",
+         (-0.5, 2e-7), math.inf, [1, 1, 0, 1, 1, 1, 1, 1, 1]),
+        (EMPTY, "{}", (), 0.0, [0, 0, 0, 0, 0, 0, 0, 0, 0]),
+        (WHOLE_LINE, "(-inf, inf)", (), math.inf, [1, 1, 1, 1, 1, 1, 1, 1, 1]),
+        (ConfidenceSet("left_ray", hi=1234567.0), "(-inf, 1.23457e+06]",
+         (1234567.0,), math.inf, [1, 1, 1, 1, 1, 1, 0, 0, 1]),
+        (ConfidenceSet("right_ray", lo=-2.0), "[-2, inf)", (-2.0,), math.inf, [0, 1, 1, 1, 1, 1, 1, 1, 0]),
+        (ConfidenceSet("point", 4.0, 4.0), "{4}", (4.0,), 0.0, [0, 0, 0, 0, 0, 1, 0, 0, 0]),
+    ]
+
+    @pytest.mark.parametrize("form", FORMS, ids=lambda form: form[0].tag)
+    def test_text_endpoints_diameter_membership(self, form):
+        cset, text, endpoints, diameter, members = form
+        assert str(cset) == text
+        assert cset.endpoints() == endpoints
+        assert cset.diameter() == diameter
+        by_element = [cset.contains(float(t)) for t in self.THETAS]
+        assert by_element == [bool(m) for m in members]
+        by_array = cset.contains(self.THETAS)
+        assert by_array.shape == self.THETAS.shape
+        assert by_array.tolist() == by_element
+
+    def test_all_seven_shapes_pinned(self):
+        assert {form[0].tag for form in self.FORMS} == {
+            "finite_interval", "two_rays", "empty", "whole_line", "left_ray", "right_ray", "point",
+        }
+
+    @pytest.mark.parametrize("tag,lo,hi", [
+        ("interval", 0.0, 1.0),
+        ("finite_interval", 2.0, 1.0),
+        ("finite_interval", math.nan, 1.0),
+        ("two_rays", 1.0, -1.0),
+        ("empty", -math.inf, math.inf),
+        ("empty", 0.0, 0.0),
+    ])
+    def test_rejects_unknown_shape_and_disordered_endpoints(self, tag, lo, hi):
+        with pytest.raises(InvalidConfigError):
+            ConfidenceSet(tag, lo, hi)
 
 
 class TestDrmlEstimate:
@@ -248,7 +289,7 @@ class TestDrmlEstimate:
         for _ in range(50):
             s = random_scores(rng, strong=True)
             r = drml_estimate(s, 0.05)
-            z = normal_quantile(0.975)
+            z = NormalDist().inv_cdf(0.975)
             assert r.wald_hi - r.phi_hat == pytest.approx(r.phi_hat - r.wald_lo, rel=1e-12)
             assert r.diameter() == pytest.approx(
                 2.0 * z * math.sqrt(r.sigma2_hat / s.n), rel=1e-12
@@ -284,7 +325,7 @@ class TestEquivariance:
         shifted = ScoreSample(psi_a=s.psi_a, psi_b=s.psi_b + kappa * s.psi_a)
         c1 = score_confidence_set(s, 0.05)
         c2 = score_confidence_set(shifted, 0.05)
-        assert type(c1) is type(c2)
+        assert c1.tag == c2.tag
         assert np.allclose(
             np.asarray(c2.endpoints()), np.asarray(c1.endpoints()) + kappa, rtol=1e-10, atol=1e-10
         )
@@ -300,7 +341,7 @@ class TestEquivariance:
         scaled = ScoreSample(psi_a=s.psi_a, psi_b=lam * s.psi_b)
         c1 = score_confidence_set(s, 0.05)
         c2 = score_confidence_set(scaled, 0.05)
-        assert type(c1) is type(c2)
+        assert c1.tag == c2.tag
         assert np.allclose(
             np.asarray(c2.endpoints()), lam * np.asarray(c1.endpoints()), rtol=1e-10, atol=1e-10
         )

@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -40,7 +41,8 @@ class TestDgpGenerate:
     def test_deterministic(self):
         a = dgp_generate(DgpParams(pi=1.0, n=500), seed=3)
         b = dgp_generate(DgpParams(pi=1.0, n=500), seed=3)
-        assert a == b
+        for column in ("y", "a", "z", "x"):
+            assert np.array_equal(getattr(a, column), getattr(b, column))
 
     def test_rejects_tiny_n(self):
         with pytest.raises(InvalidConfigError):
@@ -149,9 +151,7 @@ class TestRunStudy:
             run_study(spec, order=[0, 0, 1])
 
     def test_infinite_diameter_equivalence_small_run(self):
-        from latescore import normal_quantile
-
-        z2 = normal_quantile(0.975) ** 2
+        z2 = NormalDist().inv_cdf(0.975) ** 2
         spec = StudySpec(setting="weak", n_grid=(1000,), reps=60, seed=3)
         cells = run_study(spec)
         for r in cells[0].results:

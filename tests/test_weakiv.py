@@ -51,13 +51,20 @@ class TestBivariateNormal:
     def test_rejects_non_psd(self, sigma):
         rng = np.random.Generator(np.random.PCG64(4))
         with pytest.raises(DecompositionError):
-            sample_bivariate_normal(sigma, rng)
+            sample_bivariate_normal(sigma, rng, size=10)
 
 
 class TestWeakIVConfig:
     def test_rejects_zero_ca(self):
         with pytest.raises(InvalidConfigError):
             WeakIVConfig(c_a=0.0, c_b=1.0, sigma_ab=np.eye(2))
+
+    @pytest.mark.parametrize("c_a,c_b", [
+        (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf),
+    ])
+    def test_rejects_non_finite_limit_means(self, c_a, c_b):
+        with pytest.raises(InvalidConfigError, match="finite"):
+            WeakIVConfig(c_a=c_a, c_b=c_b, sigma_ab=np.eye(2))
 
     def test_allows_zero_cb(self):
         cfg = WeakIVConfig(c_a=1.0, c_b=0.0, sigma_ab=np.eye(2))
@@ -98,12 +105,6 @@ class TestSampleWeakLimit:
         d1 = sample_weak_limit(cfg, rng, size=100_000)
         d2 = sample_weak_limit(cfg_neg, rng, size=100_000)
         assert ks_distance(-d1, d2) < 0.02
-
-    def test_scalar_draw(self):
-        cfg = WeakIVConfig(c_a=1.0, c_b=0.0, sigma_ab=np.eye(2))
-        rng = np.random.Generator(np.random.PCG64(10))
-        v = sample_weak_limit(cfg, rng)
-        assert isinstance(v, float)
 
 
 class TestEstimateWeakIVConfig:
@@ -181,7 +182,7 @@ class TestLimitMatchesReplications:
         n = 45_000
         params = DgpParams(pi=0.15 / math.sqrt(n), n=n)
         cal = estimate_weakiv_config(params, oracle_draws=4_000_000, seed=13)
-        cfg = cal.config()
+        cfg = WeakIVConfig(c_a=cal.c_a, c_b=cal.c_b, sigma_ab=cal.sigma_ab)
         cells = run_study(StudySpec(setting="weak", n_grid=(n,), reps=800, seed=14))
         emp = np.array([r.phi_hat for r in cells[0].results])
         rng = np.random.Generator(np.random.PCG64(15))
