@@ -9,6 +9,7 @@ and safe to share across threads.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,19 +150,80 @@ def _parse_binary(text: str, row: int, col: str) -> int:
     return int(value)
 
 
-def load_csv(path: str, schema: CsvSchema = CsvSchema()) -> Dataset:
-    """Load a dataset from a headered CSV file.
+# Bytes a clean numeric data line may hold.  A file whose data lines hold
+# only these has no quotes, comments or carriage returns, and each of its
+# cells is text on which np.loadtxt and float() agree bit for bit.
+_NUMERIC_BYTES = b"0123456789+-.eE,\t \n"
 
-    Rows are kept in file order.  Row numbers in error messages are
-    1-based and count data rows (the header is row 0).  Missing values
-    are a hard error.
+
+def _load_columns(path: str, schema: CsvSchema):
+    """Parse a clean numeric file by column; None defers to ``_load_cells``.
+
+    Returns None, rather than raising, for anything the per-cell parser
+    might treat differently (blank or short lines, non-numeric bytes,
+    values outside the schema's domain), so every error comes from there.
     """
     try:
-        handle = open(path, newline="")
+        with open(path, "rb") as handle:
+            head = handle.readline()
+            rows, last = 0, b"\n"
+            while block := handle.read(1 << 20):
+                if block.translate(None, _NUMERIC_BYTES):
+                    return None
+                rows += block.count(b"\n")
+                last = block[-1:]
+        header = [h.strip() for h in head.decode("utf-8").split(",")]
+    except (OSError, UnicodeDecodeError):
+        return None
+    # np.loadtxt skips blank lines, which the per-cell parser rejects, so
+    # it must return one row for every data line counted here.
+    rows += last != b"\n"
+    needed = [schema.outcome, schema.treatment, schema.instrument, *schema.covariates]
+    # Without quotes or carriage returns the header is one line, and
+    # splitting it at commas gives the cells csv.reader gives.
+    if rows < 2 or b'"' in head or b"\r" in head or not set(needed) <= set(header):
+        return None
+    iy, ia, iz, *ix = (header.index(name) for name in needed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(
+                path, delimiter=",", skiprows=1, comments=None, dtype=float,
+                encoding="utf-8", ndmin=2,
+            )
+        except (ValueError, Warning):
+            return None
+    if table.shape != (rows, len(header)):
+        return None
+    y, a, z = table[:, iy].copy(), table[:, ia], table[:, iz]
+    x = np.ascontiguousarray(table[:, ix])
+    if not (
+        np.isfinite(y).all() and np.isfinite(x).all()
+        and ((a == 0) | (a == 1)).all() and ((z == 0) | (z == 1)).all()
+    ):
+        return None
+    return Dataset(y=y, a=a.astype(int), z=z.astype(int), x=x)
+
+
+def _csv_rows(handle, path: str):
+    """csv.reader over ``handle``, with decoding and framing errors as CsvParseError."""
+    reader = csv.reader(handle)
+    try:
+        yield from reader
+    except UnicodeDecodeError:
+        raise CsvParseError(f"{path} is not UTF-8 text") from None
+    except csv.Error as exc:
+        raise CsvParseError(f"{path}, line {reader.line_num}: {exc}") from None
+
+
+def _load_cells(path: str, schema: CsvSchema) -> Dataset:
+    """Parse cell by cell: the reference grammar and the source of every error."""
+    try:
+        handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise CsvParseError(f"cannot open {path}: {exc}") from None
     with handle:
-        reader = csv.reader(handle)
+        reader = _csv_rows(handle, path)
         try:
             header = next(reader)
         except StopIteration:
@@ -188,6 +250,19 @@ def load_csv(path: str, schema: CsvSchema = CsvSchema()) -> Dataset:
     if len(y) < 2:
         raise CsvParseError(f"{path} has fewer than 2 rows of data")
     return Dataset(y=y, a=a, z=z, x=np.array(x, dtype=float).reshape(len(y), -1))
+
+
+def load_csv(path: str, schema: CsvSchema = CsvSchema()) -> Dataset:
+    """Load a dataset from a headered, UTF-8 CSV file.
+
+    Rows are kept in file order.  Row numbers in error messages are
+    1-based and count data rows (the header is row 0).  Missing values
+    are a hard error.  A clean numeric file is parsed by column in one
+    ``np.loadtxt`` call; any other file goes through the per-cell parser,
+    which gives the same arrays and names the row and column of a fault.
+    """
+    data = _load_columns(path, schema)
+    return _load_cells(path, schema) if data is None else data
 
 
 def write_csv(data: Dataset, path: str, schema: CsvSchema = CsvSchema()) -> None:

@@ -39,7 +39,10 @@ def _cholesky_2x2(sigma: np.ndarray) -> np.ndarray:
     scale = max(abs(s11), abs(s22), abs(s12), 1.0)
     if abs(s12 - s21) > 1e-12 * scale:
         raise DecompositionError(f"covariance is not symmetric: {s12} vs {s21}")
-    if s11 < 0.0 or s22 < 0.0 or s11 * s22 - s12 * s12 < -1e-12 * scale * scale:
+    # The determinant test runs on entries divided by scale: on the raw
+    # entries, s11*s22 - s12*s12 can be inf - inf = nan, which passes.
+    t11, t12, t22 = s11 / scale, s12 / scale, s22 / scale
+    if s11 < 0.0 or s22 < 0.0 or t11 * t22 - t12 * t12 < -1e-12:
         raise DecompositionError("covariance is not positive semidefinite")
     if s11 == 0.0:
         if s12 != 0.0:

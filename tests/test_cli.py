@@ -117,6 +117,28 @@ class TestAnalyze:
         assert "covariates = 0" in capsys.readouterr().out
 
 
+class TestIngestErrors:
+    """Unreadable input is a parse error (exit 2) that names the file."""
+
+    @pytest.mark.parametrize("command", ["analyze", "scan"])
+    @pytest.mark.parametrize("content", [
+        b"y,a,z,x1\n1,0,1,2\n3,1,0,\xff\n",
+        b"y,a,z,x1\n1,0,1,2\n3,1,0," + b"1" * 200_000 + b"\n2,1,1,5\n",
+    ], ids=["not_utf8", "huge_cell"])
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, command, content):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        argv = [command, "--data", str(path), "--propensity", "known:0.5",
+                "--g", "cellmean", "--r", "cellmean", "--out", str(tmp_path / "out.csv")]
+        if command == "scan":
+            argv += ["--theta-min", "-1", "--theta-max", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert str(path) in captured.err
+
+
 class TestSimulate:
     def test_small_run_writes_tables(self, tmp_path, capsys):
         out_dir = str(tmp_path / "study")
@@ -309,6 +331,10 @@ def contract_dir(tmp_path_factory):
         "y,a,z,x1\n" + "".join(f"0.0,0,{i % 2},0.5\n" for i in range(40))
     )
     (root / "file").write_text("")
+    (root / "not_utf8.csv").write_bytes(b"y,a,z,x1\n1,0,1,2\n3,1,0,\xff\n")
+    (root / "blank_line.csv").write_text(
+        "y,a,z,x1\n" + "".join(f"{i}.5,{i % 2},{i // 2 % 2},0.25\n" for i in range(20)) + "\n1,0,1,2\n"
+    )
     return root
 
 
@@ -330,7 +356,9 @@ def _argv(draw, root):
             "--reps", draw(st.sampled_from(["0", "1", "2"])), f"--alpha={alpha}", "--out-dir", out_dir,
         ]
     argv = [
-        command, "--data", str(root / draw(st.sampled_from(["strong.csv", "degenerate.csv", "absent.csv"]))),
+        command, "--data", str(root / draw(st.sampled_from(
+            ["strong.csv", "degenerate.csv", "absent.csv", "not_utf8.csv", "blank_line.csv"]
+        ))),
         "--covariates", draw(st.sampled_from(["", "x1", "x1,nope"])),
         "--g", draw(st.sampled_from(["ols", "cellmean"])),
         "--r", draw(st.sampled_from(["logit", "cellmean"])),

@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latescore import (
@@ -12,6 +14,7 @@ from latescore import (
     make_folds,
     write_csv,
 )
+from latescore import data as data_module
 
 
 class TestMakeFolds:
@@ -148,6 +151,151 @@ class TestLoadCsv:
         assert np.array_equal(loaded.a, data.a)
         assert np.array_equal(loaded.z, data.z)
         assert np.array_equal(loaded.x, data.x)
+
+    def test_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"y,a,z,x1\n1,0,1,2\n3,1,0,\xff\n")
+        with pytest.raises(CsvParseError, match="not UTF-8") as exc:
+            load_csv(str(path))
+        assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("text", [
+        "y,a,z,x1\n1,0,1,2\n\n3,1,0,4\n",
+        "y,a,z,x1\n1,0,1,2\n3,1,0,4\n\n",
+    ])
+    def test_blank_line_is_a_row_without_cells(self, tmp_path, text):
+        with pytest.raises(CsvParseError, match=r"row [23] has 0 cells, expected 4"):
+            load_csv(_write(tmp_path, text))
+
+    def test_short_row_names_its_length(self, tmp_path):
+        path = _write(tmp_path, "y,a,z,x1,w\n1,0,1,2,7\n3,1,0,4\n")
+        with pytest.raises(CsvParseError, match="row 2 has 4 cells, expected 5"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("text", [
+        "y,a,z,x1\r\n1,0,1,2\r\n3,1,0,4\r\n",
+        "y,a,z,x1\n1_000,0,1,2\n3,1,0,4\n",
+        'y,a,z,x1\n"1",0,1,2\n3,1.0,-0,4',
+        "y,a,z,x1,note\n1,0,1,2,first\n3,1,0,4,inf\n",
+    ])
+    def test_files_for_the_per_cell_parser_load(self, tmp_path, text):
+        data = load_csv(_write(tmp_path, text))
+        assert data.y[0] in (1.0, 1000.0) and list(data.x[:, 0]) == [2.0, 4.0]
+
+    @pytest.mark.parametrize("final_newline", [True, False])
+    def test_clean_file_takes_the_column_path(self, tmp_path, monkeypatch, final_newline):
+        rng = np.random.Generator(np.random.PCG64(11))
+        n = 600
+        bits = rng.integers(0, 2**64, size=(n, 4), dtype=np.uint64, endpoint=False)
+        values = bits.view(np.float64)
+        values[~np.isfinite(values)] = 0.5
+        special = [5e-324, -5e-324, 1e-310, 0.0, -0.0, 1.7976931348623157e308, -1.7976931348623157e308]
+        values[: len(special), 0] = special
+        values[-len(special):, 3] = special
+        data = Dataset(
+            y=values[:, 0], a=rng.integers(0, 2, n), z=rng.integers(0, 2, n), x=values[:, 1:]
+        )
+        schema = CsvSchema(covariates=("x1", "x2", "x3"))
+        path = str(tmp_path / "clean.csv")
+        write_csv(data, path, schema)
+        if not final_newline:
+            with open(path, "rb+") as handle:
+                handle.truncate(handle.seek(0, 2) - 1)
+
+        def refuse(*args):
+            raise AssertionError("a clean file reached the per-cell parser")
+
+        monkeypatch.setattr(data_module, "_load_cells", refuse)
+        loaded = load_csv(path, schema)
+        for name in ("y", "a", "z", "x"):
+            got, want = getattr(loaded, name), getattr(data, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
+
+# Cells and lines on which a column parser and a per-cell parser can part:
+# padding, quotes, comment marks, digit separators, non-finite and
+# out-of-range numbers, binary columns written as floats, non-ASCII text.
+_TRAP_CELLS = [
+    "", " ", " 0.5 ", "\t2", '"0.5"', "#1", "1_000", "inf", "-inf", "nan", "1e999", "-1e400",
+    "1e-400", "abc", "1.0", "-0", "+1", "1e0", "2", "-1", "0.5", "0x1p3", "\xa01", "\xff",
+]
+_TRAP_LINES = ["", "   ", "# note", "0.5,1,1", "0.5,1,1,0.25,9,9", '"0.5",1,1,0.25']
+_HEADERS = ["y,a,z,x1"] * 4 + ["y,a,z,x1,w", " y , a ,z,x1", "x1,z,a,y", "y,a,x1", "y,a\r,z,x1"]
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _csv_bytes(draw):
+    """CSV text of clean numeric rows with up to two traps placed in it."""
+    header = draw(st.sampled_from(_HEADERS))
+    names = [h.strip() for h in header.split(",")]
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        cells = {
+            "y": repr(draw(_FINITE)), "a": draw(st.sampled_from("01")),
+            "z": draw(st.sampled_from("01")), "x1": repr(draw(_FINITE)),
+            "w": draw(st.sampled_from(["7", "-1e300", "note"])),
+        }
+        lines.append([cells.get(name, "0") for name in names])
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(lines)))
+        if at < len(lines) and draw(st.booleans()):
+            lines[at][draw(st.integers(0, len(lines[at]) - 1))] = draw(st.sampled_from(_TRAP_CELLS))
+        else:
+            lines.insert(at, [draw(st.sampled_from(_TRAP_LINES))])
+    eol = draw(st.sampled_from(["\n"] * 3 + ["\r\n"]))
+    text = eol.join([header, *(",".join(cells) for cells in lines)])
+    text += draw(st.sampled_from([eol] * 3 + [""]))
+    text = draw(st.sampled_from([text] * 6 + ["", header + eol]))
+    return text.encode("utf-8").replace("\xff".encode("utf-8"), b"\xff")
+
+
+def _outcome(loader, path):
+    """The four arrays as (dtype, shape, bytes), or the parse error's message."""
+    try:
+        data = loader(path, CsvSchema())
+    except CsvParseError as exc:
+        return str(exc)
+    return [(v.dtype.str, v.shape, v.tobytes()) for v in (data.y, data.a, data.z, data.x)]
+
+
+@pytest.fixture(scope="module")
+def differential_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("differential") / "data.csv"
+
+
+_H = b"y,a,z,x1\n"
+
+
+class TestParsersAgree:
+    @given(content=_csv_bytes())
+    @example(_H + b"1e999,0,1,2\n3,1,0,4\n")
+    @example(_H + b"1,0,1,-1e400\n3,1,0,4\n")
+    @example(_H + b"1,2,1,2\n3,1,0,4\n")
+    @example(_H + b"1,0,0.5,2\n3,1,0,4\n")
+    @example(_H + b"1,1.0,-0,2\n3,1,0,4")
+    @example(_H + b"1,0,1,2\n\n3,1,0,4\n")
+    @example(_H + b"1,0,1\n3,1,0,4\n")
+    @example(_H + b"1,0,1,2,5\n3,1,0,4,6\n")
+    @example(_H + b"1_000,0,1,2\n3,1,0,4\n")
+    @example(_H + b"1,0,1,2\n3,1,0,\xff\n")
+    @example(_H + b"1,0,1,2\n")
+    @example(_H + b"\n\n")
+    @example(b"y,a,z,x1,w\n1,0,1,2\n3,1,0,4\n")
+    @example(_H)
+    @example(b"")
+    @example(b"y,a,z,x1\r\n1,0,1,2\r\n3,1,0,4\r\n")
+    @example(b"y,a\r,z,x1\n1,0,1,2\n3,1,0,4\n")
+    @example(b'"y,a",z,x1,y,a\n5,1,0,2,0,1\n6,0,1,4,1,0\n')
+    @settings(max_examples=150, deadline=None)
+    def test_load_csv_matches_the_per_cell_parser(self, differential_path, content):
+        differential_path.write_bytes(content)
+        path = str(differential_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _outcome(load_csv, path) == _outcome(data_module._load_cells, path)
 
 
 class TestDgpExportRoundTrip:

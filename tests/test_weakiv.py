@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from latescore import (
     sample_bivariate_normal,
     sample_weak_limit,
 )
+from latescore.cli import main
 
 
 class TestBivariateNormal:
@@ -47,11 +49,45 @@ class TestBivariateNormal:
         np.array([[-1.0, 0.0], [0.0, 1.0]]),          # negative variance
         np.array([[1.0, 2.0], [2.0, 1.0]]),           # indefinite
         np.array([[0.0, 0.5], [0.5, 1.0]]),           # zero variance, nonzero cov
+        np.array([[1e200, 2e200], [2e200, 1e200]]),   # indefinite, determinant overflows
     ])
     def test_rejects_non_psd(self, sigma):
         rng = np.random.Generator(np.random.PCG64(4))
         with pytest.raises(DecompositionError):
             sample_bivariate_normal(sigma, rng, size=10)
+
+
+    def test_huge_psd_variances(self):
+        rng = np.random.Generator(np.random.PCG64(4))
+        na, nb = sample_bivariate_normal(np.diag([1e200, 1e200]), rng, size=10_000)
+        assert np.all(np.isfinite(na)) and np.all(np.isfinite(nb))
+        assert 0.97 < (na / 1e100).var() < 1.03
+
+
+class TestHugeCovarianceCli:
+    """Covariances whose determinant overflows are judged on the scaled entries."""
+
+    def _run(self, tmp_path, s12):
+        out = tmp_path / "draws.csv"
+        status = main([
+            "weakiv-limit", "--ca", "1", "--cb", "0", "--s11", "1e200", "--s12", s12,
+            "--s22", "1e200", "--samples", "1000", "--seed", "3", "--out", str(out),
+        ])
+        return status, out
+
+    def test_indefinite_exits_2(self, tmp_path, capsys):
+        status, out = self._run(tmp_path, "2e200")
+        assert status == 2
+        assert not out.exists()
+        assert "positive semidefinite" in capsys.readouterr().err
+
+    def test_psd_exits_0_with_finite_draws(self, tmp_path):
+        status, out = self._run(tmp_path, "0")
+        assert status == 0
+        with open(out, newline="") as handle:
+            draws = [float(row["draw"]) for row in csv.DictReader(handle)]
+        assert len(draws) == 1000
+        assert all(math.isfinite(v) for v in draws)
 
 
 class TestWeakIVConfig:
