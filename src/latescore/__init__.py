@@ -33,7 +33,6 @@ from .inference import (
     score_statistic,
 )
 from .nuisance import (
-    CellMeanModel,
     LearnerSpec,
     LinearModel,
     LogisticModel,

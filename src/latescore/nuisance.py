@@ -99,12 +99,9 @@ class NuisancePredictions:
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t, dtype=float)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # exp(-|t|) never overflows: 1/(1+e) for t >= 0 and e/(1+e) below.
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
 def _with_intercept(features: np.ndarray) -> np.ndarray:
@@ -220,52 +217,46 @@ def fit_logistic(features: np.ndarray, labels: np.ndarray) -> LogisticModel:
     )
 
 
-@dataclass(frozen=True)
-class CellMeanModel:
-    """Empirical means per (z, x1 > 0) cell with a marginal-mean fallback.
+def fit_cell_mean(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Means of a 2x2 table indexed [z, 1{x1 > 0}], given its sums and counts.
 
-    Exactly correct for data whose conditional means depend on the
-    covariates only through the sign of the first one.
+    A cell without units takes the marginal mean of the whole table.  The
+    means are exactly correct for data whose conditional means depend on
+    the covariates only through the sign of the first one.
     """
-
-    cell_means: np.ndarray  # shape (2, 2): [z, indicator(x1 > 0)]
-    marginal: float
-
-    def predict(self, z: np.ndarray, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x.reshape(-1, 1)
-        z = np.broadcast_to(np.asarray(z, dtype=int), (x.shape[0],))
-        pos = (x[:, 0] > 0).astype(int)
-        out = self.cell_means[z, pos]
-        return np.where(np.isnan(out), self.marginal, out)
+    sums = np.asarray(sums, dtype=float)
+    counts = np.asarray(counts, dtype=float)
+    total = counts.sum()
+    if total < 1:
+        raise InvalidConfigError("fit_cell_mean needs a non-empty table")
+    return np.divide(sums, counts, out=np.full((2, 2), sums.sum() / total), where=counts > 0)
 
 
-def fit_cell_mean(z: np.ndarray, x: np.ndarray, values: np.ndarray) -> CellMeanModel:
-    """Tabulate mean(values) in each (z, x1 > 0) cell of a data slice."""
-    z = np.asarray(z, dtype=int)
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
-    values = np.asarray(values, dtype=float)
-    if values.shape[0] < 1:
-        raise InvalidConfigError("fit_cell_mean needs a non-empty slice")
-    pos = (x[:, 0] > 0).astype(int)
-    means = np.full((2, 2), np.nan)
-    for zi in (0, 1):
-        for pi in (0, 1):
-            mask = (z == zi) & (pos == pi)
-            if mask.any():
-                means[zi, pi] = values[mask].mean()
-    return CellMeanModel(cell_means=means, marginal=float(values.mean()))
+def _cell_mean_predictions(data, folds, fold_z, targets):
+    """Cross-fitted cell means of each target, predicted at z=1 and z=0.
+
+    One pass tabulates each fold's counts and target sums per
+    (z, 1{x1 > 0}) cell.  Fold k is fitted on the sum of the other folds'
+    tables, added in fold order: the total minus fold k could cancel in a
+    small cell.  Returns one (pred at z=1, pred at z=0) pair per target.
+    """
+    K = folds.K
+    pos = data.x[:, 0] > 0
+    key = fold_z * 2 + pos
+    tables = np.stack([np.bincount(key, weights=w, minlength=4 * K) for w in (None, *targets)])
+    tables = tables.reshape(-1, K, 2, 2)  # [counts or target sums, fold, z, pos]
+    means = np.empty((len(targets), 2, K, 2))  # [target, z, fold, pos]
+    for k in range(K):
+        train = sum(tables[:, j] for j in range(K) if j != k)
+        for t in range(len(targets)):
+            means[t, :, k] = fit_cell_mean(train[t + 1], train[0])
+    preds = np.take(means.reshape(2 * len(targets), 2 * K), folds.fold_of * 2 + pos, axis=1)
+    return [(preds[2 * t + 1], preds[2 * t]) for t in range(len(targets))]
 
 
 def _fit_predict(learner, targets, data, train, test):
-    """Fit one regression on the training units and predict it inside the
-    fold at z=1 and at z=0."""
-    if learner == "cell_mean":
-        model = fit_cell_mean(data.z[train], data.x[train], targets[train])
-        return model.predict(1, data.x[test]), model.predict(0, data.x[test])
+    """Fit an OLS or logistic regression on the training units and predict
+    it inside the fold at z=1 and at z=0."""
     features = np.column_stack([data.z[train], data.x[train]])
     if learner == "ols_linear":
         predict = fit_ols(features, targets[train]).predict
@@ -281,20 +272,16 @@ def cross_fit(data: Dataset, spec: LearnerSpec, folds: FoldAssignment) -> Nuisan
 
     For each fold the learners are fitted on its complement and used to
     predict inside the fold; g and r are predicted at both instrument
-    levels by switching the z feature (or cell).  In the known-propensity
-    modes m1 is filled directly with no fitting.  All propensities are
-    clipped to [clip_eps, 1 - clip_eps].
+    levels by switching the z feature (or cell).  Cell means are read from
+    per-fold sums; OLS and logistic fits visit the folds one by one.  In
+    the known-propensity modes m1 is filled directly with no fitting.  All
+    propensities are clipped to [clip_eps, 1 - clip_eps].
     """
     if folds.n != data.n:
         raise InvalidConfigError(f"folds cover {folds.n} units but the data has {data.n}")
     if data.p == 0 and "cell_mean" in (spec.g_learner, spec.r_learner):
         raise InvalidConfigError("cell-mean learners split on the first covariate; the data has none")
     n = data.n
-    g1 = np.empty(n)
-    g0 = np.empty(n)
-    r1 = np.empty(n)
-    r0 = np.empty(n)
-
     if spec.m_learner == "known_constant":
         m1 = np.full(n, spec.m_value)
     elif spec.m_learner == "known_function":
@@ -302,19 +289,36 @@ def cross_fit(data: Dataset, spec: LearnerSpec, folds: FoldAssignment) -> Nuisan
     else:
         m1 = np.empty(n)
 
-    for k in range(folds.K):
-        train = folds.complement(k)
-        test = folds.members(k)
-        z_train = data.z[train]
-        if z_train.min() == z_train.max():
-            raise DegenerateFoldError(
-                f"training complement of fold {k} contains only instrument level {int(z_train[0])}"
-            )
-        g1[test], g0[test] = _fit_predict(spec.g_learner, data.y, data, train, test)
-        r1[test], r0[test] = _fit_predict(spec.r_learner, data.a, data, train, test)
-        if spec.m_learner == "logistic":
-            model = fit_logistic(data.x[train], z_train)
-            m1[test] = model.predict_proba(data.x[test])
+    fold_z = folds.fold_of * 2 + data.z
+    z_counts = np.bincount(fold_z, minlength=2 * folds.K).reshape(folds.K, 2)
+    z_train = z_counts.sum(axis=0) - z_counts  # integer counts: subtraction is exact
+    degenerate = np.flatnonzero(z_train.min(axis=1) == 0)
+    if degenerate.size:
+        k = int(degenerate[0])
+        raise DegenerateFoldError(
+            f"training complement of fold {k} contains only instrument level {int(z_train[k, 1] > 0)}"
+        )
 
+    learners = {"g": (spec.g_learner, data.y), "r": (spec.r_learner, data.a)}
+    preds = {}  # name -> (prediction at z=1, prediction at z=0)
+    cell = [name for name, (learner, _) in learners.items() if learner == "cell_mean"]
+    if cell:
+        targets = [learners[name][1] for name in cell]
+        preds.update(zip(cell, _cell_mean_predictions(data, folds, fold_z, targets)))
+    per_fold = [name for name in learners if name not in preds]
+    for name in per_fold:
+        preds[name] = (np.empty(n), np.empty(n))
+    if per_fold or spec.m_learner == "logistic":
+        for k in range(folds.K):
+            train = folds.complement(k)
+            test = folds.members(k)
+            for name in per_fold:
+                learner, target = learners[name]
+                preds[name][0][test], preds[name][1][test] = _fit_predict(learner, target, data, train, test)
+            if spec.m_learner == "logistic":
+                model = fit_logistic(data.x[train], data.z[train])
+                m1[test] = model.predict_proba(data.x[test])
+
+    (g1, g0), (r1, r0) = preds["g"], preds["r"]
     m1 = np.clip(m1, spec.clip_eps, 1.0 - spec.clip_eps)
     return NuisancePredictions(g1=g1, g0=g0, r1=r1, r0=r0, m1=m1)

@@ -168,6 +168,9 @@ class StudySpec:
             raise InvalidConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         if len(self.n_grid) == 0 or any(n < 2 for n in self.n_grid):
             raise InvalidConfigError("n_grid must list sample sizes of at least 2")
+        for n in self.n_grid:
+            if n < self.learner.K:
+                raise InvalidConfigError(f"sample size n={n} is below the fold count K={self.learner.K}")
 
     def pi_for(self, n: int) -> float:
         if self.setting == "weak":

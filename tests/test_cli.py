@@ -37,6 +37,10 @@ def _assert_one_error_line(capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def _assert_no_files(directory):
+    assert not directory.exists() or list(directory.iterdir()) == []
+
+
 class TestAnalyze:
     def test_strong_export_covers_truth(self, tmp_path, capsys):
         data_path = _export_dgp(tmp_path, pi=5.0, n=4500, seed=31, name="strong.csv")
@@ -178,6 +182,34 @@ class TestSimulate:
         ])
         assert status == 2
         _assert_one_error_line(capsys)
+
+    def test_n_below_fold_count_exits_2_before_any_replication(self, tmp_path, capsys, monkeypatch):
+        def no_study(spec):
+            raise AssertionError("run_study was called")
+
+        monkeypatch.setattr("latescore.cli.run_study", no_study)
+        out_dir = tmp_path / "d"
+        status = main(["simulate", "--setting", "weak", "--n", "3,300", "--reps", "2", "--out-dir", str(out_dir)])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert "n=3" in err and "K=5" in err
+        _assert_no_files(out_dir)
+
+    def test_grid_point_without_a_success_exits_3_writing_nothing(self, tmp_path, capsys):
+        # At n=5 and seed 11 both weak replications fail; n=300 would succeed.
+        out_dir = tmp_path / "d"
+        status = main([
+            "simulate", "--setting", "weak", "--n", "5,300", "--reps", "2", "--seed", "11",
+            "--out-dir", str(out_dir),
+        ])
+        assert status == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: setting=weak n=5: all 2 replications failed; the first (rep 0): "
+            "training complement of fold 0 contains only instrument level 0\n"
+        )
+        _assert_no_files(out_dir)
 
     def test_custom_setting_requires_pi(self, tmp_path):
         status = main([

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latescore import (
     Dataset,
+    DgpParams,
     DegenerateFoldError,
     FoldAssignment,
     LearnerSpec,
     cross_fit,
+    dgp_generate,
     fit_cell_mean,
     fit_logistic,
     fit_ols,
@@ -101,35 +105,29 @@ class TestFitLogistic:
 
 
 class TestFitCellMean:
+    # Tables are indexed [z, 1{x1 > 0}].
     def test_constant_values(self):
-        z = np.array([0, 0, 1, 1])
-        x = np.array([[-1.0], [1.0], [-1.0], [1.0]])
-        model = fit_cell_mean(z, x, np.array([3.0, 3.0, 3.0, 3.0]))
-        for zi in (0, 1):
-            assert model.predict(zi, x).tolist() == [3.0] * 4
+        means = fit_cell_mean(np.full((2, 2), 3.0), np.ones((2, 2)))
+        assert means.tolist() == [[3.0, 3.0], [3.0, 3.0]]
 
     def test_hand_tabulated_cells(self):
         # (z=1, x>0): values 1,1,1,0,1 -> 0.8 ; (z=0, x>0): 1,0 -> 0.5
         # (z=1, x<=0): 0,0 -> 0.0 ; (z=0, x<=0): 1 -> 1.0
-        z = np.array([1, 1, 1, 1, 1, 0, 0, 1, 1, 0])
-        x = np.array([0.5, 1.0, 2.0, 0.1, 0.9, 3.0, 0.2, -1.0, -0.5, -2.0]).reshape(-1, 1)
-        v = np.array([1, 1, 1, 0, 1, 1, 0, 0, 0, 1], dtype=float)
-        model = fit_cell_mean(z, x, v)
-        assert model.cell_means[1, 1] == pytest.approx(0.8)
-        assert model.cell_means[0, 1] == pytest.approx(0.5)
-        assert model.cell_means[1, 0] == pytest.approx(0.0)
-        assert model.cell_means[0, 0] == pytest.approx(1.0)
+        sums = np.array([[1.0, 1.0], [0.0, 4.0]])
+        counts = np.array([[1, 2], [2, 5]])
+        means = fit_cell_mean(sums, counts)
+        assert means[1, 1] == pytest.approx(0.8)
+        assert means[0, 1] == pytest.approx(0.5)
+        assert means[1, 0] == pytest.approx(0.0)
+        assert means[0, 0] == pytest.approx(1.0)
 
     def test_single_row_falls_back_everywhere(self):
-        model = fit_cell_mean(np.array([1]), np.array([[0.5]]), np.array([2.5]))
-        grid = np.array([[-1.0], [1.0]])
-        assert model.predict(0, grid).tolist() == [2.5, 2.5]
-        assert model.predict(1, grid).tolist() == [2.5, 2.5]
+        # one unit, z=1 and x1=0.5, with value 2.5
+        means = fit_cell_mean(np.array([[0.0, 0.0], [0.0, 2.5]]), np.array([[0, 0], [0, 1]]))
+        assert means.tolist() == [[2.5, 2.5], [2.5, 2.5]]
 
 
 def _simple_dataset(n=60, seed=0, pi=5.0):
-    from latescore import DgpParams, dgp_generate
-
     return dgp_generate(DgpParams(pi=pi, n=n), seed=seed)
 
 
@@ -185,13 +183,16 @@ class TestCrossFit:
         spec = _cellmean_spec(K=4)
         preds = cross_fit(data, spec, folds)
         fold0 = folds.members(0)
-        rng = np.random.Generator(np.random.PCG64(6))
-        y2 = data.y.copy()
-        y2[fold0] = rng.standard_normal(fold0.size)  # perturb only fold 0 targets
-        data2 = Dataset(y=y2, a=data.a, z=data.z, x=data.x)
-        preds2 = cross_fit(data2, spec, folds)
-        assert np.array_equal(preds.g1[fold0], preds2.g1[fold0])
-        assert np.array_equal(preds.g0[fold0], preds2.g0[fold0])
+        # At scale 1e17 the fold-0 values would swamp a training table
+        # taken as the total minus fold 0.
+        for scale in (1.0, 1e17):
+            rng = np.random.Generator(np.random.PCG64(6))
+            y2 = data.y.copy()
+            y2[fold0] = scale * rng.standard_normal(fold0.size)  # perturb only fold 0 targets
+            data2 = Dataset(y=y2, a=data.a, z=data.z, x=data.x)
+            preds2 = cross_fit(data2, spec, folds)
+            assert np.array_equal(preds.g1[fold0], preds2.g1[fold0])
+            assert np.array_equal(preds.g0[fold0], preds2.g0[fold0])
 
     def test_degenerate_fold_names_fold(self):
         data = Dataset(
@@ -258,3 +259,139 @@ class TestLearnerSpecValidation:
         folds = make_folds(30, 3, seed=15)
         preds = cross_fit(data, spec, folds)
         assert np.all(preds.m1 == 0.25)
+
+
+def _per_slice_cell_means(data, folds):
+    """Reference cell-mean cross-fit: gather each fold's training slice and
+    average every (z, 1{x1 > 0}) cell with a mask, falling back to the
+    slice's mean for an empty cell."""
+    out = {name: np.empty(data.n) for name in ("g1", "g0", "r1", "r0")}
+    for k in range(folds.K):
+        train = folds.complement(k)
+        test = folds.members(k)
+        z_train = data.z[train]
+        if z_train.min() == z_train.max():
+            raise DegenerateFoldError(
+                f"training complement of fold {k} contains only instrument level {int(z_train[0])}"
+            )
+        pos_train = (data.x[train, 0] > 0).astype(int)
+        pos_test = (data.x[test, 0] > 0).astype(int)
+        for name, values in (("g", data.y[train].astype(float)), ("r", data.a[train].astype(float))):
+            means = np.full((2, 2), np.nan)
+            for zi in (0, 1):
+                for pi in (0, 1):
+                    mask = (z_train == zi) & (pos_train == pi)
+                    if mask.any():
+                        means[zi, pi] = values[mask].mean()
+            for zi in (0, 1):
+                pred = means[zi, pos_test]
+                out[f"{name}{zi}"][test] = np.where(np.isnan(pred), values.mean(), pred)
+    return out
+
+
+def _both(data, folds):
+    """(reference outcome, cross_fit outcome): prediction dicts or error messages."""
+    results = []
+    for fit in (_per_slice_cell_means, lambda d, f: vars(cross_fit(d, _cellmean_spec(K=f.K), f))):
+        try:
+            results.append(fit(data, folds))
+        except DegenerateFoldError as exc:
+            results.append(str(exc))
+    return results
+
+
+def _assert_bitwise_equal(fast, reference):
+    assert fast.tobytes() == reference.tobytes()
+
+
+def _assert_agree(data, folds, same):
+    """Both raise the same DegenerateFoldError message, or ``same`` holds
+    for each of g1, g0, r1, r0."""
+    reference, fast = _both(data, folds)
+    if isinstance(reference, str) or isinstance(fast, str):
+        assert fast == reference
+        return
+    for name in ("g1", "g0", "r1", "r0"):
+        same(fast[name], reference[name])
+
+
+class TestCellMeansAgainstPerSliceReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        K=st.integers(2, 10),
+        extra=st.one_of(st.integers(0, 40), st.integers(0, 2990)),
+        seed=st.integers(0, 2**32 - 1),
+        weak=st.booleans(),
+    )
+    def test_bit_identical_on_the_dgp(self, K, extra, seed, weak):
+        # y in {-2, 0, 2} and a in {0, 1}: every cell sum is exact in any order.
+        n = K + extra
+        pi = 0.15 / np.sqrt(n) if weak else 5.0
+        data = dgp_generate(DgpParams(pi=pi, n=n), seed=seed)
+        _assert_agree(data, make_folds(n, K, seed=seed + 1), _assert_bitwise_equal)
+
+    @settings(max_examples=60, deadline=None)
+    @given(K=st.integers(2, 10), n=st.integers(10, 3000), seed=st.integers(0, 2**32 - 1))
+    def test_close_on_continuous_outcomes(self, K, n, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        data = Dataset(
+            y=rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4),
+            a=rng.integers(0, 2, n),
+            z=np.arange(n) % 2,
+            x=rng.standard_normal((n, 2)),
+        )
+        _assert_agree(
+            data, make_folds(n, K, seed=seed),
+            lambda fast, reference: np.testing.assert_allclose(fast, reference, rtol=1e-10, atol=0),
+        )
+
+    def test_empty_training_cell_takes_the_marginal_mean(self):
+        # Unit 4 is the only (z=0, x1 <= 0) unit, so the training complement
+        # of its fold 1, which is fold 0, has none: units 4 and 5 (x1 = 0.0
+        # counts as x1 <= 0) get fold 0's marginal means at z=0.
+        data = Dataset(
+            y=[1.0, 2.0, 3.0, 10.0, 5.0, 6.0, 7.0, 8.0],
+            a=[0, 1, 0, 1, 1, 0, 1, 1],
+            z=[0, 1, 1, 0, 0, 1, 1, 0],
+            x=[[0.5], [-0.5], [0.5], [0.5], [-0.5], [0.0], [0.5], [0.5]],
+        )
+        folds = FoldAssignment(fold_of=np.array([0, 0, 0, 0, 1, 1, 1, 1]), K=2)
+        reference, fast = _both(data, folds)
+        marginal_y, marginal_a = 4.0, 0.5
+        assert fast["g0"][4] == marginal_y and fast["r0"][4] == marginal_a
+        assert fast["g0"][5] == marginal_y and fast["r0"][5] == marginal_a
+        for name in ("g1", "g0", "r1", "r0"):
+            _assert_bitwise_equal(fast[name], reference[name])
+
+    @pytest.mark.parametrize("z, fold_of", [
+        ([1, 1, 0, 0], [0, 0, 1, 1]),
+        ([1, 1, 0, 0], [1, 1, 0, 0]),
+        ([0, 0, 1, 1, 0, 0], [0, 0, 1, 1, 2, 2]),
+        ([1, 1, 1, 1, 0, 0], [0, 0, 1, 1, 2, 2]),
+    ])
+    def test_same_degenerate_fold_message(self, z, fold_of):
+        n = len(z)
+        data = Dataset(y=np.arange(n, dtype=float), a=np.arange(n) % 2, z=z, x=np.ones((n, 1)))
+        reference, fast = _both(data, FoldAssignment(fold_of=np.array(fold_of), K=max(fold_of) + 1))
+        assert isinstance(reference, str) and fast == reference
+
+
+def _masked_sigmoid(t):
+    """Reference sigmoid: one masked scatter per half line."""
+    out = np.empty_like(t, dtype=float)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def test_sigmoid_matches_the_masked_formula_bit_for_bit():
+    from latescore.nuisance import _sigmoid
+
+    rng = np.random.Generator(np.random.PCG64(11))
+    t = np.concatenate([
+        rng.standard_normal(50_000) * 10.0 ** rng.integers(-8, 4, 50_000),
+        [0.0, -0.0, 745.0, -745.0, 1e308, -1e308, 709.8, -709.8, 5e-324, -5e-324],
+    ])
+    assert _sigmoid(t).tobytes() == _masked_sigmoid(t).tobytes()

@@ -180,3 +180,7 @@ class TestStudySpecValidation:
     def test_rejects(self, kwargs):
         with pytest.raises(InvalidConfigError):
             StudySpec(**kwargs)
+
+    def test_rejects_n_below_fold_count(self):
+        with pytest.raises(InvalidConfigError, match=r"n=4 is below the fold count K=5"):
+            StudySpec(n_grid=(300, 4, 3))
