@@ -51,7 +51,6 @@ from .simulation import (
     StudySpec,
     aggregate,
     dgp_generate,
-    oracle_nuisances,
     oracle_scores,
     replication_seed,
     run_replication,

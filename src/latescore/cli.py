@@ -33,6 +33,7 @@ from .inference import (
     instrument_is_weak,
     invert_score_test,
     quad_coefficients,
+    score_statistic,
     zero_tolerances,
 )
 from .nuisance import LearnerSpec, cross_fit
@@ -43,6 +44,10 @@ from .weakiv import WeakIVConfig, sample_weak_limit
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
+
+# scan evaluates its theta grid this many points at a time, which bounds
+# the memory its temporaries take on a long grid.
+SCAN_BLOCK = 4096
 
 _G_NAMES = {"ols": "ols_linear", "cellmean": "cell_mean"}
 _R_NAMES = {"logit": "logistic", "cellmean": "cell_mean"}
@@ -200,31 +205,23 @@ def cmd_scan(args) -> int:
     data, scores = _fit_scores(args)
     coeffs = quad_coefficients(scores, args.alpha)
     cset = invert_score_test(coeffs)
-    z = coeffs.z_crit
-    n = scores.n
-    ma, mb, maa, mbb, mab = scores.moments()
     thetas = np.linspace(args.theta_min, args.theta_max, args.grid_points)
     mismatches = 0
     with open(args.out, "w", newline="") as handle:
         handle.write("theta,s_n,member_by_quadratic,member_by_statistic\n")
-        for theta in (float(t) for t in thetas):
-            second = mbb - 2.0 * theta * mab + theta * theta * maa
+        for start in range(0, thetas.size, SCAN_BLOCK):
+            theta = thetas[start : start + SCAN_BLOCK]
+            s = score_statistic(scores, theta)
+            defined = ~np.isnan(s)
+            by_stat = np.abs(s) <= coeffs.z_crit
+            by_quad = cset.contains(theta)
             quad = coeffs.a * theta * theta + coeffs.b * theta + coeffs.c
             band = 1e-6 * (
-                abs(coeffs.a) * theta * theta + abs(coeffs.b) * abs(theta) + abs(coeffs.c) + 1.0
+                abs(coeffs.a) * theta * theta + abs(coeffs.b) * np.abs(theta) + abs(coeffs.c) + 1.0
             )
-            by_quad = cset.contains(theta)
-            if second > 0.0:
-                s = math.sqrt(n) * (mb - theta * ma) / math.sqrt(second)
-                by_stat = abs(s) <= z
-                if by_quad != by_stat and abs(quad) > band:
-                    mismatches += 1
-                s_text = repr(s)
-                stat_text = str(int(by_stat))
-            else:
-                s_text = "nan"
-                stat_text = ""
-            handle.write(f"{theta!r},{s_text},{int(by_quad)},{stat_text}\n")
+            mismatches += int(np.count_nonzero(defined & (by_quad != by_stat) & (np.abs(quad) > band)))
+            rows = zip(theta.tolist(), s.tolist(), by_quad.tolist(), by_stat.tolist(), defined.tolist())
+            handle.write("".join(f"{t!r},{v!r},{int(q)},{int(b) if d else ''}\n" for t, v, q, b, d in rows))
     print(f"score set: {cset.tag} {cset}")
     print(f"mismatches outside boundary band: {mismatches}")
     if args.dump_scores:

@@ -47,15 +47,22 @@ def _z_crit(alpha: float) -> float:
     return NormalDist().inv_cdf(p)
 
 
-def score_statistic(scores: ScoreSample, theta: float) -> float:
-    """Studentized score statistic S_n(theta)."""
-    d = scores.psi_b - theta * scores.psi_a
-    second = float(np.mean(d * d))
-    if second <= 0.0:
-        raise DegenerateDataError(
-            f"second moment of psi_b - theta*psi_a is zero at theta={theta}"
-        )
-    return math.sqrt(scores.n) * float(np.mean(d)) / math.sqrt(second)
+def score_statistic(scores: ScoreSample, theta: float | np.ndarray) -> float | np.ndarray:
+    """Studentized score statistic S_n(theta), from the five score moments.
+
+    theta is a float or a numpy array.  The second moment
+    mean((psi_b - theta*psi_a)^2) = mbb - 2*theta*mab + theta^2*maa must
+    be positive: where it is not, an array gets NaN and a float raises
+    :class:`DegenerateDataError`.  Both forms give the same bits.
+    """
+    ma, mb, maa, mbb, mab = scores.moments()
+    t = np.asarray(theta, dtype=float)
+    second = mbb - 2.0 * t * mab + t * t * maa
+    positive = second > 0.0
+    if t.ndim == 0 and not positive:
+        raise DegenerateDataError(f"second moment of psi_b - theta*psi_a is zero at theta={theta}")
+    s = math.sqrt(scores.n) * (mb - t * ma) / np.sqrt(np.where(positive, second, np.nan))
+    return float(s) if t.ndim == 0 else s
 
 
 @dataclass(frozen=True)
@@ -236,7 +243,6 @@ class DrmlResult:
     sigma2_hat: float
     wald_lo: float
     wald_hi: float
-    alpha: float
 
     def diameter(self) -> float:
         return self.wald_hi - self.wald_lo
@@ -268,7 +274,6 @@ def drml_estimate(scores: ScoreSample, alpha: float) -> DrmlResult:
         sigma2_hat=sigma2,
         wald_lo=phi_hat - half,
         wald_hi=phi_hat + half,
-        alpha=alpha,
     )
 
 

@@ -10,8 +10,8 @@ taken.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .errors import DegenerateFoldError, InvalidConfigError
 
 G_LEARNERS = ("ols_linear", "cell_mean")
 R_LEARNERS = ("logistic", "cell_mean")
-M_LEARNERS = ("logistic", "known_constant", "known_function")
+M_LEARNERS = ("logistic", "known_constant")
 
 # IRLS stops after this many Newton steps or once every gradient entry
 # is this small.
@@ -32,16 +32,13 @@ _IRLS_GRAD_TOL = 1e-8
 class LearnerSpec:
     """Configuration of the nuisance learners and the cross-fitting split.
 
-    ``m_value`` is used only with ``m_learner="known_constant"`` and
-    ``m_function`` (a callable mapping an (n, p) covariate matrix to n
-    propensities) only with ``m_learner="known_function"``.
+    ``m_value`` is used only with ``m_learner="known_constant"``.
     """
 
     g_learner: str = "ols_linear"
     r_learner: str = "logistic"
     m_learner: str = "logistic"
     m_value: float = 0.5
-    m_function: Optional[Callable[[np.ndarray], np.ndarray]] = None
     K: int = 5
     clip_eps: float = 0.01
 
@@ -58,8 +55,6 @@ class LearnerSpec:
             raise InvalidConfigError(f"fold count must be at least 2, got {self.K}")
         if self.m_learner == "known_constant" and not 0.0 < self.m_value < 1.0:
             raise InvalidConfigError(f"known propensity must lie in (0, 1), got {self.m_value}")
-        if self.m_learner == "known_function" and self.m_function is None:
-            raise InvalidConfigError("m_learner='known_function' requires m_function")
 
 
 @dataclass(frozen=True)
@@ -274,7 +269,7 @@ def cross_fit(data: Dataset, spec: LearnerSpec, folds: FoldAssignment) -> Nuisan
     predict inside the fold; g and r are predicted at both instrument
     levels by switching the z feature (or cell).  Cell means are read from
     per-fold sums; OLS and logistic fits visit the folds one by one.  In
-    the known-propensity modes m1 is filled directly with no fitting.  All
+    the known-propensity mode m1 is filled directly with no fitting.  All
     propensities are clipped to [clip_eps, 1 - clip_eps].
     """
     if folds.n != data.n:
@@ -284,8 +279,6 @@ def cross_fit(data: Dataset, spec: LearnerSpec, folds: FoldAssignment) -> Nuisan
     n = data.n
     if spec.m_learner == "known_constant":
         m1 = np.full(n, spec.m_value)
-    elif spec.m_learner == "known_function":
-        m1 = np.asarray(spec.m_function(data.x), dtype=float).reshape(n)
     else:
         m1 = np.empty(n)
 

@@ -26,7 +26,7 @@ import numpy as np
 from .data import Dataset, make_folds
 from .errors import InvalidConfigError, LatescoreError
 from .inference import dn_statistic, drml_estimate, score_confidence_set
-from .nuisance import LearnerSpec, NuisancePredictions, cross_fit
+from .nuisance import LearnerSpec, cross_fit
 from .scores import compute_scores, functional_oracle
 
 _MASK64 = (1 << 64) - 1
@@ -89,28 +89,14 @@ def _norm_cdf(t: float) -> float:
     return 0.5 * math.erfc(-t / math.sqrt(2.0))
 
 
-def oracle_nuisances(params: DgpParams, x: np.ndarray) -> NuisancePredictions:
-    """Exact conditional means of the law, evaluated at covariates x.
-
-    r(1, x) = Phi(pi) for x > 0 and 0.5 otherwise, r(0, x) = 0.5,
-    g(z, x) = treatment_shift * r(z, x), m = 0.5.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    pos = x > 0
-    r1 = np.where(pos, _norm_cdf(params.pi), 0.5)
-    r0 = np.full_like(r1, 0.5)
-    g1 = params.treatment_shift * r1
-    g0 = params.treatment_shift * r0
-    m1 = np.full_like(r1, 0.5)
-    return NuisancePredictions(g1=g1, g0=g0, r1=r1, r0=r0, m1=m1)
-
-
 def oracle_scores(params: DgpParams, rng: np.random.Generator, size: int):
     """Draw (psi_a, psi_b) pairs with the true nuisances plugged in.
 
-    Also returns the conditional-mean contrasts r(1,X)-r(0,X) and
-    g(1,X)-g(0,X), whose sample means are exact (Rao-Blackwellized)
-    estimates of E[psi_a] and E[psi_b].
+    Those are r(1, x) = Phi(pi) for x > 0 and 0.5 otherwise, r(0, x) = 0.5,
+    g(z, x) = treatment_shift * r(z, x) and m = 0.5.  Also returns the
+    conditional-mean contrasts r(1,X)-r(0,X) and g(1,X)-g(0,X), whose
+    sample means are exact (Rao-Blackwellized) estimates of E[psi_a] and
+    E[psi_b].
     """
     x, z, a, y = _draw(params, rng, size)
     pos = x > 0
@@ -162,6 +148,8 @@ class StudySpec:
             raise InvalidConfigError(f"unknown setting {self.setting!r}")
         if self.setting == "custom" and self.pi is None:
             raise InvalidConfigError("setting='custom' requires pi")
+        if self.setting == "custom" and self.pi == 0.0:
+            raise InvalidConfigError("setting='custom' needs pi != 0, where the target ratio is defined")
         if self.reps < 1:
             raise InvalidConfigError(f"replication count must be at least 1, got {self.reps}")
         if not 0.0 < self.alpha < 1.0:

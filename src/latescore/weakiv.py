@@ -142,40 +142,28 @@ def estimate_weakiv_config(
         raise InvalidConfigError(f"oracle_draws must be at least 2, got {oracle_draws}")
     rng = np.random.Generator(np.random.PCG64(seed))
     total = 0
-    sum_ca = 0.0
-    sum_ca2 = 0.0
-    sum_cb = 0.0
-    sum_cb2 = 0.0
-    sums = np.zeros(5)  # psi_a, psi_b, psi_a^2, psi_b^2, psi_a*psi_b
+    sums = np.zeros(9)
     while total < oracle_draws:
         m = min(_ORACLE_BATCH, oracle_draws - total)
-        psi_a, psi_b, contrast_a, contrast_b = oracle_scores(params, rng, m)
-        sum_ca += contrast_a.sum()
-        sum_ca2 += (contrast_a * contrast_a).sum()
-        sum_cb += contrast_b.sum()
-        sum_cb2 += (contrast_b * contrast_b).sum()
-        sums += (
-            psi_a.sum(),
-            psi_b.sum(),
-            (psi_a * psi_a).sum(),
-            (psi_b * psi_b).sum(),
-            (psi_a * psi_b).sum(),
-        )
+        psi_a, psi_b, ca, cb = oracle_scores(params, rng, m)
+        # Each product is summed and freed before the next is formed.
+        sums += [
+            psi_a.sum(), psi_b.sum(), (psi_a * psi_a).sum(), (psi_b * psi_b).sum(), (psi_a * psi_b).sum(),
+            ca.sum(), (ca * ca).sum(), cb.sum(), (cb * cb).sum(),
+        ]
         total += m
+    mu_a, mu_b, m_aa, m_bb, m_ab, mean_a, m_ca2, mean_b, m_cb2 = sums / total
     root_n = math.sqrt(params.n)
-    mean_a = sum_ca / total
-    mean_b = sum_cb / total
-    var_a = max(sum_ca2 / total - mean_a * mean_a, 0.0)
-    var_b = max(sum_cb2 / total - mean_b * mean_b, 0.0)
+    var_a = max(m_ca2 - mean_a * mean_a, 0.0)
+    var_b = max(m_cb2 - mean_b * mean_b, 0.0)
     c_a = root_n * mean_a
     c_b = root_n * mean_b
     ca_se = root_n * math.sqrt(var_a / total)
     cb_se = root_n * math.sqrt(var_b / total)
-    mu_a, mu_b = sums[0] / total, sums[1] / total
     cov = np.array(
         [
-            [sums[2] / total - mu_a * mu_a, sums[4] / total - mu_a * mu_b],
-            [sums[4] / total - mu_a * mu_b, sums[3] / total - mu_b * mu_b],
+            [m_aa - mu_a * mu_a, m_ab - mu_a * mu_b],
+            [m_ab - mu_a * mu_b, m_bb - mu_b * mu_b],
         ]
     )
     return WeakIVCalibration(

@@ -7,16 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latescore import (
+    Dataset,
     DgpParams,
     LearnerSpec,
     compute_scores,
     cross_fit,
     dgp_generate,
+    invert_score_test,
     load_csv,
     make_folds,
+    quad_coefficients,
     write_csv,
 )
-from latescore.cli import main
+from latescore.cli import SCAN_BLOCK, main
 
 
 def _export_dgp(tmp_path, pi, n, seed, name):
@@ -218,8 +221,109 @@ class TestSimulate:
         ])
         assert status == 2
 
+    def test_custom_zero_pi_exits_2_before_any_replication(self, tmp_path, capsys, monkeypatch):
+        def no_study(spec):
+            raise AssertionError("run_study was called")
+
+        monkeypatch.setattr("latescore.cli.run_study", no_study)
+        out_dir = tmp_path / "c"
+        status = main([
+            "simulate", "--setting", "custom", "--pi", "0", "--n", "500", "--reps", "3",
+            "--out-dir", str(out_dir),
+        ])
+        assert status == 2
+        _assert_one_error_line(capsys)
+        _assert_no_files(out_dir)
+
+
+def _proportional_csv(tmp_path):
+    """Data with y = 2a.  With cell means and a known propensity,
+    psi_b == 2 * psi_a exactly, so S_n is undefined at theta = 2."""
+    data = dgp_generate(DgpParams(pi=5.0, n=400), seed=41)
+    path = str(tmp_path / "y2a.csv")
+    write_csv(Dataset(y=2.0 * data.a, a=data.a, z=data.z, x=data.x), path)
+    return path
+
+
+def _reference_scan(data_path, thetas):
+    """The per-theta scan loop that block evaluation replaced, kept as the
+    reference: the scan CSV text and the mismatch count."""
+    data = load_csv(data_path)
+    spec = LearnerSpec(
+        g_learner="cell_mean", r_learner="cell_mean", m_learner="known_constant", m_value=0.5
+    )
+    scores = compute_scores(data, cross_fit(data, spec, make_folds(data.n, spec.K, 0)))
+    coeffs = quad_coefficients(scores, 0.05)
+    cset = invert_score_test(coeffs)
+    z = coeffs.z_crit
+    n = scores.n
+    ma, mb, maa, mbb, mab = scores.moments()
+    mismatches = 0
+    lines = ["theta,s_n,member_by_quadratic,member_by_statistic\n"]
+    for theta in (float(t) for t in thetas):
+        second = mbb - 2.0 * theta * mab + theta * theta * maa
+        quad = coeffs.a * theta * theta + coeffs.b * theta + coeffs.c
+        band = 1e-6 * (
+            abs(coeffs.a) * theta * theta + abs(coeffs.b) * abs(theta) + abs(coeffs.c) + 1.0
+        )
+        by_quad = cset.contains(theta)
+        if second > 0.0:
+            s = math.sqrt(n) * (mb - theta * ma) / math.sqrt(second)
+            by_stat = abs(s) <= z
+            if by_quad != by_stat and abs(quad) > band:
+                mismatches += 1
+            s_text = repr(s)
+            stat_text = str(int(by_stat))
+        else:
+            s_text = "nan"
+            stat_text = ""
+        lines.append(f"{theta!r},{s_text},{int(by_quad)},{stat_text}\n")
+    return "".join(lines), mismatches
+
+
+def _scan_argv(data_path, theta_min, theta_max, points, out_path):
+    return [
+        "scan", "--data", data_path, "--propensity", "known:0.5", "--g", "cellmean", "--r", "cellmean",
+        "--theta-min", repr(theta_min), "--theta-max", repr(theta_max),
+        "--grid-points", str(points), "--out", out_path,
+    ]
+
 
 class TestScan:
+    def test_undefined_statistic_row(self, tmp_path, capsys):
+        out_path = str(tmp_path / "s.csv")
+        assert main(_scan_argv(_proportional_csv(tmp_path), -1.0, 3.0, 5, out_path)) == 0
+        assert "mismatches outside boundary band: 0" in capsys.readouterr().out
+        with open(out_path, newline="") as handle:
+            lines = handle.read().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["-1.0", "0.0", "1.0", "2.0", "3.0"]
+        assert lines[4] in ("2.0,nan,0,", "2.0,nan,1,")
+        assert all(line.split(",")[3] in ("0", "1") for line in lines[1:4] + lines[5:])
+
+    # 3 * SCAN_BLOCK + 1 points cross every block edge.  On the y = 2a data
+    # the step is 2**-10, so theta = 2 (undefined S_n) is a grid point and
+    # starts the second block.
+    @pytest.mark.parametrize("kind, pi, theta_min, theta_max", [
+        ("dgp", 5.0, -1.0, 1.0),
+        ("dgp", 0.05, -30.0, 30.0),
+        ("proportional", None, -2.0, 10.0),
+    ])
+    def test_matches_the_per_theta_reference(self, tmp_path, capsys, kind, pi, theta_min, theta_max):
+        if kind == "dgp":
+            data_path = _export_dgp(tmp_path, pi=pi, n=600, seed=43, name="d.csv")
+        else:
+            data_path = _proportional_csv(tmp_path)
+        points = 3 * SCAN_BLOCK + 1
+        out_path = str(tmp_path / "s.csv")
+        capsys.readouterr()
+        assert main(_scan_argv(data_path, theta_min, theta_max, points, out_path)) == 0
+        expected, mismatches = _reference_scan(data_path, np.linspace(theta_min, theta_max, points))
+        with open(out_path, newline="") as handle:
+            assert handle.read() == expected
+        assert f"mismatches outside boundary band: {mismatches}\n" in capsys.readouterr().out
+        if kind == "proportional":
+            assert expected.splitlines()[1 + SCAN_BLOCK].startswith("2.0,nan,")
+
     def test_zero_mismatches_and_grid_size(self, tmp_path, capsys):
         data_path = _export_dgp(tmp_path, pi=5.0, n=500, seed=35, name="scan.csv")
         out_path = str(tmp_path / "scan_out.csv")

@@ -1,4 +1,5 @@
 import math
+import struct
 from statistics import NormalDist
 
 import numpy as np
@@ -87,6 +88,32 @@ class TestScoreStatistic:
         s = ScoreSample(psi_a=np.array([1.0, 1.0]), psi_b=np.array([2.0, 2.0]))
         with pytest.raises(DegenerateDataError):
             score_statistic(s, 2.0)
+
+    # ratio makes psi_b = ratio * psi_a, so the second moment vanishes (or
+    # nearly) at theta = ratio; ratio 0 leaves psi_b identically zero.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 40),
+        ratio=st.sampled_from([None, 0.0, 0.5, 2.0, -3.0]),
+        thetas=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20),
+    )
+    def test_array_matches_float_calls_bit_for_bit(self, seed, n, ratio, thetas):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        psi_a = rng.standard_normal(n)
+        psi_b = rng.standard_normal(n) if ratio is None else ratio * psi_a
+        s = ScoreSample(psi_a=psi_a, psi_b=psi_b)
+        thetas = np.array(thetas + ([] if ratio is None else [ratio]))
+        got = score_statistic(s, thetas)
+        assert got.shape == thetas.shape
+        for theta, value in zip(thetas.tolist(), got.tolist()):
+            try:
+                expected = score_statistic(s, theta)
+            except DegenerateDataError:
+                assert math.isnan(value)
+            else:
+                assert type(expected) is float
+                assert struct.pack("<d", value) == struct.pack("<d", expected)
 
 
 class TestQuadCoefficients:

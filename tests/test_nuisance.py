@@ -240,25 +240,12 @@ class TestLearnerSpecValidation:
         dict(clip_eps=0.5),
         dict(K=1),
         dict(m_learner="known_constant", m_value=0.0),
-        dict(m_learner="known_function"),
     ])
     def test_rejects(self, kwargs):
         from latescore import InvalidConfigError
 
         with pytest.raises(InvalidConfigError):
             LearnerSpec(**kwargs)
-
-    def test_known_function_mode(self):
-        data = _simple_dataset(n=30, seed=14)
-        spec = LearnerSpec(
-            g_learner="cell_mean",
-            r_learner="cell_mean",
-            m_learner="known_function",
-            m_function=lambda x: np.full(x.shape[0], 0.25),
-        )
-        folds = make_folds(30, 3, seed=15)
-        preds = cross_fit(data, spec, folds)
-        assert np.all(preds.m1 == 0.25)
 
 
 def _per_slice_cell_means(data, folds):

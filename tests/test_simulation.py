@@ -11,11 +11,12 @@ from latescore import (
     StudySpec,
     aggregate,
     dgp_generate,
-    oracle_nuisances,
+    oracle_scores,
     replication_seed,
     run_replication,
     run_study,
 )
+from latescore.simulation import _draw
 
 
 class TestDgpGenerate:
@@ -49,17 +50,15 @@ class TestDgpGenerate:
             DgpParams(pi=1.0, n=1)
 
 
-class TestOracleNuisances:
-    def test_values(self):
-        params = DgpParams(pi=1.0, n=100)
-        x = np.array([[-1.0], [1.0]])
-        preds = oracle_nuisances(params, x)
+class TestOracleScores:
+    def test_contrasts(self):
+        params = DgpParams(pi=1.0, n=100, treatment_shift=3.0)
+        _, _, contrast_a, contrast_b = oracle_scores(params, np.random.Generator(np.random.PCG64(4)), 1000)
+        x = _draw(params, np.random.Generator(np.random.PCG64(4)), 1000)[0]
+        assert 0 < np.count_nonzero(x > 0) < 1000
         phi1 = 0.5 * math.erfc(-1.0 / math.sqrt(2.0))
-        assert preds.r1[0] == 0.5
-        assert preds.r1[1] == pytest.approx(phi1)
-        assert np.all(preds.r0 == 0.5)
-        assert np.all(preds.m1 == 0.5)
-        assert np.all(preds.g1 == 0.0)
+        assert np.array_equal(contrast_a, np.where(x > 0, phi1 - 0.5, 0.0))
+        np.testing.assert_allclose(contrast_b, 3.0 * contrast_a, rtol=1e-14, atol=0.0)
 
 
 class TestReplicationSeeds:
@@ -176,6 +175,7 @@ class TestStudySpecValidation:
         dict(alpha=1.0),
         dict(n_grid=()),
         dict(n_grid=(1,)),
+        dict(setting="custom", pi=0.0),
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(InvalidConfigError):
