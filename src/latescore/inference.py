@@ -286,15 +286,27 @@ def dn_statistic(psi_a: np.ndarray, theta: float) -> float:
     arithmetic and is reported as degenerate data.
     """
     psi_a = np.asarray(psi_a, dtype=float)
-    n = psi_a.shape[0]
-    m = float(np.mean(psi_a)) - theta
+    d = psi_a - theta
+    return _dn_ratio(psi_a.shape[0], float(np.mean(psi_a)) - theta, float(np.mean(d * d)), theta)
+
+
+def _dn_ratio(n: int, m: float, second: float, theta: float) -> float:
     if m == 0.0:
         return 0.0
-    d = psi_a - theta
-    second = float(np.mean(d * d))
     if second <= 0.0:
         raise DegenerateDataError(f"second moment of psi_a - theta is zero at theta={theta}")
     return n * m * m / second
+
+
+def instrument_strength(scores: ScoreSample) -> float:
+    """D_n(0), read from the score moments.
+
+    At theta = 0, mean(psi_a) - theta and mean((psi_a - theta)^2) are
+    mean(psi_a) and mean(psi_a^2) bit for bit, so this equals
+    ``dn_statistic(scores.psi_a, 0.0)`` exactly, errors included.
+    """
+    ma, _, maa, _, _ = scores.moments()
+    return _dn_ratio(scores.n, ma, maa, 0.0)
 
 
 def instrument_is_weak(psi_a: np.ndarray, alpha: float) -> tuple[float, bool]:

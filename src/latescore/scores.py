@@ -49,15 +49,21 @@ class ScoreSample:
 
     def moments(self) -> tuple[float, float, float, float, float]:
         """The five empirical moments every statistic is built from:
-        mean(psi_a), mean(psi_b), mean(psi_a^2), mean(psi_b^2), mean(psi_a*psi_b)."""
-        psi_a, psi_b = self.psi_a, self.psi_b
-        return (
-            float(np.mean(psi_a)),
-            float(np.mean(psi_b)),
-            float(np.mean(psi_a * psi_a)),
-            float(np.mean(psi_b * psi_b)),
-            float(np.mean(psi_a * psi_b)),
-        )
+        mean(psi_a), mean(psi_b), mean(psi_a^2), mean(psi_b^2), mean(psi_a*psi_b).
+
+        They are taken on the first call and kept, which is safe because
+        the score arrays are read-only.
+        """
+        if "_moments" not in self.__dict__:
+            psi_a, psi_b = self.psi_a, self.psi_b
+            self.__dict__["_moments"] = (
+                float(np.mean(psi_a)),
+                float(np.mean(psi_b)),
+                float(np.mean(psi_a * psi_a)),
+                float(np.mean(psi_b * psi_b)),
+                float(np.mean(psi_a * psi_b)),
+            )
+        return self.__dict__["_moments"]
 
 
 def compute_scores(data: Dataset, preds: NuisancePredictions) -> ScoreSample:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import Dataset, make_folds
 from .errors import InvalidConfigError, LatescoreError
-from .inference import dn_statistic, drml_estimate, score_confidence_set
+from .inference import drml_estimate, instrument_strength, score_confidence_set
 from .nuisance import LearnerSpec, cross_fit
 from .scores import compute_scores, functional_oracle
 
@@ -67,21 +67,22 @@ class DgpParams:
 
 
 def _draw(params: DgpParams, rng: np.random.Generator, size: int):
-    """Draw ``size`` units (x, z, a, y) from the law.
+    """Draw ``size`` units (x, z, a, u) from the law, with z and a boolean.
 
-    a is a float 0/1 array, so the oracle's score arithmetic needs no cast.
+    This is the only consumer of the law's random stream, which it reads
+    in a fixed order: u, then x, then the uniform behind z.
     """
     u = rng.standard_normal(size)
     x = rng.standard_normal(size)
-    z = (rng.random(size) < 0.5).astype(int)
-    a = (params.pi * z * (x > 0) + u > 0).astype(float)
-    y = 2.0 * np.sign(u) + params.treatment_shift * a
-    return x, z, a, y
+    z = rng.random(size) < 0.5
+    a = params.pi * z * (x > 0) + u > 0
+    return x, z, a, u
 
 
 def dgp_generate(params: DgpParams, seed: int) -> Dataset:
     """Draw one sample from the law, deterministically in the seed."""
-    x, z, a, y = _draw(params, np.random.Generator(np.random.PCG64(seed)), params.n)
+    x, z, a, u = _draw(params, np.random.Generator(np.random.PCG64(seed)), params.n)
+    y = 2.0 * np.sign(u) + params.treatment_shift * a
     return Dataset(y=y, a=a, z=z, x=x.reshape(-1, 1))
 
 
@@ -89,17 +90,24 @@ def _norm_cdf(t: float) -> float:
     return 0.5 * math.erfc(-t / math.sqrt(2.0))
 
 
-def oracle_scores(params: DgpParams, rng: np.random.Generator, size: int):
-    """Draw (psi_a, psi_b) pairs with the true nuisances plugged in.
+# Every oracle score is a function of the unit's cell (z, 1{x > 0}, a,
+# sign(u)), numbered 12*z + 6*1{x > 0} + 3*a + sign(u) + 1.
+N_CELLS = 24
 
-    Those are r(1, x) = Phi(pi) for x > 0 and 0.5 otherwise, r(0, x) = 0.5,
-    g(z, x) = treatment_shift * r(z, x) and m = 0.5.  Also returns the
-    conditional-mean contrasts r(1,X)-r(0,X) and g(1,X)-g(0,X), whose
-    sample means are exact (Rao-Blackwellized) estimates of E[psi_a] and
-    E[psi_b].
+
+def oracle_cell_values(params: DgpParams) -> np.ndarray:
+    """The oracle's (psi_a, psi_b, r1 - r0, g1 - g0) at each cell, as a (4, 24) array.
+
+    The true nuisances are r(1, x) = Phi(pi) for x > 0 and 0.5 otherwise,
+    r(0, x) = 0.5, g(z, x) = treatment_shift * r(z, x) and m = 0.5.  The
+    contrasts r(1,X)-r(0,X) and g(1,X)-g(0,X) have sample means that are
+    exact (Rao-Blackwellized) estimates of E[psi_a] and E[psi_b].
     """
-    x, z, a, y = _draw(params, rng, size)
-    pos = x > 0
+    cell = np.arange(N_CELLS)
+    z = cell // 12
+    pos = cell // 6 % 2 == 1
+    a = (cell // 3 % 2).astype(float)
+    y = 2.0 * (cell % 3 - 1.0) + params.treatment_shift * a
     phi_pi = _norm_cdf(params.pi)
     r1 = np.where(pos, phi_pi, 0.5)
     r0 = 0.5
@@ -110,7 +118,21 @@ def oracle_scores(params: DgpParams, rng: np.random.Generator, size: int):
     g_z = np.where(z == 1, g1, g0)
     psi_a = sign / 0.5 * (a - r_z) + r1 - r0
     psi_b = sign / 0.5 * (y - g_z) + g1 - g0
-    return psi_a, psi_b, r1 - r0, g1 - g0
+    return np.stack([psi_a, psi_b, r1 - r0, g1 - g0])
+
+
+def draw_oracle_cells(params: DgpParams, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw ``size`` units from the law and return their cell numbers as uint8."""
+    x, z, a, u = _draw(params, rng, size)
+    return np.uint8(12) * z + np.uint8(6) * (x > 0) + np.uint8(3) * a + (u > 0) + (u >= 0)
+
+
+def oracle_scores(params: DgpParams, rng: np.random.Generator, size: int):
+    """Draw (psi_a, psi_b) pairs with the true nuisances plugged in, plus the
+    conditional-mean contrasts r(1,X)-r(0,X) and g(1,X)-g(0,X); see
+    :func:`oracle_cell_values`.
+    """
+    return tuple(oracle_cell_values(params)[:, draw_oracle_cells(params, rng, size)])
 
 
 @dataclass(frozen=True)
@@ -150,6 +172,8 @@ class StudySpec:
             raise InvalidConfigError("setting='custom' requires pi")
         if self.setting == "custom" and self.pi == 0.0:
             raise InvalidConfigError("setting='custom' needs pi != 0, where the target ratio is defined")
+        if self.setting == "custom" and not math.isfinite(self.pi):
+            raise InvalidConfigError(f"setting='custom' needs a finite pi, got {self.pi}")
         if self.reps < 1:
             raise InvalidConfigError(f"replication count must be at least 1, got {self.reps}")
         if not 0.0 < self.alpha < 1.0:
@@ -179,7 +203,7 @@ def run_replication(params: DgpParams, spec: StudySpec, rep_id: int) -> Replicat
     truth = functional_oracle(params.pi, params.treatment_shift)
     cset = score_confidence_set(scores, spec.alpha)
     drml = drml_estimate(scores, spec.alpha)
-    dn0 = dn_statistic(scores.psi_a, 0.0)
+    dn0 = instrument_strength(scores)
     return ReplicationResult(
         rep_id=rep_id,
         covered_score=cset.contains(truth),

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecompositionError, InvalidConfigError
-from .simulation import DgpParams, oracle_scores
+from .simulation import N_CELLS, DgpParams, draw_oracle_cells, oracle_cell_values
 
-# Oracle draws per batch in the calibrator, which bounds its memory.
+# Oracle draws per batch in the calibrator, which bounds its memory.  The
+# batch edges fix the order in which the random stream is read.
 _ORACLE_BATCH = 1_000_000
 
 
@@ -136,22 +137,22 @@ def estimate_weakiv_config(
     conditional expectations of the scores given X), whose variance is
     orders of magnitude below that of the raw scores -- essential here,
     since c_a itself is O(1) while sqrt(n) * sd(psi_a) is O(sqrt(n)).
-    The covariance uses the raw score draws.
+    The covariance uses the raw score draws.  Every score is a function
+    of the unit's cell, so the draws are only counted per cell, and the
+    sums are read from the cell values at the end.
     """
     if oracle_draws < 2:
         raise InvalidConfigError(f"oracle_draws must be at least 2, got {oracle_draws}")
     rng = np.random.Generator(np.random.PCG64(seed))
     total = 0
-    sums = np.zeros(9)
+    counts = np.zeros(N_CELLS, dtype=np.int64)
     while total < oracle_draws:
         m = min(_ORACLE_BATCH, oracle_draws - total)
-        psi_a, psi_b, ca, cb = oracle_scores(params, rng, m)
-        # Each product is summed and freed before the next is formed.
-        sums += [
-            psi_a.sum(), psi_b.sum(), (psi_a * psi_a).sum(), (psi_b * psi_b).sum(), (psi_a * psi_b).sum(),
-            ca.sum(), (ca * ca).sum(), cb.sum(), (cb * cb).sum(),
-        ]
+        counts += np.bincount(draw_oracle_cells(params, rng, m), minlength=N_CELLS)
         total += m
+    psi_a, psi_b, ca, cb = oracle_cell_values(params)
+    cell_terms = [psi_a, psi_b, psi_a * psi_a, psi_b * psi_b, psi_a * psi_b, ca, ca * ca, cb, cb * cb]
+    sums = counts @ np.stack(cell_terms, axis=1)
     mu_a, mu_b, m_aa, m_bb, m_ab, mean_a, m_ca2, mean_b, m_cb2 = sums / total
     root_n = math.sqrt(params.n)
     var_a = max(m_ca2 - mean_a * mean_a, 0.0)

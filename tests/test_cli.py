@@ -235,6 +235,21 @@ class TestSimulate:
         _assert_one_error_line(capsys)
         _assert_no_files(out_dir)
 
+    @pytest.mark.parametrize("pi", ["nan", "inf", "-inf"])
+    def test_custom_non_finite_pi_exits_2_leaving_no_directory(self, tmp_path, capsys, monkeypatch, pi):
+        def no_study(spec):
+            raise AssertionError("run_study was called")
+
+        monkeypatch.setattr("latescore.cli.run_study", no_study)
+        out_dir = tmp_path / "c"
+        status = main([
+            "simulate", "--setting", "custom", f"--pi={pi}", "--n", "500", "--reps", "3",
+            "--out-dir", str(out_dir),
+        ])
+        assert status == 2
+        _assert_one_error_line(capsys)
+        assert not out_dir.exists()
+
 
 def _proportional_csv(tmp_path):
     """Data with y = 2a.  With cell means and a known propensity,

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 from statistics import NormalDist
 
@@ -22,6 +23,7 @@ from latescore import (
     score_confidence_set,
     score_statistic,
 )
+from latescore.inference import instrument_strength
 
 Z975 = 1.959963984540054
 EMPTY = ConfidenceSet("empty", math.inf, -math.inf)
@@ -342,6 +344,46 @@ class TestDnStatistic:
         dn0, weak = instrument_is_weak(np.array([2.0, 0.0]), 0.05)
         assert dn0 == pytest.approx(1.0)
         assert weak  # 1.0 <= z^2
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 60),
+        scale=st.sampled_from([1.0, 1e-3, 1e150, 1e-160, 1e-200, 0.0]),
+        shift=st.sampled_from([0.0, 1.0, -2.5, 1e-170]),
+        constant=st.booleans(),
+    )
+    def test_moments_form_matches_dn_statistic_bit_for_bit(self, seed, n, scale, shift, constant):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        psi_a = (np.full(n, rng.standard_normal()) if constant else rng.standard_normal(n)) * scale + shift
+        s = ScoreSample(psi_a=psi_a, psi_b=rng.standard_normal(n))
+        try:
+            expected = dn_statistic(psi_a, 0.0)
+        except DegenerateDataError as exc:
+            with pytest.raises(DegenerateDataError, match=re.escape(str(exc))):
+                instrument_strength(s)
+        else:
+            got = instrument_strength(s)
+            assert type(got) is type(expected)
+            assert struct.pack("<d", got) == struct.pack("<d", expected)
+
+    def test_tiny_scores_are_degenerate_in_both_forms(self):
+        # mean(psi_a) is nonzero but every square underflows to zero
+        psi_a = np.array([1e-200, 1e-200])
+        with pytest.raises(DegenerateDataError):
+            dn_statistic(psi_a, 0.0)
+        with pytest.raises(DegenerateDataError):
+            instrument_strength(ScoreSample(psi_a=psi_a, psi_b=psi_a))
+
+
+class TestScoreSampleMoments:
+    def test_taken_once_and_kept(self, monkeypatch):
+        s = random_scores(np.random.Generator(np.random.PCG64(3)))
+        first = s.moments()
+        monkeypatch.setattr(np, "mean", lambda *args, **kwargs: pytest.fail("moments were taken again"))
+        assert s.moments() is first
+        quad_coefficients(s, 0.05)
+        score_statistic(s, np.linspace(-1.0, 1.0, 5))
 
 
 class TestEquivariance:

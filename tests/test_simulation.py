@@ -3,6 +3,9 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from latescore import (
     DgpParams,
@@ -16,7 +19,10 @@ from latescore import (
     run_replication,
     run_study,
 )
-from latescore.simulation import _draw
+from latescore.simulation import N_CELLS, _draw, draw_oracle_cells
+
+_PI = st.sampled_from([0.0, -0.0, 0.15 / math.sqrt(5000), 1.0, -1.0, 5.0, -40.0]) | st.floats(-10.0, 10.0)
+_SHIFT = (st.floats(-1e3, 1e3) | st.sampled_from([1.0, -2.5, 1e-300])).filter(lambda v: v != 0.0)
 
 
 class TestDgpGenerate:
@@ -49,6 +55,16 @@ class TestDgpGenerate:
         with pytest.raises(InvalidConfigError):
             DgpParams(pi=1.0, n=1)
 
+    @settings(max_examples=60, deadline=None)
+    @given(pi=_PI, shift=st.floats(-1e3, 1e3), n=st.integers(2, 3000), seed=st.integers(0, 2**64 - 1))
+    def test_matches_the_reference_draw_bit_for_bit(self, reference_dgp, pi, shift, n, seed):
+        params = DgpParams(pi=pi, n=n, treatment_shift=shift)
+        data = dgp_generate(params, seed)
+        x, z, a, y = reference_dgp(params, np.random.Generator(np.random.PCG64(seed)), n)
+        for got, want in ((data.x, x.reshape(-1, 1)), (data.z, z), (data.a, a.astype(int)), (data.y, y)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
 
 class TestOracleScores:
     def test_contrasts(self):
@@ -59,6 +75,73 @@ class TestOracleScores:
         phi1 = 0.5 * math.erfc(-1.0 / math.sqrt(2.0))
         assert np.array_equal(contrast_a, np.where(x > 0, phi1 - 0.5, 0.0))
         np.testing.assert_allclose(contrast_b, 3.0 * contrast_a, rtol=1e-14, atol=0.0)
+
+
+class _ScriptedRng:
+    """Stands in for a Generator: hands out the given arrays in call order."""
+
+    def __init__(self, *arrays):
+        self.arrays = list(arrays)
+
+    def _next(self, size):
+        out = self.arrays.pop(0)
+        assert out.shape == (size,)
+        return out.copy()
+
+    standard_normal = random = _next
+
+
+def _assert_same_bits(got, want):
+    assert len(got) == len(want) == 4
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+_NORMAL = st.floats(-6.0, 6.0) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324])
+
+
+class TestOracleCellTable:
+    """The oracle cell table against the per-unit score formula it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pi=_PI, shift=_SHIFT, size=st.integers(0, 5000), seed=st.integers(0, 2**64 - 1))
+    @example(pi=0.15 / math.sqrt(5000), shift=1.0, size=100_003, seed=5)
+    @example(pi=1.0, shift=3.0, size=100_003, seed=6)
+    def test_matches_the_per_unit_formula_bit_for_bit(self, reference_oracle, pi, shift, size, seed):
+        params = DgpParams(pi=pi, n=2, treatment_shift=shift)
+        got = oracle_scores(params, np.random.Generator(np.random.PCG64(seed)), size)
+        want = reference_oracle(params, np.random.Generator(np.random.PCG64(seed)), size)
+        _assert_same_bits(got, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), pi=_PI, shift=_SHIFT, size=st.integers(1, 40))
+    def test_every_cell_on_scripted_draws(self, reference_oracle, data, pi, shift, size):
+        # Exact zeros of u (sign 0) and x, and u = -pi (the treatment boundary),
+        # never come out of a real generator.
+        u = data.draw(arrays(np.float64, size, elements=_NORMAL | st.just(-pi)))
+        x = data.draw(arrays(np.float64, size, elements=_NORMAL))
+        uniform = data.draw(arrays(np.float64, size, elements=st.sampled_from([0.0, 0.25, 0.5, 0.75])))
+        params = DgpParams(pi=pi, n=2, treatment_shift=shift)
+        got = oracle_scores(params, _ScriptedRng(u, x, uniform), size)
+        _assert_same_bits(got, reference_oracle(params, _ScriptedRng(u, x, uniform), size))
+
+    def test_cell_numbers(self):
+        # (z, x, u) -> 12*z + 6*1{x > 0} + 3*a + sign(u) + 1, over the 13 cells
+        # the law can reach at pi = 1, where a = 1{u > -1} if z = 1 and x > 0
+        # and a = 1{u > 0} otherwise.
+        cases = [
+            (0, -1.0, -0.5, 0), (0, -1.0, 0.0, 1), (0, -1.0, 0.5, 5),
+            (0, 1.0, -0.5, 6), (0, 1.0, -0.0, 7), (0, 1.0, 0.5, 11),
+            (1, 0.0, -0.5, 12), (1, -1.0, 0.0, 13), (1, -1.0, 0.5, 17),
+            (1, 1.0, -2.0, 18), (1, 1.0, -0.5, 21), (1, 1.0, 0.0, 22), (1, 1.0, 0.5, 23),
+        ]
+        z, x, u, expected = (np.array(column) for column in zip(*cases))
+        rng = _ScriptedRng(u, x, np.where(z == 1, 0.25, 0.75))
+        cells = draw_oracle_cells(DgpParams(pi=1.0, n=2), rng, len(cases))
+        assert cells.dtype == np.uint8
+        assert cells.tolist() == expected.tolist()
+        assert N_CELLS == 24
 
 
 class TestReplicationSeeds:
@@ -176,6 +259,9 @@ class TestStudySpecValidation:
         dict(n_grid=()),
         dict(n_grid=(1,)),
         dict(setting="custom", pi=0.0),
+        dict(setting="custom", pi=math.nan),
+        dict(setting="custom", pi=math.inf),
+        dict(setting="custom", pi=-math.inf),
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(InvalidConfigError):

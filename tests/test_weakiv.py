@@ -16,6 +16,7 @@ from latescore import (
     sample_bivariate_normal,
     sample_weak_limit,
 )
+from latescore import weakiv
 from latescore.cli import main
 
 
@@ -170,6 +171,52 @@ class TestEstimateWeakIVConfig:
         )
         assert not cal.cb_violated
         assert cal.c_b == pytest.approx(2.0 * cal.c_a, rel=1e-9)
+
+
+def _brute_force_calibration(reference_oracle, params, batches, seed):
+    """The calibration from per-unit reference score arrays, drawn batch by
+    batch like the calibrator and summed with math.fsum."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    draws = [reference_oracle(params, rng, m) for m in batches]
+    psi_a, psi_b, ca, cb = (np.concatenate(parts) for parts in zip(*draws))
+    total = psi_a.size
+
+    def mean(v):
+        return math.fsum(v) / total
+
+    mu_a, mu_b, mean_a, mean_b = mean(psi_a), mean(psi_b), mean(ca), mean(cb)
+    root_n = math.sqrt(params.n)
+    c_a, c_b = root_n * mean_a, root_n * mean_b
+    ca_se = root_n * math.sqrt(max(mean(ca * ca) - mean_a * mean_a, 0.0) / total)
+    cb_se = root_n * math.sqrt(max(mean(cb * cb) - mean_b * mean_b, 0.0) / total)
+    cov_ab = mean(psi_a * psi_b) - mu_a * mu_b
+    sigma = [mean(psi_a * psi_a) - mu_a * mu_a, cov_ab, cov_ab, mean(psi_b * psi_b) - mu_b * mu_b]
+    return dict(
+        c_a=c_a, c_b=c_b, ca_se=ca_se, cb_se=cb_se, sigma=sigma, draws=total,
+        ca_violated=abs(c_a) <= 3.0 * ca_se, cb_violated=abs(c_b) <= 3.0 * cb_se,
+    )
+
+
+class TestCalibratorAgainstBruteForce:
+    @pytest.mark.parametrize("params", [
+        DgpParams(pi=0.15 / math.sqrt(5000), n=5000),
+        DgpParams(pi=1.0, n=1000, treatment_shift=3.0),
+        DgpParams(pi=-0.7, n=50, treatment_shift=-2.5),
+        DgpParams(pi=0.0, n=10, treatment_shift=1.5),
+        DgpParams(pi=5.0, n=7500, treatment_shift=0.25),
+    ])
+    def test_matches_brute_force_sums(self, monkeypatch, reference_oracle, params):
+        # Batches of 1,000 over 4,321 draws: four full batches and a partial one.
+        monkeypatch.setattr(weakiv, "_ORACLE_BATCH", 1000)
+        cal = estimate_weakiv_config(params, oracle_draws=4321, seed=17)
+        ref = _brute_force_calibration(reference_oracle, params, [1000] * 4 + [321], seed=17)
+        assert cal.draws == ref["draws"] == 4321
+        assert cal.ca_violated == ref["ca_violated"]
+        assert cal.cb_violated == ref["cb_violated"]
+        got = [cal.c_a, cal.c_b, cal.ca_se, cal.cb_se, *cal.sigma_ab.ravel()]
+        want = [ref["c_a"], ref["c_b"], ref["ca_se"], ref["cb_se"], *ref["sigma"]]
+        for g, w in zip(got, want):
+            assert math.isclose(g, w, rel_tol=1e-12, abs_tol=0.0), (got, want)
 
 
 class TestKsDistance:
