@@ -15,11 +15,12 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 
 import numpy as np
 
-from .data import CsvSchema, load_csv, make_folds
+from .data import CsvSchema, _write_columns, load_csv, make_folds
 from .errors import (
     CsvParseError,
     DecompositionError,
@@ -48,6 +49,11 @@ EXIT_DEGENERATE = 3
 # scan evaluates its theta grid this many points at a time, which bounds
 # the memory its temporaries take on a long grid.
 SCAN_BLOCK = 4096
+
+# argparse takes an argument that starts with '-' for a value only if it looks like -1 or
+# -1.5; the parsers here take any negative number float() parses, such as -1e-3 or -inf.
+_D = r"\d(_?\d)*"  # digits, single underscores between them
+_NEGATIVE_NUMBER = re.compile(rf"(?i)-(({_D}\.?|({_D})?\.{_D})(e[-+]?{_D})?|inf(inity)?|nan)\s*$")
 
 _G_NAMES = {"ols": "ols_linear", "cellmean": "cell_mean"}
 _R_NAMES = {"logit": "logistic", "cellmean": "cell_mean"}
@@ -226,10 +232,7 @@ def cmd_scan(args) -> int:
     print(f"mismatches outside boundary band: {mismatches}")
     if args.dump_scores:
         scores_path = args.out + ".scores.csv"
-        with open(scores_path, "w", newline="") as handle:
-            handle.write("psi_a,psi_b\n")
-            for va, vb in zip(scores.psi_a, scores.psi_b):
-                handle.write(f"{float(va)!r},{float(vb)!r}\n")
+        _write_columns(scores_path, ["psi_a", "psi_b"], scores.psi_a, scores.psi_b)
         print(f"wrote {scores_path}")
     return EXIT_OK
 
@@ -237,17 +240,9 @@ def cmd_scan(args) -> int:
 def cmd_weakiv_limit(args) -> int:
     if args.samples < 1:
         raise InvalidConfigError("--samples must be at least 1")
-    cfg = WeakIVConfig(
-        c_a=args.ca,
-        c_b=args.cb,
-        sigma_ab=np.array([[args.s11, args.s12], [args.s12, args.s22]]),
-    )
-    rng = np.random.Generator(np.random.PCG64(args.seed))
-    draws = sample_weak_limit(cfg, rng, size=args.samples)
-    with open(args.out, "w", newline="") as handle:
-        handle.write("draw\n")
-        for v in draws:
-            handle.write(f"{float(v)!r}\n")
+    cfg = WeakIVConfig(args.ca, args.cb, np.array([[args.s11, args.s12], [args.s12, args.s22]]))
+    draws = sample_weak_limit(cfg, np.random.Generator(np.random.PCG64(args.seed)), size=args.samples)
+    _write_columns(args.out, ["draw"], draws)
     print(f"wrote {args.samples} draws to {args.out}")
     return EXIT_OK
 
@@ -286,15 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
     scan.set_defaults(func=cmd_scan)
 
     weakiv = sub.add_parser("weakiv-limit", help="sample the weak-instrument limit distribution")
-    weakiv.add_argument("--ca", type=float, required=True)
-    weakiv.add_argument("--cb", type=float, required=True)
-    weakiv.add_argument("--s11", type=float, required=True)
-    weakiv.add_argument("--s12", type=float, required=True)
-    weakiv.add_argument("--s22", type=float, required=True)
+    for name in ("ca", "cb", "s11", "s12", "s22"):
+        weakiv.add_argument(f"--{name}", type=float, required=True)
     weakiv.add_argument("--samples", type=int, default=100000)
     weakiv.add_argument("--seed", type=int, default=0)
     weakiv.add_argument("--out", required=True)
     weakiv.set_defaults(func=cmd_weakiv_limit)
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -271,15 +271,20 @@ def write_csv(data: Dataset, path: str, schema: CsvSchema = CsvSchema()) -> None
         raise InvalidConfigError(
             f"schema names {len(schema.covariates)} covariates but the data has {data.p}"
         )
+    header = [schema.outcome, schema.treatment, schema.instrument, *schema.covariates]
+    _write_columns(path, header, data.y, data.a, data.z, *data.x.T)
+
+
+# _write_columns formats and writes this many rows at a time, which bounds the text it holds.
+_WRITE_BLOCK = 1 << 14
+
+
+def _write_columns(path: str, header, *columns) -> None:
+    """Write a CSV file: ``header`` through csv.writer, then the rows of the
+    equal-length 1-D ``columns`` as ``repr`` text (exact floats, plain ints)."""
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow([schema.outcome, schema.treatment, schema.instrument, *schema.covariates])
-        for i in range(data.n):
-            writer.writerow(
-                [
-                    repr(float(data.y[i])),
-                    int(data.a[i]),
-                    int(data.z[i]),
-                    *(repr(float(v)) for v in data.x[i]),
-                ]
-            )
+        csv.writer(handle, lineterminator="\n").writerow(header)
+        for start in range(0, len(columns[0]), _WRITE_BLOCK):
+            cells = [map(repr, c[start : start + _WRITE_BLOCK].tolist()) for c in columns]
+            lines = cells[0] if len(cells) == 1 else map(",".join, zip(*cells))
+            handle.write("\n".join(lines) + "\n")

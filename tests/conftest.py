@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -41,3 +42,40 @@ def reference_oracle():
 @pytest.fixture(scope="session")
 def reference_dgp():
     return reference_draw
+
+
+# The per-line CSV loops that the block writer replaced, kept as the
+# references its output must equal byte for byte.
+
+
+def reference_write_draws(handle, draws):
+    """weakiv-limit's draw rows: one write per draw."""
+    for v in draws:
+        handle.write(f"{float(v)!r}\n")
+
+
+def reference_write_scores(handle, psi_a, psi_b):
+    """scan --dump-scores's rows: one write per unit."""
+    for va, vb in zip(psi_a, psi_b):
+        handle.write(f"{float(va)!r},{float(vb)!r}\n")
+
+
+def reference_write_csv(data, path, schema):
+    """write_csv: one csv.writer row per unit, header included."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow([schema.outcome, schema.treatment, schema.instrument, *schema.covariates])
+        for i in range(data.n):
+            writer.writerow(
+                [
+                    repr(float(data.y[i])),
+                    int(data.a[i]),
+                    int(data.z[i]),
+                    *(repr(float(v)) for v in data.x[i]),
+                ]
+            )
+
+
+@pytest.fixture(scope="session")
+def reference_writers():
+    return reference_write_draws, reference_write_scores, reference_write_csv

@@ -19,7 +19,8 @@ from latescore import (
     quad_coefficients,
     write_csv,
 )
-from latescore.cli import SCAN_BLOCK, main
+from latescore.cli import _NEGATIVE_NUMBER, SCAN_BLOCK, main
+from latescore.weakiv import WeakIVConfig, sample_weak_limit
 
 
 def _export_dgp(tmp_path, pi, n, seed, name):
@@ -250,6 +251,16 @@ class TestSimulate:
         _assert_one_error_line(capsys)
         assert not out_dir.exists()
 
+    def test_custom_minus_inf_pi_as_its_own_argument_exits_2(self, tmp_path, capsys):
+        out_dir = tmp_path / "c"
+        status = main([
+            "simulate", "--setting", "custom", "--pi", "-inf", "--n", "500", "--reps", "3",
+            "--out-dir", str(out_dir),
+        ])
+        assert status == 2
+        _assert_one_error_line(capsys)
+        assert not out_dir.exists()
+
 
 def _proportional_csv(tmp_path):
     """Data with y = 2a.  With cell means and a known propensity,
@@ -386,6 +397,30 @@ class TestScan:
         assert [float(r["psi_a"]) for r in scores] == expected.psi_a.tolist()
         assert [float(r["psi_b"]) for r in scores] == expected.psi_b.tolist()
 
+    def test_dump_scores_match_the_per_line_writer(self, tmp_path, reference_writers):
+        data_path = _export_dgp(tmp_path, pi=5.0, n=3000, seed=37, name="scan6.csv")
+        out_path = str(tmp_path / "scan6_out.csv")
+        argv = _scan_argv(data_path, -1.0, 1.0, 11, out_path)
+        assert main(argv + ["--dump-scores"]) == 0
+        data = load_csv(data_path)
+        spec = LearnerSpec(
+            g_learner="cell_mean", r_learner="cell_mean", m_learner="known_constant", m_value=0.5
+        )
+        scores = compute_scores(data, cross_fit(data, spec, make_folds(data.n, spec.K, 0)))
+        _, write_scores, _ = reference_writers
+        with open(tmp_path / "reference.csv", "w", newline="") as handle:
+            handle.write("psi_a,psi_b\n")
+            write_scores(handle, scores.psi_a, scores.psi_b)
+        assert (tmp_path / "scan6_out.csv.scores.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_negative_bound_in_scientific_notation(self, tmp_path):
+        data_path = _export_dgp(tmp_path, pi=5.0, n=100, seed=37, name="scan7.csv")
+        out_path = str(tmp_path / "scan7_out.csv")
+        argv = _scan_argv(data_path, 0.0, 10.0, 11, out_path)
+        argv[argv.index("--theta-min") + 1] = "-1e1"
+        assert main(argv) == 0
+        assert float(_read_rows(out_path)[0]["theta"]) == -10.0
+
     def test_missing_out_directory_exits_2(self, tmp_path, capsys):
         data_path = _export_dgp(tmp_path, pi=5.0, n=100, seed=37, name="scan5.csv")
         capsys.readouterr()
@@ -453,12 +488,62 @@ class TestWeakIVLimit:
         assert status == 2
         _assert_one_error_line(capsys)
 
+    def test_negative_value_in_scientific_notation(self, tmp_path):
+        paths = [str(tmp_path / "spaced.csv"), str(tmp_path / "joined.csv")]
+        rest = ["--cb", "1", "--s11", "1", "--s12", "0", "--s22", "1", "--samples", "500", "--seed", "3"]
+        assert main(["weakiv-limit", "--ca", "-1e-3", *rest, "--out", paths[0]]) == 0
+        assert main(["weakiv-limit", "--ca=-1e-3", *rest, "--out", paths[1]]) == 0
+        with open(paths[0], "rb") as spaced, open(paths[1], "rb") as joined:
+            assert spaced.read() == joined.read()
+
+    def test_a_following_option_is_not_a_value(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "weakiv-limit", "--ca", "--cb", "1", "--s11", "1", "--s12", "0", "--s22", "1",
+                "--out", str(tmp_path / "d.csv"),
+            ])
+        assert exc.value.code == 2
+        assert "argument --ca: expected one argument" in capsys.readouterr().err
+
+    def test_draws_match_the_per_line_writer(self, tmp_path, reference_writers):
+        # Not a multiple of the writer's block, so the last block is short.
+        samples, seed = 1_000_003, 8
+        out_path = tmp_path / "draws.csv"
+        assert main([
+            "weakiv-limit", "--ca", "0.03", "--cb", "0", "--s11", "1", "--s12", "4", "--s22", "16",
+            "--samples", str(samples), "--seed", str(seed), "--out", str(out_path),
+        ]) == 0
+        cfg = WeakIVConfig(c_a=0.03, c_b=0.0, sigma_ab=np.array([[1.0, 4.0], [4.0, 16.0]]))
+        draws = sample_weak_limit(cfg, np.random.Generator(np.random.PCG64(seed)), size=samples)
+        write_draws, _, _ = reference_writers
+        with open(tmp_path / "reference.csv", "w", newline="") as handle:
+            handle.write("draw\n")
+            write_draws(handle, draws)
+        assert out_path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
     def test_non_psd_sigma_exits_2(self, tmp_path):
         status = main([
             "weakiv-limit", "--ca", "1", "--cb", "1", "--s11", "1", "--s12", "2",
             "--s22", "1", "--samples", "10", "--out", str(tmp_path / "d.csv"),
         ])
         assert status == 2
+
+
+class TestNegativeNumbers:
+    @given(text=st.text(alphabet="0123456789._eE+-infatyINFATY \t\u0661\u2003", max_size=12))
+    @settings(max_examples=500, deadline=None)
+    def test_pattern_matches_what_float_parses(self, text):
+        text = "-" + text
+        try:
+            float(text)
+            parses = True
+        except ValueError:
+            parses = False
+        assert bool(_NEGATIVE_NUMBER.match(text)) == parses
+
+    @given(value=st.floats(max_value=-0.0))
+    def test_every_negative_float_repr_is_a_value(self, value):
+        assert _NEGATIVE_NUMBER.match(repr(value))
 
 
 class TestEntryPoint:

@@ -1,4 +1,6 @@
+import io
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -314,3 +316,108 @@ class TestDgpExportRoundTrip:
         s2 = compute_scores(reloaded, cross_fit(reloaded, spec, folds))
         assert np.array_equal(s1.psi_a, s2.psi_a)
         assert np.array_equal(s1.psi_b, s2.psi_b)
+
+
+# Floats whose repr is easy to get wrong: signed zero, the smallest
+# subnormal, the switch to and from exponent notation, the largest double.
+_EDGE_FLOATS = [
+    -0.0, 0.0, 5e-324, -5e-324, 1e-5, 9.999999999999999e-05, 1e-4, 1e16, 9999999999999998.0,
+    1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0, 2.0**-1074 * 3,
+]
+_FLOATS = st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+_BLOCK = 8
+
+
+class _Recorder(io.StringIO):
+    """Stands in for the file _write_columns opens: counts its writes and
+    keeps its text when closed."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+    def close(self):
+        self.text = self.getvalue()
+        super().close()
+
+
+def _written(header, *columns):
+    handle = _Recorder()
+    with mock.patch.object(data_module, "_WRITE_BLOCK", _BLOCK), \
+            mock.patch.object(data_module, "open", lambda *args, **kwargs: handle, create=True):
+        data_module._write_columns("unused.csv", header, *columns)
+    return handle
+
+
+def _reference(header, write, *columns):
+    handle = io.StringIO()
+    handle.write(header)
+    write(handle, *columns)
+    return handle.getvalue()
+
+
+@st.composite
+def _datasets(draw, min_n=2, max_n=3 * _BLOCK + 2):
+    n = draw(st.integers(min_n, max_n))
+    p = draw(st.integers(0, 3))
+    floats = st.lists(_FLOATS, min_size=n * (p + 1), max_size=n * (p + 1))
+    values = np.array(draw(floats), dtype=float)
+    binary = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    return Dataset(
+        y=values[:n], a=draw(binary), z=draw(binary), x=values[n:].reshape(n, p)
+    )
+
+
+@pytest.fixture(scope="module")
+def written_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("written")
+
+
+class TestWriteColumns:
+    @given(
+        draws=st.lists(_FLOATS | st.sampled_from([np.nan, np.inf, -np.inf]), max_size=3 * _BLOCK + 2),
+        data=_datasets(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_per_line_writers(self, reference_writers, written_path, draws, data):
+        write_draws, write_scores, reference_write_csv = reference_writers
+        draws = np.array(draws, dtype=float)
+        assert _written(["draw"], draws).text == _reference("draw\n", write_draws, draws)
+        assert _written(["psi_a", "psi_b"], draws, draws[::-1]).text == _reference(
+            "psi_a,psi_b\n", write_scores, draws, draws[::-1]
+        )
+        schema = CsvSchema(covariates=tuple(f"x{j}" for j in range(data.p)))
+        reference_write_csv(data, str(written_path / "reference.csv"), schema)
+        with mock.patch.object(data_module, "_WRITE_BLOCK", _BLOCK):
+            write_csv(data, str(written_path / "written.csv"), schema)
+        assert (written_path / "written.csv").read_bytes() == (written_path / "reference.csv").read_bytes()
+
+    @pytest.mark.parametrize("rows", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+    def test_one_write_per_block_at_the_block_edges(self, reference_writers, tmp_path, rows):
+        write_draws, write_scores, reference_write_csv = reference_writers
+        rng = np.random.Generator(np.random.PCG64(rows))
+        values = rng.standard_normal(rows) * 10.0 ** rng.integers(-320, 300, rows)
+        blocks = -(-rows // _BLOCK)
+        single = _written(["draw"], values)
+        assert single.text == _reference("draw\n", write_draws, values)
+        assert single.writes == 1 + blocks  # the header, then one write per block
+        pair = _written(["psi_a", "psi_b"], values, -values)
+        assert pair.text == _reference("psi_a,psi_b\n", write_scores, values, -values)
+        assert pair.writes == 1 + blocks
+        binary = rng.integers(0, 2, rows)
+        assert _written(["v", "b", "c"], values, binary, binary).text == "v,b,c\n" + "".join(
+            f"{v!r},{b},{b}\n" for v, b in zip(values.tolist(), binary.tolist())
+        )
+        if rows >= 2:
+            data = Dataset(y=values, a=binary, z=1 - binary, x=np.column_stack([values[::-1], -values]))
+            schema = CsvSchema(covariates=("x,1", 'x"2'))
+            reference_write_csv(data, str(tmp_path / "reference.csv"), schema)
+            with mock.patch.object(data_module, "_WRITE_BLOCK", _BLOCK):
+                write_csv(data, str(tmp_path / "written.csv"), schema)
+            assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_a_header_alone_for_no_rows(self):
+        handle = _written(["draw"], np.array([]))
+        assert handle.text == "draw\n" and handle.writes == 1

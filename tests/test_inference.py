@@ -1,11 +1,12 @@
 import math
 import re
 import struct
+from fractions import Fraction
 from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latescore import (
@@ -235,6 +236,54 @@ class TestInvertScoreTest:
                 if abs(quad) <= band:
                     continue
                 assert cset.contains(theta) == (quad < 0.0)
+
+
+class TestMidpointShift:
+    """The 1/n term of the score set in closed form.  With phi = mb/ma,
+    C = mab - phi*maa and a = n*ma^2 - z^2*maa, the midpoint -b/(2a) of a
+    finite interval lies exactly -z^2*C/a from the ratio estimate phi,
+    which is -z^2*C/(n*ma^2) * (1 + O(1/n))."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(20, 3000),
+        mean_a=st.floats(0.3, 5.0),
+        ratio=st.floats(-20.0, 20.0),
+        noise=st.floats(0.1, 10.0),
+        alpha=st.sampled_from([0.01, 0.05, 0.2]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_midpoint_minus_phi_is_minus_z2_c_over_a(self, seed, n, mean_a, ratio, noise, alpha):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        psi_a = rng.standard_normal(n) + mean_a
+        psi_b = ratio * psi_a + noise * rng.standard_normal(n)
+        scores = ScoreSample(psi_a=psi_a, psi_b=psi_b)
+        coeffs = quad_coefficients(scores, alpha)
+        cset = invert_score_test(coeffs)
+        assume(cset.tag == "finite_interval")
+        ma, mb, maa, _, mab = scores.moments()
+        z2 = coeffs.z_crit * coeffs.z_crit
+        phi = mb / ma
+        C = mab - phi * maa
+        a = n * ma * ma - z2 * maa
+        assert a == coeffs.a
+        vertex = -coeffs.b / (2.0 * a)
+
+        # Exact in rational arithmetic on the same moments.
+        fa, fb, faa, fab, fz2 = map(Fraction, (ma, mb, maa, mab, z2))
+        f_phi = fb / fa
+        f_a = n * fa * fa - fz2 * faa
+        f_b = -2 * n * fa * fb + 2 * fz2 * fab
+        assert -f_b / (2 * f_a) - f_phi == -fz2 * (fab - f_phi * faa) / f_a
+
+        # In floats, to the rounding of the terms each side is formed from:
+        # kappa is the condition number of the difference that forms a.
+        eps = np.finfo(float).eps
+        kappa = (n * ma * ma + z2 * maa) / a
+        terms = (n * abs(ma * mb) + z2 * abs(mab) + z2 * (abs(mab) + abs(phi) * maa)) / a
+        assert abs((vertex - phi) - (-z2 * C / a)) <= 16 * eps * (terms * (1.0 + kappa) + abs(phi))
+
+        assert abs((cset.lo + cset.hi) / 2.0 - vertex) <= 1e-9 * (abs(cset.lo) + abs(cset.hi))
 
 
 class TestDiameters:
