@@ -119,7 +119,7 @@ def cmd_analyze(args) -> int:
     cset = invert_score_test(coeffs)
     tol_a, tol_delta = zero_tolerances(coeffs)
     drml = drml_estimate(scores, args.alpha)
-    dn0, weak = instrument_is_weak(scores.psi_a, args.alpha)
+    dn0, weak = instrument_is_weak(scores, args.alpha)
     z = coeffs.z_crit
     diam_s = cset.diameter()
     diam_w = drml.diameter()
@@ -247,8 +247,16 @@ def cmd_weakiv_limit(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors reach ``main``'s handler, so a bad
+    command line exits 2 with one ``error:`` line; its subparsers share the class."""
+
+    def error(self, message):
+        raise InvalidConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latescore",
         description="Score confidence sets and Wald intervals for the local average treatment effect.",
     )

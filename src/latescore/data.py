@@ -150,53 +150,68 @@ def _parse_binary(text: str, row: int, col: str) -> int:
     return int(value)
 
 
-# Bytes a clean numeric data line may hold.  A file whose data lines hold
-# only these has no quotes, comments or carriage returns, and each of its
-# cells is text on which np.loadtxt and float() agree bit for bit.
-_NUMERIC_BYTES = b"0123456789+-.eE,\t \n"
+def _refused(text: bytes) -> bool:
+    """Whether raw file text holds a quote or a carriage return outside a
+    \\r\\n line end.  Without them, csv.reader's cells are the text between
+    the commas of one line, and a line ends at \\n as in np.loadtxt."""
+    return b'"' in text or (b"\r" in text and text.count(b"\r") != text.count(b"\r\n"))
+
+
+# _load_columns scans a file this many bytes at a time, plus the rest of
+# the line the block ends in, which bounds the memory the scan takes.
+_READ_BLOCK = 1 << 20
+
+# Every byte but the comma and the line feed.
+_NOT_CUTS = bytes(sorted(set(range(256)) - set(b",\n")))
 
 
 def _load_columns(path: str, schema: CsvSchema):
-    """Parse a clean numeric file by column; None defers to ``_load_cells``.
+    """Parse the schema's columns by column; None defers to ``_load_cells``.
 
-    Returns None, rather than raising, for anything the per-cell parser
-    might treat differently (blank or short lines, non-numeric bytes,
-    values outside the schema's domain), so every error comes from there.
+    Columns the schema does not name may hold any text.  Returns None,
+    rather than raising, for anything the per-cell parser might treat
+    differently (short or blank lines, cells np.loadtxt cannot read, values
+    outside the schema's domain), so every error comes from there.
     """
+    needed = [schema.outcome, schema.treatment, schema.instrument, *schema.covariates]
     try:
         with open(path, "rb") as handle:
             head = handle.readline()
-            rows, last = 0, b"\n"
-            while block := handle.read(1 << 20):
-                if block.translate(None, _NUMERIC_BYTES):
+            header = [h.strip() for h in head.decode("utf-8").split(",")]
+            if _refused(head) or not set(needed) <= set(header):
+                return None
+            # Every data line needs a cell per header name, so this many
+            # commas.  A block runs to a line end, so no line spans two.
+            fewest, rows = len(header) - 1, 0
+            while block := handle.read(_READ_BLOCK) + handle.readline():
+                if _refused(block):
                     return None
-                rows += block.count(b"\n")
-                last = block[-1:]
-        header = [h.strip() for h in head.decode("utf-8").split(",")]
+                # The block's commas and line ends, in order; those between
+                # two line ends are the commas of one line.
+                cuts = np.frombuffer(block.translate(None, _NOT_CUTS), dtype=np.uint8)
+                ends = np.flatnonzero(cuts == ord("\n"))
+                if block[-1:] != b"\n":  # the file's last line, unterminated
+                    ends = np.append(ends, cuts.size)
+                if np.diff(ends, prepend=-1).min() - 1 < fewest:
+                    return None
+                rows += ends.size
     except (OSError, UnicodeDecodeError):
         return None
-    # np.loadtxt skips blank lines, which the per-cell parser rejects, so
-    # it must return one row for every data line counted here.
-    rows += last != b"\n"
-    needed = [schema.outcome, schema.treatment, schema.instrument, *schema.covariates]
-    # Without quotes or carriage returns the header is one line, and
-    # splitting it at commas gives the cells csv.reader gives.
-    if rows < 2 or b'"' in head or b"\r" in head or not set(needed) <= set(header):
+    if rows < 2:
         return None
-    iy, ia, iz, *ix = (header.index(name) for name in needed)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             table = np.loadtxt(
-                path, delimiter=",", skiprows=1, comments=None, dtype=float,
-                encoding="utf-8", ndmin=2,
+                path, delimiter=",", skiprows=1, comments=None, dtype=float, encoding="utf-8",
+                ndmin=2, usecols=[header.index(name) for name in needed],
             )
         except (ValueError, Warning):
             return None
-    if table.shape != (rows, len(header)):
+    if table.shape != (rows, len(needed)):
         return None
-    y, a, z = table[:, iy].copy(), table[:, ia], table[:, iz]
-    x = np.ascontiguousarray(table[:, ix])
+    y, a, z = table[:, 0].copy(), table[:, 1], table[:, 2]
+    x = np.ascontiguousarray(table[:, 3:])
     if not (
         np.isfinite(y).all() and np.isfinite(x).all()
         and ((a == 0) | (a == 1)).all() and ((z == 0) | (z == 1)).all()
@@ -257,9 +272,11 @@ def load_csv(path: str, schema: CsvSchema = CsvSchema()) -> Dataset:
 
     Rows are kept in file order.  Row numbers in error messages are
     1-based and count data rows (the header is row 0).  Missing values
-    are a hard error.  A clean numeric file is parsed by column in one
-    ``np.loadtxt`` call; any other file goes through the per-cell parser,
-    which gives the same arrays and names the row and column of a fault.
+    are a hard error.  A file without quotes or carriage returns outside
+    \\r\\n line ends is parsed by column, its named columns in one
+    ``np.loadtxt`` call.  Any other file, and any file that fails a check,
+    goes through the per-cell parser, which gives the same arrays and names
+    the row and column of a fault.
     """
     data = _load_columns(path, schema)
     return _load_cells(path, schema) if data is None else data

@@ -309,12 +309,13 @@ def instrument_strength(scores: ScoreSample) -> float:
     return _dn_ratio(scores.n, ma, maa, 0.0)
 
 
-def instrument_is_weak(psi_a: np.ndarray, alpha: float) -> tuple[float, bool]:
-    """D_n(0) and the flag D_n(0) <= z^2, marking an uninformative instrument.
+def instrument_is_weak(scores: ScoreSample, alpha: float) -> tuple[float, bool]:
+    """D_n(0), read from the score moments, and the flag D_n(0) <= z^2,
+    marking an uninformative instrument.
 
     The score confidence set has infinite diameter exactly when the flag
     is set (apart from the degenerate all-zero-coefficient corner).
     """
     z = _z_crit(alpha)
-    dn0 = dn_statistic(psi_a, 0.0)
+    dn0 = instrument_strength(scores)
     return dn0, dn0 <= z * z

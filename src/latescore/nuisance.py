@@ -93,15 +93,35 @@ class NuisancePredictions:
         return self.g1.shape[0]
 
 
-def _sigmoid(t: np.ndarray) -> np.ndarray:
+def _sigmoid_inplace(t: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Overwrite the float array t with the logistic function of t and
+    return it; ``scratch``, of t's shape, is overwritten too."""
     # exp(-|t|) never overflows: 1/(1+e) for t >= 0 and e/(1+e) below.
-    e = np.exp(-np.abs(t))
-    return np.where(t >= 0, 1.0, e) / (1.0 + e)
+    np.abs(t, out=scratch)
+    np.negative(scratch, out=scratch)
+    np.exp(scratch, out=scratch)
+    positive = t >= 0
+    np.add(scratch, 1.0, out=t)
+    # e <= 1 where t >= 0, so max(e, 1{t >= 0}) is the numerator, 1 or e;
+    # it takes a fraction of the time of a masked select.
+    np.maximum(scratch, positive, out=scratch)
+    return np.divide(scratch, t, out=t)
+
+
+def _sigmoid(t: np.ndarray) -> np.ndarray:
+    t = np.array(t, dtype=float)
+    return _sigmoid_inplace(t, np.empty_like(t))
 
 
 def _with_intercept(features: np.ndarray) -> np.ndarray:
+    """The design [1, features] as one column-major array."""
     features = np.asarray(features, dtype=float)
-    return np.column_stack([np.ones(features.shape[0]), features])
+    if features.ndim == 1:
+        features = features[:, None]
+    design = np.empty((features.shape[0], features.shape[1] + 1), order="F")
+    design[:, 0] = 1.0
+    design[:, 1:] = features
+    return design
 
 
 @dataclass(frozen=True)
@@ -187,23 +207,33 @@ def fit_logistic(features: np.ndarray, labels: np.ndarray) -> LogisticModel:
     if labels.min() == labels.max():
         return LogisticModel(intercept=0.0, slopes=np.zeros(d - 1), constant=float(labels[0]))
     beta = np.zeros(d)
+    # p holds the probabilities, w the residuals and then the weights; both
+    # are reused as scratch, so no step builds an n-by-d temporary.
+    p, w = np.empty(n), np.empty(n)
+    hess = np.empty((d, d))
     converged = False
     for _ in range(_IRLS_MAX_ITER):
-        p = _sigmoid(design @ beta)
-        p = np.clip(p, 1e-10, 1.0 - 1e-10)
-        grad = design.T @ (labels - p) / n
+        _sigmoid_inplace(np.dot(design, beta, out=p), w)
+        np.clip(p, 1e-10, 1.0 - 1e-10, out=p)
+        grad = design.T @ np.subtract(labels, p, out=w) / n
         if np.max(np.abs(grad)) <= _IRLS_GRAD_TOL:
             converged = True
             break
-        w = p * (1.0 - p)
-        hess = design.T @ (design * w[:, None]) / n
+        np.subtract(1.0, p, out=w)
+        w *= p
+        # The Hessian's upper triangle, a row at a time from the weighted
+        # column j; the lower triangle is its mirror image.
+        for j in range(d):
+            hess[j, j:] = design[:, j:].T @ np.multiply(design[:, j], w, out=p)
+            hess[j:, j] = hess[j, j:]
+        hess /= n
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
             hess = hess + (1e-10 * max(np.trace(hess), 1.0) / d) * np.eye(d)
             step = np.linalg.solve(hess, grad)
         beta = beta + step
-    saturated = bool(np.max(np.abs(design @ beta)) > 30.0)
+    saturated = bool(np.max(np.abs(np.dot(design, beta, out=p))) > 30.0)
     return LogisticModel(
         intercept=float(beta[0]),
         slopes=beta[1:],
@@ -249,19 +279,6 @@ def _cell_mean_predictions(data, folds, fold_z, targets):
     return [(preds[2 * t + 1], preds[2 * t]) for t in range(len(targets))]
 
 
-def _fit_predict(learner, targets, data, train, test):
-    """Fit an OLS or logistic regression on the training units and predict
-    it inside the fold at z=1 and at z=0."""
-    features = np.column_stack([data.z[train], data.x[train]])
-    if learner == "ols_linear":
-        predict = fit_ols(features, targets[train]).predict
-    else:
-        predict = fit_logistic(features, targets[train]).predict_proba
-    x_test = data.x[test]
-    ones = np.ones(x_test.shape[0])
-    return predict(np.column_stack([ones, x_test])), predict(np.column_stack([0.0 * ones, x_test]))
-
-
 def cross_fit(data: Dataset, spec: LearnerSpec, folds: FoldAssignment) -> NuisancePredictions:
     """Produce out-of-fold nuisance predictions for every unit.
 
@@ -302,15 +319,30 @@ def cross_fit(data: Dataset, spec: LearnerSpec, folds: FoldAssignment) -> Nuisan
     for name in per_fold:
         preds[name] = (np.empty(n), np.empty(n))
     if per_fold or spec.m_learner == "logistic":
+        # Each fold gathers its training and test rows of [z, x] once; every
+        # fit reads the training block, and the test block is predicted at
+        # z=1 and then at z=0 by overwriting its z column.
+        zx = np.empty((n, 1 + data.p))
+        zx[:, 0] = data.z
+        zx[:, 1:] = data.x
         for k in range(folds.K):
             train = folds.complement(k)
             test = folds.members(k)
+            features, block = np.take(zx, train, axis=0), np.take(zx, test, axis=0)
+            predictors = {}
             for name in per_fold:
                 learner, target = learners[name]
-                preds[name][0][test], preds[name][1][test] = _fit_predict(learner, target, data, train, test)
+                if learner == "ols_linear":
+                    predictors[name] = fit_ols(features, target[train]).predict
+                else:
+                    predictors[name] = fit_logistic(features, target[train]).predict_proba
             if spec.m_learner == "logistic":
-                model = fit_logistic(data.x[train], data.z[train])
-                m1[test] = model.predict_proba(data.x[test])
+                model = fit_logistic(features[:, 1:], data.z[train])
+                m1[test] = model.predict_proba(block[:, 1:])
+            for column, z_level in enumerate((1.0, 0.0)):
+                block[:, 0] = z_level
+                for name, predict in predictors.items():
+                    preds[name][column][test] = predict(block)
 
     (g1, g0), (r1, r0) = preds["g"], preds["r"]
     m1 = np.clip(m1, spec.clip_eps, 1.0 - spec.clip_eps)

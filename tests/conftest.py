@@ -79,3 +79,107 @@ def reference_write_csv(data, path, schema):
 @pytest.fixture(scope="session")
 def reference_writers():
     return reference_write_draws, reference_write_scores, reference_write_csv
+
+
+# The regression half of cross_fit as it was before the fitters shared one
+# column-major design per fold: per-learner column_stack features, a C-order
+# design per fit, and the IRLS Hessian as design.T @ (design * w[:, None]).
+# Kept as the reference the current code is compared against.
+
+
+def _reference_design(features):
+    features = np.asarray(features, dtype=float)
+    return np.column_stack([np.ones(features.shape[0]), features])
+
+
+def _reference_sigmoid(t):
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
+
+
+def reference_fit_ols(features, targets):
+    """(predict, ridge_fallback) of the old normal-equations fit."""
+    targets = np.asarray(targets, dtype=float)
+    design = _reference_design(features)
+    gram = design.T @ design
+    moment = design.T @ targets
+    d = gram.shape[0]
+    fallback = np.linalg.matrix_rank(gram) < d
+    if fallback:
+        gram = gram + (1e-8 * np.trace(gram) / d) * np.eye(d)
+    try:
+        coef = np.linalg.solve(gram, moment)
+    except np.linalg.LinAlgError:
+        fallback = True
+        gram = gram + (1e-8 * max(np.trace(gram), 1.0) / d) * np.eye(d)
+        coef = np.linalg.solve(gram, moment)
+    return (lambda f: float(coef[0]) + np.asarray(f, dtype=float) @ coef[1:]), bool(fallback)
+
+
+def reference_fit_logistic(features, labels):
+    """(predict_proba, (constant model, converged, warning)) of the old IRLS."""
+    labels = np.asarray(labels, dtype=float)
+    design = _reference_design(features)
+    n, d = design.shape
+    if labels.min() == labels.max():
+        constant = float(labels[0])
+        predict = lambda f: np.clip(np.full(f.shape[0], constant), 1e-12, 1.0 - 1e-12)
+        return predict, (True, True, False)
+    beta = np.zeros(d)
+    converged = False
+    for _ in range(100):
+        p = _reference_sigmoid(design @ beta)
+        p = np.clip(p, 1e-10, 1.0 - 1e-10)
+        grad = design.T @ (labels - p) / n
+        if np.max(np.abs(grad)) <= 1e-8:
+            converged = True
+            break
+        w = p * (1.0 - p)
+        hess = design.T @ (design * w[:, None]) / n
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            hess = hess + (1e-10 * max(np.trace(hess), 1.0) / d) * np.eye(d)
+            step = np.linalg.solve(hess, grad)
+        beta = beta + step
+    saturated = bool(np.max(np.abs(design @ beta)) > 30.0)
+    intercept, slopes = float(beta[0]), beta[1:]
+
+    def predict(f):
+        p = _reference_sigmoid(intercept + np.asarray(f, dtype=float) @ slopes)
+        return np.clip(p, 1e-12, 1.0 - 1e-12)
+
+    return predict, (False, converged, (not converged) or saturated)
+
+
+def reference_regression_cross_fit(data, spec, folds):
+    """Out-of-fold g1, g0, r1, r0 and clipped m1 from the old per-fold loop
+    with OLS g, logistic r and known or logistic m, and each fit's flags in
+    call order (g, r, then m per fold)."""
+    n = data.n
+    out = {name: np.empty(n) for name in ("g1", "g0", "r1", "r0")}
+    out["m1"] = np.full(n, spec.m_value)
+    flags = []
+    for k in range(folds.K):
+        train, test = folds.complement(k), folds.members(k)
+        features = np.column_stack([data.z[train], data.x[train]])
+        x_test = data.x[test]
+        ones = np.ones(x_test.shape[0])
+        at_one, at_zero = np.column_stack([ones, x_test]), np.column_stack([0.0 * ones, x_test])
+        predict, fallback = reference_fit_ols(features, data.y[train])
+        flags.append(("ols", fallback))
+        out["g1"][test], out["g0"][test] = predict(at_one), predict(at_zero)
+        predict, state = reference_fit_logistic(features, data.a[train])
+        flags.append(("logistic", state))
+        out["r1"][test], out["r0"][test] = predict(at_one), predict(at_zero)
+        if spec.m_learner == "logistic":
+            predict, state = reference_fit_logistic(data.x[train], data.z[train])
+            flags.append(("logistic", state))
+            out["m1"][test] = predict(x_test)
+    out["m1"] = np.clip(out["m1"], spec.clip_eps, 1.0 - spec.clip_eps)
+    return out, flags
+
+
+@pytest.fixture(scope="session")
+def reference_regression():
+    return reference_regression_cross_fit

@@ -497,13 +497,11 @@ class TestWeakIVLimit:
             assert spaced.read() == joined.read()
 
     def test_a_following_option_is_not_a_value(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main([
-                "weakiv-limit", "--ca", "--cb", "1", "--s11", "1", "--s12", "0", "--s22", "1",
-                "--out", str(tmp_path / "d.csv"),
-            ])
-        assert exc.value.code == 2
-        assert "argument --ca: expected one argument" in capsys.readouterr().err
+        assert main([
+            "weakiv-limit", "--ca", "--cb", "1", "--s11", "1", "--s12", "0", "--s22", "1",
+            "--out", str(tmp_path / "d.csv"),
+        ]) == 2
+        assert capsys.readouterr().err == "error: argument --ca: expected one argument\n"
 
     def test_draws_match_the_per_line_writer(self, tmp_path, reference_writers):
         # Not a multiple of the writer's block, so the last block is short.
@@ -547,10 +545,25 @@ class TestNegativeNumbers:
 
 
 class TestEntryPoint:
-    def test_missing_subcommand_exits_2(self):
+    def test_missing_subcommand_exits_2(self, capsys):
+        assert main([]) == 2
+        assert capsys.readouterr().err == "error: the following arguments are required: command\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["weakiv-limit", "--ca", "1", "--cb", "0", "--s11", "1", "--s12", "0", "--s22", "1",
+         "--seed", "-1e3", "--out", "d.csv"],
+        ["analyze", "--data", "d.csv", "--g", "forest"],
+        ["simulate", "--out-dir", "out", "--bogus"],
+    ])
+    def test_argument_errors_exit_2_with_one_line(self, argv, capsys):
+        assert main(argv) == 2
+        _assert_one_error_line(capsys)
+
+    def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main([])
-        assert exc.value.code == 2
+            main(["analyze", "--help"])
+        assert exc.value.code == 0
+        assert "--data" in capsys.readouterr().out
 
 
 # Flag values at the edges of each command's domain: non-finite and

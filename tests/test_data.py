@@ -216,12 +216,76 @@ class TestLoadCsv:
             assert got.tobytes() == want.tobytes()
 
 
+    @pytest.mark.parametrize("final_newline", [True, False])
+    def test_text_columns_the_schema_does_not_name_take_the_column_path(
+        self, tmp_path, monkeypatch, final_newline
+    ):
+        rng = np.random.Generator(np.random.PCG64(12))
+        n = 300
+        data = Dataset(
+            y=rng.standard_normal(n), a=rng.integers(0, 2, n), z=rng.integers(0, 2, n),
+            x=rng.standard_normal((n, 2)),
+        )
+        notes = ["", "ok", "n/a", "caf\u00e9 \u2013 1e999", " nan ", "#", "x\ty", "'q'", "1_000"]
+        y, a, z, x = data.y.tolist(), data.a.tolist(), data.z.tolist(), data.x.tolist()
+        lines = ["id,y,a,z,note,x1,x2,comment"] + [
+            f"u{i:05d},{y[i]!r},{a[i]},{z[i]},{notes[i % len(notes)]},"
+            f"{x[i][0]!r},{x[i][1]!r},{notes[-1 - i % len(notes)]}"
+            for i in range(n)
+        ]
+        path = tmp_path / "text.csv"
+        path.write_text("\n".join(lines) + ("\n" if final_newline else ""), encoding="utf-8")
+
+        def refuse(*args):
+            raise AssertionError("a file with text columns reached the per-cell parser")
+
+        monkeypatch.setattr(data_module, "_load_cells", refuse)
+        loaded = load_csv(str(path), CsvSchema(covariates=("x1", "x2")))
+        for name in ("y", "a", "z", "x"):
+            got, want = getattr(loaded, name), getattr(data, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
+
+    @pytest.mark.parametrize("eol", ["\r\n", "mixed"])
+    def test_crlf_line_ends_take_the_column_path(self, tmp_path, monkeypatch, eol):
+        rng = np.random.Generator(np.random.PCG64(13))
+        n = 200
+        data = Dataset(
+            y=rng.standard_normal(n), a=rng.integers(0, 2, n), z=rng.integers(0, 2, n),
+            x=rng.standard_normal((n, 1)),
+        )
+        y, a, z, x = data.y.tolist(), data.a.tolist(), data.z.tolist(), data.x[:, 0].tolist()
+        lines = ["y,a,z,x1,note"] + [f"{y[i]!r},{a[i]},{z[i]},{x[i]!r},n{i}" for i in range(n)]
+        ends = ["\r\n" if eol == "\r\n" or i % 3 else "\n" for i in range(len(lines))]
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        lf.write_bytes("".join(line + "\n" for line in lines).encode())
+        crlf.write_bytes("".join(map(str.__add__, lines, ends)).encode())
+        # np.loadtxt, given a path, splits \r\n lines as \n lines, the last
+        # named column and a text column after it included.
+        for usecols in ([0, 1, 2, 3], [3, 4]):
+            args = dict(delimiter=",", skiprows=1, comments=None, encoding="utf-8", ndmin=2, usecols=usecols)
+            want = np.loadtxt(str(lf), dtype=float if usecols[-1] == 3 else str, **args)
+            got = np.loadtxt(str(crlf), dtype=want.dtype, **args)
+            assert got.tobytes() == want.tobytes()
+
+        def refuse(*args):
+            raise AssertionError("a file with \\r\\n line ends reached the per-cell parser")
+
+        monkeypatch.setattr(data_module, "_load_cells", refuse)
+        loaded = load_csv(str(crlf))
+        for name in ("y", "a", "z", "x"):
+            assert getattr(loaded, name).tobytes() == getattr(data, name).tobytes()
+
+
 # Cells and lines on which a column parser and a per-cell parser can part:
 # padding, quotes, comment marks, digit separators, non-finite and
 # out-of-range numbers, binary columns written as floats, non-ASCII text.
 _TRAP_CELLS = [
     "", " ", " 0.5 ", "\t2", '"0.5"', "#1", "1_000", "inf", "-inf", "nan", "1e999", "-1e400",
     "1e-400", "abc", "1.0", "-0", "+1", "1e0", "2", "-1", "0.5", "0x1p3", "\xa01", "\xff",
+    "\x1c1", "\x0b1\x0c", "1\x002", "\u0661", "1 2", "1e", ".", "+.5e-0", "infinity", "1j",
 ]
 _TRAP_LINES = ["", "   ", "# note", "0.5,1,1", "0.5,1,1,0.25,9,9", '"0.5",1,1,0.25']
 _HEADERS = ["y,a,z,x1"] * 4 + ["y,a,z,x1,w", " y , a ,z,x1", "x1,z,a,y", "y,a,x1", "y,a\r,z,x1"]
@@ -291,11 +355,30 @@ class TestParsersAgree:
     @example(b"y,a,z,x1\r\n1,0,1,2\r\n3,1,0,4\r\n")
     @example(b"y,a\r,z,x1\n1,0,1,2\n3,1,0,4\n")
     @example(b'"y,a",z,x1,y,a\n5,1,0,2,0,1\n6,0,1,4,1,0\n')
+    @example(b"id,y,a,z,x1\nu1,1,0,1,2\nu2,3,1,0,4\n")
+    @example(b"y,a,z,x1,note\n1,0,1,2,caf\xc3\xa9\n3,1,0,4,1e999\n")
+    @example(b"y,a,z,x1,note\n1,0,1,2,text\n3,1,0,4\n")
+    @example(b"y,note,a,z,x1\n1,,0,1,2\n3,a b,1,0,4,extra\n")
+    @example(b"y,a,z,x1,note\n1,0,1,2,\x00\n3,1,0,4,x\n")
+    @example(b"y,a,z,x1\n1,0,1,1\x002\n3,1,0,4\n")
+    @example(b"y,a,z,x1\n1,0,1,2\x00\n3,1,0,\x004\n")
+    @example(b"y,a,z,x1\n1,0,1,\xc2\xa02\n3,1,0,\x1c4\n")
+    @example(b"y,a,z,x1\n1,0,1,\xd9\xa1\n3,1,0,4\n")
+    @example(b"y,a,z,x1,note\n1,0,1,2,x\n3,1,0,4,\xff\n")
     @settings(max_examples=150, deadline=None)
     def test_load_csv_matches_the_per_cell_parser(self, differential_path, content):
         differential_path.write_bytes(content)
         path = str(differential_path)
         with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _outcome(load_csv, path) == _outcome(data_module._load_cells, path)
+
+    @given(content=_csv_bytes(), block=st.integers(1, 24))
+    @settings(max_examples=100, deadline=None)
+    def test_scan_blocks_do_not_change_the_outcome(self, differential_path, content, block):
+        differential_path.write_bytes(content)
+        path = str(differential_path)
+        with mock.patch.object(data_module, "_READ_BLOCK", block), warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _outcome(load_csv, path) == _outcome(data_module._load_cells, path)
 

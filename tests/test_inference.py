@@ -66,7 +66,7 @@ class TestNormalQuantile:
         with pytest.raises(InvalidConfigError):
             drml_estimate(self.SCORES, alpha)
         with pytest.raises(InvalidConfigError):
-            instrument_is_weak(self.SCORES.psi_a, alpha)
+            instrument_is_weak(self.SCORES, alpha)
 
 
 class TestScoreStatistic:
@@ -390,7 +390,7 @@ class TestDnStatistic:
         assert dn_statistic(np.array([3.0, 3.0, 3.0]), 0.0) == pytest.approx(3.0)
 
     def test_weak_flag_threshold(self):
-        dn0, weak = instrument_is_weak(np.array([2.0, 0.0]), 0.05)
+        dn0, weak = instrument_is_weak(ScoreSample(psi_a=np.array([2.0, 0.0]), psi_b=np.zeros(2)), 0.05)
         assert dn0 == pytest.approx(1.0)
         assert weak  # 1.0 <= z^2
 

@@ -382,3 +382,116 @@ def test_sigmoid_matches_the_masked_formula_bit_for_bit():
         [0.0, -0.0, 745.0, -745.0, 1e308, -1e308, 709.8, -709.8, 5e-324, -5e-324],
     ])
     assert _sigmoid(t).tobytes() == _masked_sigmoid(t).tobytes()
+
+
+# cross_fit's OLS and logistic fits sum their Gram and Hessian entries in
+# another order than the reference (a column-major design, one column
+# product at a time), so predictions may move by rounding.  Each entry is a
+# sum of at most 2**12 terms here, which reordering moves by at most
+# 2**12 eps of its scale; the designs below are well conditioned, and the
+# solve and the fitted linear predictor may amplify that by 2**8.
+_REGRESSION_TOL = 2.0**20 * np.finfo(float).eps
+
+
+def _regression_data(n, p, seed, logistic_z):
+    """Continuous outcomes, an endogenous treatment and, with ``logistic_z``,
+    an instrument whose probability depends on x1."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x = rng.standard_normal((n, p))
+    shift = 0.8 * x[:, 0] if p and logistic_z else 0.0
+    z = (rng.random(n) < 1.0 / (1.0 + np.exp(-shift))).astype(int)
+    u = rng.standard_normal(n)
+    a = (-0.2 + z + (0.5 * x[:, 0] if p else 0.0) + u > 0).astype(int)
+    y = a + x @ np.linspace(0.5, -0.25, p) + u + rng.standard_normal(n)
+    return Dataset(y=y, a=a, z=z, x=x)
+
+
+def _regression_spec(K, m_logistic):
+    if m_logistic:
+        return LearnerSpec(K=K)
+    return LearnerSpec(m_learner="known_constant", m_value=0.5, K=K)
+
+
+def _recorded_cross_fit(monkeypatch, data, spec, folds):
+    """cross_fit's predictions, with the flags of every fit it made in call order."""
+    from latescore import nuisance
+
+    flags = []
+    fit_ols, fit_logistic = nuisance.fit_ols, nuisance.fit_logistic
+
+    def recording_ols(features, targets):
+        model = fit_ols(features, targets)
+        flags.append(("ols", model.ridge_fallback))
+        return model
+
+    def recording_logistic(features, labels):
+        model = fit_logistic(features, labels)
+        flags.append(("logistic", (model.constant is not None, model.converged, model.warning)))
+        return model
+
+    with monkeypatch.context() as patch:
+        patch.setattr(nuisance, "fit_ols", recording_ols)
+        patch.setattr(nuisance, "fit_logistic", recording_logistic)
+        preds = cross_fit(data, spec, folds)
+    return vars(preds), flags
+
+
+def _assert_matches_reference(monkeypatch, reference_regression, data, spec, folds):
+    """Same flags as the reference; each prediction vector byte-identical or
+    within the tolerance of its scale.  Returns the flags."""
+    want, want_flags = reference_regression(data, spec, folds)
+    got, got_flags = _recorded_cross_fit(monkeypatch, data, spec, folds)
+    assert got_flags == want_flags
+    for name in ("g1", "g0", "r1", "r0", "m1"):
+        if got[name].tobytes() != want[name].tobytes():
+            scale = max(1.0, float(np.max(np.abs(want[name]))))
+            np.testing.assert_allclose(got[name], want[name], rtol=0, atol=_REGRESSION_TOL * scale)
+    return got_flags
+
+
+class TestRegressionCrossFitAgainstPerFoldReference:
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    @pytest.mark.parametrize("K", [2, 5])
+    @pytest.mark.parametrize("m_logistic", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches(self, monkeypatch, reference_regression, p, K, m_logistic, seed):
+        data = _regression_data(900 + 37 * seed, p, seed, m_logistic)
+        folds = make_folds(data.n, K, seed=seed + 10)
+        flags = _assert_matches_reference(
+            monkeypatch, reference_regression, data, _regression_spec(K, m_logistic), folds
+        )
+        assert len(flags) == K * (3 if m_logistic else 2)
+
+    @pytest.mark.parametrize("m_logistic", [False, True])
+    def test_constant_covariate_takes_the_ridge_fallback(self, monkeypatch, reference_regression, m_logistic):
+        base = _regression_data(800, 1, 3, m_logistic)
+        data = Dataset(y=base.y, a=base.a, z=base.z, x=np.column_stack([base.x, np.full(base.n, 0.3)]))
+        flags = _assert_matches_reference(
+            monkeypatch, reference_regression, data, _regression_spec(5, m_logistic),
+            make_folds(data.n, 5, seed=4),
+        )
+        assert all(fallback for kind, fallback in flags if kind == "ols")
+
+    @pytest.mark.parametrize("m_logistic", [False, True])
+    def test_pure_label_training_fold_fits_a_constant(self, monkeypatch, reference_regression, m_logistic):
+        base = _regression_data(600, 2, 5, m_logistic)
+        folds = make_folds(base.n, 2, seed=6)
+        # Fold 1 trains on fold 0, where every unit is untreated.
+        a = np.where(folds.fold_of == 0, 0, base.a)
+        data = Dataset(y=base.y, a=a, z=base.z, x=base.x)
+        flags = _assert_matches_reference(
+            monkeypatch, reference_regression, data, _regression_spec(2, m_logistic), folds
+        )
+        assert ("logistic", (True, True, False)) in flags
+
+    @pytest.mark.parametrize("m_logistic", [False, True])
+    def test_separable_fold_sets_the_warning(self, monkeypatch, reference_regression, m_logistic):
+        base = _regression_data(600, 2, 7, m_logistic)
+        # The treatment is the sign of x1, so every training fold separates.
+        a = (base.x[:, 0] > 0).astype(int)
+        data = Dataset(y=base.y, a=a, z=base.z, x=base.x)
+        flags = _assert_matches_reference(
+            monkeypatch, reference_regression, data, _regression_spec(5, m_logistic),
+            make_folds(data.n, 5, seed=8),
+        )
+        assert any(kind == "logistic" and state[2] for kind, state in flags)
