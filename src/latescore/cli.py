@@ -181,13 +181,6 @@ def cmd_simulate(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     cells = run_study(spec)
     for cell in cells:
-        if not cell.results:
-            rep_id, reason = cell.failures[0]
-            raise DegenerateDataError(
-                f"setting={cell.setting} n={cell.n}: all {len(cell.failures)} replications failed; "
-                f"the first (rep {rep_id}): {reason}"
-            )
-    for cell in cells:
         print(
             f"setting={cell.setting} n={cell.n} pi={cell.pi:.6g}: "
             f"{len(cell.results)} replications done, {len(cell.failures)} failed"

@@ -71,6 +71,21 @@ class Dataset:
         return f"Dataset(n={self.n}, p={self.p})"
 
 
+def _trusted(cls, **fields):
+    """An instance of ``cls`` with ``fields`` set as given and no check run.
+
+    Only for values the package has just built and that are valid by
+    construction; outside input goes through the public constructor, which
+    checks everything.  Arrays are made read-only, as the constructors do.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class FoldAssignment:
     """Assignment of n units to K cross-fitting folds.
@@ -117,7 +132,8 @@ def make_folds(n: int, K: int, seed: int) -> FoldAssignment:
     base, extra = divmod(n, K)
     fold_of = np.empty(n, dtype=int)
     fold_of[perm] = np.repeat(np.arange(K), [base + (k < extra) for k in range(K)])
-    return FoldAssignment(fold_of=fold_of, K=K)
+    # 2 <= K <= n, so every fold has base or base + 1 >= 1 units.
+    return _trusted(FoldAssignment, fold_of=fold_of, K=K)
 
 
 @dataclass(frozen=True)
@@ -217,7 +233,8 @@ def _load_columns(path: str, schema: CsvSchema):
         and ((a == 0) | (a == 1)).all() and ((z == 0) | (z == 1)).all()
     ):
         return None
-    return Dataset(y=y, a=a.astype(int), z=z.astype(int), x=x)
+    # Checked above, as the Dataset constructor would, and rows >= 2.
+    return _trusted(Dataset, y=y, a=a.astype(int), z=z.astype(int), x=x)
 
 
 def _csv_rows(handle, path: str):

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, FoldAssignment
+from .data import Dataset, FoldAssignment, _trusted
 from .errors import DegenerateFoldError, InvalidConfigError
 
 G_LEARNERS = ("ols_linear", "cell_mean")
@@ -251,32 +251,50 @@ def fit_cell_mean(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """
     sums = np.asarray(sums, dtype=float)
     counts = np.asarray(counts, dtype=float)
-    total = counts.sum()
+    # np.add.reduce and fill are sum() and np.full without their Python
+    # wrappers; cross_fit calls this once per fold and target.
+    total = np.add.reduce(counts, axis=None)
     if total < 1:
         raise InvalidConfigError("fit_cell_mean needs a non-empty table")
-    return np.divide(sums, counts, out=np.full((2, 2), sums.sum() / total), where=counts > 0)
+    means = np.empty((2, 2))
+    means.fill(np.add.reduce(sums, axis=None) / total)
+    return np.divide(sums, counts, out=means, where=counts > 0)
 
 
 def _cell_mean_predictions(data, folds, fold_z, targets):
     """Cross-fitted cell means of each target, predicted at z=1 and z=0.
 
-    One pass tabulates each fold's counts and target sums per
-    (z, 1{x1 > 0}) cell.  Fold k is fitted on the sum of the other folds'
-    tables, added in fold order: the total minus fold k could cancel in a
-    small cell.  Returns one (pred at z=1, pred at z=0) pair per target.
+    ``targets`` maps a name to per-unit values.  One pass tabulates each
+    fold's counts and target sums per (z, 1{x1 > 0}) cell.  Fold k is
+    fitted on the sum of the other folds' tables, added in fold order: the
+    total minus fold k could cancel in a small cell.  The fitted means are
+    checked in the cells that hold units, at z=1 then z=0 for each target,
+    with NuisancePredictions' message.  Returns one (pred at z=1, pred at z=0)
+    pair per target.
     """
-    K = folds.K
+    K, T = folds.K, len(targets)
     pos = data.x[:, 0] > 0
     key = fold_z * 2 + pos
-    tables = np.stack([np.bincount(key, weights=w, minlength=4 * K) for w in (None, *targets)])
+    tables = np.stack([np.bincount(key, weights=w, minlength=4 * K) for w in (None, *targets.values())])
     tables = tables.reshape(-1, K, 2, 2)  # [counts or target sums, fold, z, pos]
-    means = np.empty((len(targets), 2, K, 2))  # [target, z, fold, pos]
+    train = np.zeros((K, T + 1, 2, 2))  # [fold, counts or target sums, z, pos]
+    others = ~np.eye(K, dtype=bool)[:, :, None, None, None]
+    for j in range(K):
+        np.add(train, tables[:, j], out=train, where=others[:, j])
+    means = np.empty((T, 2, K, 2))  # [target, z, fold, pos]
     for k in range(K):
-        train = sum(tables[:, j] for j in range(K) if j != k)
-        for t in range(len(targets)):
-            means[t, :, k] = fit_cell_mean(train[t + 1], train[0])
-    preds = np.take(means.reshape(2 * len(targets), 2 * K), folds.fold_of * 2 + pos, axis=1)
-    return [(preds[2 * t + 1], preds[2 * t]) for t in range(len(targets))]
+        for t in range(T):
+            means[t, :, k] = fit_cell_mean(train[k, t + 1], train[k, 0])
+    # Spread over the unit's own z, which a prediction does not depend on,
+    # so that a unit reads its predictions at its key.
+    means = np.repeat(means.reshape(2 * T, K, 1, 2), 2, axis=2).reshape(2 * T, 4 * K)
+    finite = np.isfinite(means[:, tables[0].reshape(-1) > 0]).all(axis=1)
+    for t, name in enumerate(targets):
+        for z_level in (1, 0):
+            if not finite[2 * t + z_level]:
+                raise InvalidConfigError(f"{name}{z_level} contains non-finite predictions")
+    preds = [row.take(key) for row in means]
+    return [(preds[2 * t + 1], preds[2 * t]) for t in range(T)]
 
 
 def cross_fit(data: Dataset, spec: LearnerSpec, folds: FoldAssignment) -> NuisancePredictions:
@@ -287,7 +305,9 @@ def cross_fit(data: Dataset, spec: LearnerSpec, folds: FoldAssignment) -> Nuisan
     levels by switching the z feature (or cell).  Cell means are read from
     per-fold sums; OLS and logistic fits visit the folds one by one.  In
     the known-propensity mode m1 is filled directly with no fitting.  All
-    propensities are clipped to [clip_eps, 1 - clip_eps].
+    propensities are clipped to [clip_eps, 1 - clip_eps].  Predictions from
+    cell means and a known propensity are checked on the fitted tables;
+    the others are checked by the NuisancePredictions constructor.
     """
     if folds.n != data.n:
         raise InvalidConfigError(f"folds cover {folds.n} units but the data has {data.n}")
@@ -295,7 +315,7 @@ def cross_fit(data: Dataset, spec: LearnerSpec, folds: FoldAssignment) -> Nuisan
         raise InvalidConfigError("cell-mean learners split on the first covariate; the data has none")
     n = data.n
     if spec.m_learner == "known_constant":
-        m1 = np.full(n, spec.m_value)
+        m1 = np.full(n, spec.m_value, dtype=float)
     else:
         m1 = np.empty(n)
 
@@ -311,10 +331,9 @@ def cross_fit(data: Dataset, spec: LearnerSpec, folds: FoldAssignment) -> Nuisan
 
     learners = {"g": (spec.g_learner, data.y), "r": (spec.r_learner, data.a)}
     preds = {}  # name -> (prediction at z=1, prediction at z=0)
-    cell = [name for name, (learner, _) in learners.items() if learner == "cell_mean"]
+    cell = {name: target for name, (learner, target) in learners.items() if learner == "cell_mean"}
     if cell:
-        targets = [learners[name][1] for name in cell]
-        preds.update(zip(cell, _cell_mean_predictions(data, folds, fold_z, targets)))
+        preds.update(zip(cell, _cell_mean_predictions(data, folds, fold_z, cell)))
     per_fold = [name for name in learners if name not in preds]
     for name in per_fold:
         preds[name] = (np.empty(n), np.empty(n))
@@ -346,4 +365,8 @@ def cross_fit(data: Dataset, spec: LearnerSpec, folds: FoldAssignment) -> Nuisan
 
     (g1, g0), (r1, r0) = preds["g"], preds["r"]
     m1 = np.clip(m1, spec.clip_eps, 1.0 - spec.clip_eps)
+    if spec.m_learner == "known_constant" and not per_fold:
+        # Cell means were checked where units read them, those of a 0/1
+        # treatment lie in [0, 1], and a known m1 clipped so lies in (0, 1).
+        return _trusted(NuisancePredictions, g1=g1, g0=g0, r1=r1, r0=r0, m1=m1)
     return NuisancePredictions(g1=g1, g0=g0, r1=r1, r0=r0, m1=m1)

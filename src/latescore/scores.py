@@ -72,14 +72,23 @@ def compute_scores(data: Dataset, preds: NuisancePredictions) -> ScoreSample:
         raise InvalidConfigError(f"predictions cover {preds.n} units but the data has {data.n}")
     if preds.m1.min() <= 0.0 or preds.m1.max() >= 1.0:
         raise PositivityError("m1 must lie strictly inside (0, 1)")
-    z = data.z
-    sign = 2.0 * z - 1.0
-    m_z = np.where(z == 1, preds.m1, 1.0 - preds.m1)
-    g_z = np.where(z == 1, preds.g1, preds.g0)
-    r_z = np.where(z == 1, preds.r1, preds.r0)
-    psi_b = sign / m_z * (data.y - g_z) + preds.g1 - preds.g0
-    psi_a = sign / m_z * (data.a - r_z) + preds.r1 - preds.r0
+    treated = data.z == 1
+    # (2z - 1) / m(z | x), with m(0 | x) = 1 - m1.
+    weight = np.where(treated, preds.m1, 1.0 - preds.m1)
+    np.divide(2.0 * data.z - 1.0, weight, out=weight)
+    psi_b = _score(weight, data.y, preds.g1, preds.g0, treated)
+    psi_a = _score(weight, data.a, preds.r1, preds.r0, treated)
     return ScoreSample(psi_a=psi_a, psi_b=psi_b)
+
+
+def _score(weight, target, fit1, fit0, treated):
+    """weight * (target - fit(z)) + fit1 - fit0, in that order, in one new array."""
+    out = np.where(treated, fit1, fit0)
+    np.subtract(target, out, out=out)
+    out *= weight
+    out += fit1
+    out -= fit0
+    return out
 
 
 def functional_oracle(pi: float, treatment_shift: float = 0.0) -> float:

@@ -23,8 +23,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, make_folds
-from .errors import InvalidConfigError, LatescoreError
+from .data import Dataset, _trusted, make_folds
+from .errors import DegenerateDataError, InvalidConfigError, LatescoreError
 from .inference import drml_estimate, instrument_strength, score_confidence_set
 from .nuisance import LearnerSpec, cross_fit
 from .scores import compute_scores, functional_oracle
@@ -64,6 +64,8 @@ class DgpParams:
             raise InvalidConfigError(f"sample size must be at least 2, got {self.n}")
         if not np.isfinite(self.pi):
             raise InvalidConfigError(f"pi must be finite, got {self.pi}")
+        if not np.isfinite(self.treatment_shift):
+            raise InvalidConfigError(f"treatment_shift must be finite, got {self.treatment_shift}")
 
 
 def _draw(params: DgpParams, rng: np.random.Generator, size: int):
@@ -83,7 +85,8 @@ def dgp_generate(params: DgpParams, seed: int) -> Dataset:
     """Draw one sample from the law, deterministically in the seed."""
     x, z, a, u = _draw(params, np.random.Generator(np.random.PCG64(seed)), params.n)
     y = 2.0 * np.sign(u) + params.treatment_shift * a
-    return Dataset(y=y, a=a, z=z, x=x.reshape(-1, 1))
+    # n >= 2, a and z are boolean, and y is finite with a finite shift.
+    return _trusted(Dataset, y=y, a=a.astype(int), z=z.astype(int), x=x.reshape(-1, 1))
 
 
 def _norm_cdf(t: float) -> float:
@@ -230,7 +233,9 @@ class StudyCell:
 def run_study(spec: StudySpec, order: Optional[Sequence[int]] = None) -> list[StudyCell]:
     """Run the full grid.  ``order`` permutes replication execution (the
     collected results are identical for any order); per-replication
-    degenerate-data failures are recorded, not raised."""
+    degenerate-data failures are recorded, not raised.  A grid point where
+    every replication failed raises DegenerateDataError before the next
+    point runs."""
     cells = []
     rep_ids = list(order) if order is not None else list(range(spec.reps))
     if sorted(rep_ids) != list(range(spec.reps)):
@@ -246,6 +251,12 @@ def run_study(spec: StudySpec, order: Optional[Sequence[int]] = None) -> list[St
                 failures.append((rep_id, str(exc)))
         results.sort(key=lambda r: r.rep_id)
         failures.sort()
+        if not results:
+            rep_id, reason = failures[0]
+            raise DegenerateDataError(
+                f"setting={spec.setting} n={n}: all {len(failures)} replications failed; "
+                f"the first (rep {rep_id}): {reason}"
+            )
         cells.append(StudyCell(setting=spec.setting, pi=params.pi, n=n, results=results, failures=failures))
     return cells
 

@@ -4,6 +4,23 @@ import math
 import numpy as np
 import pytest
 
+from latescore import (
+    Dataset,
+    DegenerateFoldError,
+    FoldAssignment,
+    InvalidConfigError,
+    NuisancePredictions,
+    PositivityError,
+    ReplicationResult,
+    ScoreSample,
+    drml_estimate,
+    functional_oracle,
+    replication_seed,
+    score_confidence_set,
+)
+from latescore.inference import instrument_strength
+from latescore.simulation import _splitmix64
+
 
 def reference_draw(params, rng, size):
     """The law's per-unit draw as it was written before the oracle cell
@@ -183,3 +200,100 @@ def reference_regression_cross_fit(data, spec, folds):
 @pytest.fixture(scope="session")
 def reference_regression():
     return reference_regression_cross_fit
+
+
+# One replication as it ran before the trust-boundary constructors: every
+# container through its validating public constructor, the cell-mean fit
+# one fold and target at a time on a generator sum of the other folds'
+# tables, and the score formula with a temporary per term.  Kept as the
+# reference run_replication must equal bit for bit.
+
+
+def reference_fit_cell_mean(sums, counts):
+    sums = np.asarray(sums, dtype=float)
+    counts = np.asarray(counts, dtype=float)
+    total = counts.sum()
+    if total < 1:
+        raise InvalidConfigError("fit_cell_mean needs a non-empty table")
+    return np.divide(sums, counts, out=np.full((2, 2), sums.sum() / total), where=counts > 0)
+
+
+def reference_make_folds(n, K, seed):
+    perm = np.random.Generator(np.random.PCG64(seed)).permutation(n)
+    base, extra = divmod(n, K)
+    fold_of = np.empty(n, dtype=int)
+    fold_of[perm] = np.repeat(np.arange(K), [base + (k < extra) for k in range(K)])
+    return FoldAssignment(fold_of=fold_of, K=K)
+
+
+def reference_cell_mean_cross_fit(data, spec, folds):
+    """cross_fit with cell-mean g and r and a known propensity."""
+    K = folds.K
+    fold_z = folds.fold_of * 2 + data.z
+    z_counts = np.bincount(fold_z, minlength=2 * K).reshape(K, 2)
+    z_train = z_counts.sum(axis=0) - z_counts
+    degenerate = np.flatnonzero(z_train.min(axis=1) == 0)
+    if degenerate.size:
+        k = int(degenerate[0])
+        raise DegenerateFoldError(
+            f"training complement of fold {k} contains only instrument level {int(z_train[k, 1] > 0)}"
+        )
+    pos = data.x[:, 0] > 0
+    key = fold_z * 2 + pos
+    tables = np.stack([np.bincount(key, weights=w, minlength=4 * K) for w in (None, data.y, data.a)])
+    tables = tables.reshape(-1, K, 2, 2)
+    means = np.empty((2, 2, K, 2))
+    for k in range(K):
+        train = sum(tables[:, j] for j in range(K) if j != k)
+        for t in range(2):
+            means[t, :, k] = reference_fit_cell_mean(train[t + 1], train[0])
+    preds = np.take(means.reshape(4, 2 * K), folds.fold_of * 2 + pos, axis=1)
+    m1 = np.clip(np.full(data.n, spec.m_value), spec.clip_eps, 1.0 - spec.clip_eps)
+    return NuisancePredictions(g1=preds[1], g0=preds[0], r1=preds[3], r0=preds[2], m1=m1)
+
+
+def reference_compute_scores(data, preds):
+    if preds.n != data.n:
+        raise InvalidConfigError(f"predictions cover {preds.n} units but the data has {data.n}")
+    if preds.m1.min() <= 0.0 or preds.m1.max() >= 1.0:
+        raise PositivityError("m1 must lie strictly inside (0, 1)")
+    z = data.z
+    sign = 2.0 * z - 1.0
+    m_z = np.where(z == 1, preds.m1, 1.0 - preds.m1)
+    g_z = np.where(z == 1, preds.g1, preds.g0)
+    r_z = np.where(z == 1, preds.r1, preds.r0)
+    psi_b = sign / m_z * (data.y - g_z) + preds.g1 - preds.g0
+    psi_a = sign / m_z * (data.a - r_z) + preds.r1 - preds.r0
+    return ScoreSample(psi_a=psi_a, psi_b=psi_b)
+
+
+def reference_replication(params, spec, rep_id):
+    """run_replication for a study with cell-mean g and r and a known propensity."""
+    rep_seed = replication_seed(spec.seed, params.n, rep_id)
+    x, z, a, y = reference_draw(params, np.random.Generator(np.random.PCG64(rep_seed)), params.n)
+    data = Dataset(y=y, a=a, z=z, x=x.reshape(-1, 1))
+    folds = reference_make_folds(params.n, spec.learner.K, _splitmix64(rep_seed))
+    scores = reference_compute_scores(data, reference_cell_mean_cross_fit(data, spec.learner, folds))
+    truth = functional_oracle(params.pi, params.treatment_shift)
+    cset = score_confidence_set(scores, spec.alpha)
+    drml = drml_estimate(scores, spec.alpha)
+    return ReplicationResult(
+        rep_id=rep_id,
+        covered_score=cset.contains(truth),
+        covered_wald=drml.contains(truth),
+        diam_score=cset.diameter(),
+        diam_wald=drml.diameter(),
+        set_tag=cset.tag,
+        dn0=instrument_strength(scores),
+        phi_hat=drml.phi_hat,
+    )
+
+
+@pytest.fixture(scope="session")
+def reference_cell_means():
+    return reference_cell_mean_cross_fit
+
+
+@pytest.fixture(scope="session")
+def reference_engine():
+    return reference_replication

@@ -19,6 +19,7 @@ from latescore import (
     quad_coefficients,
     write_csv,
 )
+from latescore import simulation
 from latescore.cli import _NEGATIVE_NUMBER, SCAN_BLOCK, main
 from latescore.weakiv import WeakIVConfig, sample_weak_limit
 
@@ -213,6 +214,30 @@ class TestSimulate:
             "error: setting=weak n=5: all 2 replications failed; the first (rep 0): "
             "training complement of fold 0 contains only instrument level 0\n"
         )
+        _assert_no_files(out_dir)
+
+    def test_stops_at_the_first_grid_point_without_a_success(self, tmp_path, capsys, monkeypatch):
+        sizes = []
+        run_replication = simulation.run_replication
+
+        def recording(params, spec, rep_id):
+            sizes.append(params.n)
+            return run_replication(params, spec, rep_id)
+
+        monkeypatch.setattr(simulation, "run_replication", recording)
+        out_dir = tmp_path / "d"
+        status = main([
+            "simulate", "--setting", "weak", "--n", "5,12000", "--reps", "2", "--seed", "11",
+            "--out-dir", str(out_dir),
+        ])
+        assert status == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: setting=weak n=5: all 2 replications failed; the first (rep 0): "
+            "training complement of fold 0 contains only instrument level 0\n"
+        )
+        assert sizes == [5, 5]
         _assert_no_files(out_dir)
 
     def test_custom_setting_requires_pi(self, tmp_path):

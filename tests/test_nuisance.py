@@ -8,7 +8,9 @@ from latescore import (
     DgpParams,
     DegenerateFoldError,
     FoldAssignment,
+    InvalidConfigError,
     LearnerSpec,
+    NuisancePredictions,
     cross_fit,
     dgp_generate,
     fit_cell_mean,
@@ -495,3 +497,73 @@ class TestRegressionCrossFitAgainstPerFoldReference:
             make_folds(data.n, 5, seed=8),
         )
         assert any(kind == "logistic" and state[2] for kind, state in flags)
+
+
+def _overflow_data(big_z):
+    """40 units, five in each (fold, z, 1{x1 > 0}) cell of folds i % 2, with
+    y = 1e308 at the instrument levels in ``big_z``: two such values already
+    overflow a cell's sum."""
+    i = np.arange(40)
+    z = (i // 2) % 2
+    y = np.where(np.isin(z, big_z), 1e308, 0.25 * i)
+    data = Dataset(y=y, a=(i // 8) % 2, z=z, x=np.where((i // 4) % 2 == 1, 1.0, -1.0))
+    return data, FoldAssignment(fold_of=i % 2, K=2)
+
+
+def _message(fit):
+    try:
+        fit()
+    except InvalidConfigError as exc:
+        return str(exc)
+    return None
+
+
+class TestCellMeanPredictionChecks:
+    """With cell means and a known propensity, cross_fit checks its fitted
+    tables instead of the NuisancePredictions constructor checking five
+    n-length arrays; it must raise what that constructor raises."""
+
+    @pytest.mark.parametrize("big_z, name", [([1], "g1"), ([0], "g0"), ([0, 1], "g1")])
+    def test_overflowing_outcomes_name_the_first_non_finite_prediction(
+        self, reference_cell_means, big_z, name
+    ):
+        data, folds = _overflow_data(big_z)
+        spec = _cellmean_spec(K=2)
+        expected = f"{name} contains non-finite predictions"
+        assert _message(lambda: reference_cell_means(data, spec, folds)) == expected
+        assert _message(lambda: cross_fit(data, spec, folds)) == expected
+
+    def test_the_full_check_runs_beside_a_logistic_fit(self):
+        data, folds = _overflow_data([0])
+        spec = LearnerSpec(g_learner="cell_mean", r_learner="logistic", m_learner="logistic", K=2)
+        assert _message(lambda: cross_fit(data, spec, folds)) == "g0 contains non-finite predictions"
+
+    def test_a_cell_no_unit_reads_may_overflow(self, reference_cell_means):
+        # Fold 0 has no unit with x1 > 0, so its x1 > 0 cells, fitted on
+        # fold 1's overflowing ones, are never read.
+        i = np.arange(16)
+        x = np.where((i >= 8) & (i < 12), 1.0, -1.0)
+        data = Dataset(y=np.where(x > 0, 1e308, 0.5 * i), a=i % 3 == 0, z=i % 2, x=x)
+        folds = FoldAssignment(fold_of=i // 8, K=2)
+        spec = _cellmean_spec(K=2)
+        preds, reference = cross_fit(data, spec, folds), reference_cell_means(data, spec, folds)
+        for name in ("g1", "g0", "r1", "r0", "m1"):
+            assert np.all(np.isfinite(getattr(preds, name)))
+            _assert_bitwise_equal(getattr(preds, name), getattr(reference, name))
+
+    def test_package_built_containers_equal_checked_ones(self):
+        data = dgp_generate(DgpParams(pi=5.0, n=60), seed=3)
+        folds = make_folds(60, 4, seed=2)
+        preds = cross_fit(data, _cellmean_spec(K=4), folds)
+        pairs = [
+            (data, Dataset(y=data.y, a=data.a, z=data.z, x=data.x), ("y", "a", "z", "x")),
+            (folds, FoldAssignment(fold_of=folds.fold_of, K=4), ("fold_of",)),
+            (preds, NuisancePredictions(**vars(preds)), ("g1", "g0", "r1", "r0", "m1")),
+        ]
+        for built, checked, names in pairs:
+            for name in names:
+                got, want = getattr(built, name), getattr(checked, name)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert not got.flags.writeable
+                _assert_bitwise_equal(got, want)
+        assert folds.K == 4

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from latescore import (
+    DegenerateDataError,
     DgpParams,
     InvalidConfigError,
+    LearnerSpec,
     ReplicationResult,
     StudySpec,
     aggregate,
@@ -23,6 +25,20 @@ from latescore.simulation import N_CELLS, _draw, draw_oracle_cells
 
 _PI = st.sampled_from([0.0, -0.0, 0.15 / math.sqrt(5000), 1.0, -1.0, 5.0, -40.0]) | st.floats(-10.0, 10.0)
 _SHIFT = (st.floats(-1e3, 1e3) | st.sampled_from([1.0, -2.5, 1e-300])).filter(lambda v: v != 0.0)
+
+
+class TestDgpParams:
+    @pytest.mark.parametrize("kwargs", [
+        dict(pi=1.0, n=1),
+        dict(pi=math.nan, n=10),
+        dict(pi=math.inf, n=10),
+        dict(pi=1.0, n=10, treatment_shift=math.nan),
+        dict(pi=1.0, n=10, treatment_shift=math.inf),
+        dict(pi=1.0, n=10, treatment_shift=-math.inf),
+    ])
+    def test_rejects(self, kwargs):
+        with pytest.raises(InvalidConfigError):
+            DgpParams(**kwargs)
 
 
 class TestDgpGenerate:
@@ -181,6 +197,46 @@ class TestRunReplication:
         assert r1 == r2
 
 
+def _bits(outcome):
+    """A replication's outcome with floats as hex text: the result's fields,
+    or the type and text of the error it raised."""
+    try:
+        result = outcome()
+    except Exception as exc:  # the reference must fail the same way
+        return type(exc).__name__, str(exc)
+    return tuple(v.hex() if isinstance(v, float) else v for v in vars(result).values())
+
+
+class TestReplicationAgainstReference:
+    """run_replication must give the bits, or the error, of the pipeline it
+    replaced (``reference_replication`` in conftest.py)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        setting=st.sampled_from(["weak", "strong", "custom"]),
+        pi=st.floats(-10.0, 10.0).filter(lambda v: v != 0.0),
+        K=st.integers(2, 10),
+        extra=st.one_of(st.integers(0, 30), st.integers(0, 2990)),
+        seed=st.integers(0, 2**32 - 1),
+        rep_id=st.integers(0, 10**6),
+        shift=(
+            st.sampled_from([0.0, 1.0, -2.5, 0.1, 1e17, 1e300, -1.7e308])
+            | st.floats(allow_nan=False, allow_infinity=False)
+        ),
+    )
+    @example(setting="strong", pi=1.0, K=5, extra=1495, seed=7, rep_id=0, shift=1e308)
+    @example(setting="strong", pi=1.0, K=5, extra=1495, seed=7, rep_id=0, shift=-1e308)
+    @example(setting="weak", pi=1.0, K=5, extra=0, seed=11, rep_id=0, shift=0.0)
+    @example(setting="custom", pi=0.3, K=5, extra=295, seed=3, rep_id=4, shift=0.1)
+    def test_same_bits_or_same_error(self, reference_engine, setting, pi, K, extra, seed, rep_id, shift):
+        n = K + extra
+        learner = LearnerSpec(g_learner="cell_mean", r_learner="cell_mean", m_learner="known_constant", K=K)
+        spec = StudySpec(setting=setting, pi=pi, n_grid=(n,), reps=1, seed=seed, learner=learner)
+        params = DgpParams(pi=spec.pi_for(n), n=n, treatment_shift=shift)
+        expected = _bits(lambda: reference_engine(params, spec, rep_id))
+        assert _bits(lambda: run_replication(params, spec, rep_id)) == expected
+
+
 class TestAggregate:
     def _result(self, rep_id, covered_score=True, covered_wald=True, diam_score=1.0,
                 diam_wald=1.0, tag="finite_interval", dn0=10.0, phi_hat=0.0):
@@ -226,6 +282,16 @@ class TestRunStudy:
         order = rng.permutation(12).tolist()
         shuffled = run_study(spec, order=order)
         assert sequential[0].results == shuffled[0].results
+
+    def test_stops_at_the_first_grid_point_without_a_success(self):
+        # At n=5 and seed 11 both weak replications fail; n=300 would succeed.
+        spec = StudySpec(setting="weak", n_grid=(5, 300), reps=2, seed=11)
+        with pytest.raises(DegenerateDataError) as caught:
+            run_study(spec)
+        assert str(caught.value) == (
+            "setting=weak n=5: all 2 replications failed; the first (rep 0): "
+            "training complement of fold 0 contains only instrument level 0"
+        )
 
     def test_bad_order_rejected(self):
         spec = StudySpec(setting="strong", n_grid=(600,), reps=3, seed=9)

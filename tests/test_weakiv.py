@@ -172,6 +172,12 @@ class TestEstimateWeakIVConfig:
         assert not cal.cb_violated
         assert cal.c_b == pytest.approx(2.0 * cal.c_a, rel=1e-9)
 
+    @pytest.mark.parametrize("shift", [math.nan, math.inf, -math.inf])
+    def test_non_finite_treatment_shift_is_refused(self, shift):
+        # It would give c_b = nan and a NaN Sigma_ab without an error.
+        with pytest.raises(InvalidConfigError, match="treatment_shift must be finite"):
+            estimate_weakiv_config(DgpParams(pi=1.0, n=1000, treatment_shift=shift), oracle_draws=20_000)
+
 
 def _brute_force_calibration(reference_oracle, params, batches, seed):
     """The calibration from per-unit reference score arrays, drawn batch by
