@@ -17,7 +17,6 @@ from .errors import (
     DegenerateFoldError,
     InvalidConfigError,
     LatescoreError,
-    PositivityError,
     WeakDenominatorError,
 )
 from .inference import (
@@ -62,7 +61,6 @@ from .weakiv import (
     WeakIVCalibration,
     WeakIVConfig,
     estimate_weakiv_config,
-    ks_distance,
     sample_bivariate_normal,
     sample_weak_limit,
 )

@@ -27,7 +27,6 @@ from .errors import (
     DegenerateDataError,
     DegenerateFoldError,
     InvalidConfigError,
-    PositivityError,
 )
 from .inference import (
     drml_estimate,
@@ -55,6 +54,12 @@ SCAN_BLOCK = 4096
 _D = r"\d(_?\d)*"  # digits, single underscores between them
 _NEGATIVE_NUMBER = re.compile(rf"(?i)-(({_D}\.?|({_D})?\.{_D})(e[-+]?{_D})?|inf(inity)?|nan)\s*$")
 
+ANALYZE_COLUMNS = (
+    "n,alpha,phi_hat,sigma2_hat,wald_lo,wald_hi,set_tag,set_e1,set_e2,"
+    "dn0,weak_instrument,a,b,c,delta,zero_tol_a,zero_tol_delta,"
+    "diam_score,diam_wald,diam_ratio"
+)
+
 _G_NAMES = {"ols": "ols_linear", "cellmean": "cell_mean"}
 _R_NAMES = {"logit": "logistic", "cellmean": "cell_mean"}
 
@@ -81,6 +86,16 @@ def _learner_spec(args) -> LearnerSpec:
     )
 
 
+def _seed(text: str) -> int:
+    """A --seed for numpy's PCG64, which takes non-negative integers only."""
+    try:
+        if (value := int(text)) >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+
+
 def _schema(args) -> CsvSchema:
     return CsvSchema(
         outcome=args.outcome,
@@ -102,7 +117,7 @@ def _add_data_flags(sub) -> None:
     sub.add_argument("--alpha", type=float, default=0.05)
     sub.add_argument("--folds", type=int, default=5)
     sub.add_argument("--clip-eps", type=float, default=0.01, dest="clip_eps")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_seed, default=0)
 
 
 def _fit_scores(args):
@@ -126,22 +141,13 @@ def cmd_analyze(args) -> int:
     ratio = diam_s / diam_w if math.isfinite(diam_s) and math.isfinite(diam_w) and diam_w > 0 else float("nan")
 
     if args.out:
-        e = cset.endpoints()
-        e1 = repr(e[0]) if len(e) > 0 else ""
-        e2 = repr(e[1]) if len(e) > 1 else ""
-        with open(args.out, "w", newline="") as handle:
-            handle.write(
-                "n,alpha,phi_hat,sigma2_hat,wald_lo,wald_hi,set_tag,set_e1,set_e2,"
-                "dn0,weak_instrument,a,b,c,delta,zero_tol_a,zero_tol_delta,"
-                "diam_score,diam_wald,diam_ratio\n"
-            )
-            handle.write(
-                f"{data.n},{args.alpha!r},{drml.phi_hat!r},{drml.sigma2_hat!r},"
-                f"{drml.wald_lo!r},{drml.wald_hi!r},{cset.tag},{e1},{e2},"
-                f"{dn0!r},{int(weak)},{coeffs.a!r},{coeffs.b!r},{coeffs.c!r},"
-                f"{coeffs.delta!r},{tol_a!r},{tol_delta!r},"
-                f"{diam_s!r},{diam_w!r},{ratio!r}\n"
-            )
+        ends = [*cset.endpoints(), "", ""][:2]
+        row = (
+            data.n, args.alpha, drml.phi_hat, drml.sigma2_hat, drml.wald_lo, drml.wald_hi, cset.tag,
+            *ends, dn0, int(weak), coeffs.a, coeffs.b, coeffs.c, coeffs.delta, tol_a, tol_delta,
+            diam_s, diam_w, ratio,
+        )
+        _write_columns(args.out, ANALYZE_COLUMNS.split(","), *([v] for v in row))
 
     print(f"n = {data.n}, covariates = {data.p}, alpha = {args.alpha}")
     print(f"point estimate   : {drml.phi_hat:.6g}")
@@ -285,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("ca", "cb", "s11", "s12", "s22"):
         weakiv.add_argument(f"--{name}", type=float, required=True)
     weakiv.add_argument("--samples", type=int, default=100000)
-    weakiv.add_argument("--seed", type=int, default=0)
+    weakiv.add_argument("--seed", type=_seed, default=0)
     weakiv.add_argument("--out", required=True)
     weakiv.set_defaults(func=cmd_weakiv_limit)
     for each in (parser, *sub.choices.values()):
@@ -303,7 +309,7 @@ def main(argv=None) -> int:
         # here comes from an output file or directory.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DegenerateDataError, DegenerateFoldError, PositivityError) as exc:
+    except (DegenerateDataError, DegenerateFoldError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
 

@@ -111,12 +111,6 @@ class FoldAssignment:
     def n(self) -> int:
         return self.fold_of.shape[0]
 
-    def members(self, k: int) -> np.ndarray:
-        return np.flatnonzero(self.fold_of == k)
-
-    def complement(self, k: int) -> np.ndarray:
-        return np.flatnonzero(self.fold_of != k)
-
 
 def make_folds(n: int, K: int, seed: int) -> FoldAssignment:
     """Assign n units to K balanced folds, deterministically in the seed.
@@ -315,10 +309,13 @@ _WRITE_BLOCK = 1 << 14
 
 def _write_columns(path: str, header, *columns) -> None:
     """Write a CSV file: ``header`` through csv.writer, then the rows of the
-    equal-length 1-D ``columns`` as ``repr`` text (exact floats, plain ints)."""
+    equal-length columns (1-D numpy arrays, lists or tuples; none for a
+    header alone) as ``str`` text: exact floats, plain ints and unquoted
+    strings.  Pass bools as ints."""
     with open(path, "w", newline="") as handle:
         csv.writer(handle, lineterminator="\n").writerow(header)
-        for start in range(0, len(columns[0]), _WRITE_BLOCK):
-            cells = [map(repr, c[start : start + _WRITE_BLOCK].tolist()) for c in columns]
+        for start in range(0, len(columns[0]) if columns else 0, _WRITE_BLOCK):
+            blocks = [c[start : start + _WRITE_BLOCK] for c in columns]
+            cells = [map(str, b.tolist() if isinstance(b, np.ndarray) else b) for b in blocks]
             lines = cells[0] if len(cells) == 1 else map(",".join, zip(*cells))
             handle.write("\n".join(lines) + "\n")

@@ -25,10 +25,6 @@ class DegenerateFoldError(LatescoreError):
     """A cross-fitting training set contains only one instrument level."""
 
 
-class PositivityError(LatescoreError):
-    """An instrument propensity lies outside (0, 1)."""
-
-
 class WeakDenominatorError(DegenerateDataError):
     """The ratio estimator's denominator is numerically zero.
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import InvalidConfigError, PositivityError
+from .errors import InvalidConfigError
 from .nuisance import NuisancePredictions
 
 
@@ -70,8 +70,6 @@ def compute_scores(data: Dataset, preds: NuisancePredictions) -> ScoreSample:
     """Plug nuisance predictions into the score formulas, unit by unit."""
     if preds.n != data.n:
         raise InvalidConfigError(f"predictions cover {preds.n} units but the data has {data.n}")
-    if preds.m1.min() <= 0.0 or preds.m1.max() >= 1.0:
-        raise PositivityError("m1 must lie strictly inside (0, 1)")
     treated = data.z == 1
     # (2z - 1) / m(z | x), with m(0 | x) = 1 - m1.
     weight = np.where(treated, preds.m1, 1.0 - preds.m1)

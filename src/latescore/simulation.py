@@ -18,14 +18,14 @@ through a splitmix64 mixer, so results do not depend on execution order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, _trusted, make_folds
+from .data import Dataset, _trusted, _write_columns, make_folds
 from .errors import DegenerateDataError, InvalidConfigError, LatescoreError
-from .inference import drml_estimate, instrument_strength, score_confidence_set
+from .inference import _z_crit, drml_estimate, instrument_strength, score_confidence_set
 from .nuisance import LearnerSpec, cross_fit
 from .scores import compute_scores, functional_oracle
 
@@ -179,8 +179,7 @@ class StudySpec:
             raise InvalidConfigError(f"setting='custom' needs a finite pi, got {self.pi}")
         if self.reps < 1:
             raise InvalidConfigError(f"replication count must be at least 1, got {self.reps}")
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
+        _z_crit(self.alpha)  # refuses an alpha whose normal quantile is not finite
         if len(self.n_grid) == 0 or any(n < 2 for n in self.n_grid):
             raise InvalidConfigError("n_grid must list sample sizes of at least 2")
         for n in self.n_grid:
@@ -315,24 +314,16 @@ SUMMARY_COLUMNS = (
 
 
 def write_replications_csv(cells: Iterable[StudyCell], path: str) -> None:
-    with open(path, "w", newline="") as handle:
-        handle.write(REPLICATION_COLUMNS + "\n")
-        for cell in cells:
-            for r in cell.results:
-                handle.write(
-                    f"{cell.setting},{cell.n},{r.rep_id},{int(r.covered_score)},"
-                    f"{int(r.covered_wald)},{r.diam_score!r},{r.diam_wald!r},"
-                    f"{r.set_tag},{r.dn0!r},{r.phi_hat!r}\n"
-                )
+    rows = [
+        (cell.setting, cell.n, r.rep_id, int(r.covered_score), int(r.covered_wald),
+         r.diam_score, r.diam_wald, r.set_tag, r.dn0, r.phi_hat)
+        for cell in cells
+        for r in cell.results
+    ]
+    _write_columns(path, REPLICATION_COLUMNS.split(","), *zip(*rows))
 
 
 def write_summary_csv(cells: Iterable[StudyCell], path: str) -> None:
-    with open(path, "w", newline="") as handle:
-        handle.write(SUMMARY_COLUMNS + "\n")
-        for cell in cells:
-            s = aggregate(cell.results)
-            handle.write(
-                f"{cell.setting},{cell.n},{s.coverage_score!r},{s.coverage_wald!r},"
-                f"{s.se_score!r},{s.se_wald!r},{s.median_diam_score!r},"
-                f"{s.median_diam_wald!r},{s.frac_infinite!r},{s.median_ratio!r}\n"
-            )
+    # A summary row is the cell's setting and n, then every CellSummary field after n_reps.
+    rows = [(cell.setting, cell.n, *astuple(aggregate(cell.results))[1:]) for cell in cells]
+    _write_columns(path, SUMMARY_COLUMNS.split(","), *zip(*rows))

@@ -178,14 +178,3 @@ def estimate_weakiv_config(
         draws=total,
     )
 
-
-def ks_distance(sample1: np.ndarray, sample2: np.ndarray) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic sup |F1 - F2|."""
-    s1 = np.sort(np.asarray(sample1, dtype=float))
-    s2 = np.sort(np.asarray(sample2, dtype=float))
-    if s1.size == 0 or s2.size == 0:
-        raise InvalidConfigError("both samples must be non-empty")
-    merged = np.concatenate([s1, s2])
-    cdf1 = np.searchsorted(s1, merged, side="right") / s1.size
-    cdf2 = np.searchsorted(s2, merged, side="right") / s2.size
-    return float(np.max(np.abs(cdf1 - cdf2)))

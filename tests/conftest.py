@@ -10,7 +10,6 @@ from latescore import (
     FoldAssignment,
     InvalidConfigError,
     NuisancePredictions,
-    PositivityError,
     ReplicationResult,
     ScoreSample,
     drml_estimate,
@@ -19,7 +18,7 @@ from latescore import (
     score_confidence_set,
 )
 from latescore.inference import instrument_strength
-from latescore.simulation import _splitmix64
+from latescore.simulation import REPLICATION_COLUMNS, SUMMARY_COLUMNS, _splitmix64, aggregate
 
 
 def reference_draw(params, rng, size):
@@ -96,6 +95,71 @@ def reference_write_csv(data, path, schema):
 @pytest.fixture(scope="session")
 def reference_writers():
     return reference_write_draws, reference_write_scores, reference_write_csv
+
+
+# The f-string row loops that the replication, summary and analyze writers
+# used before they went through the block writer, kept as references.
+
+
+def reference_write_replications_csv(cells, path):
+    with open(path, "w", newline="") as handle:
+        handle.write(REPLICATION_COLUMNS + "\n")
+        for cell in cells:
+            for r in cell.results:
+                handle.write(
+                    f"{cell.setting},{cell.n},{r.rep_id},{int(r.covered_score)},"
+                    f"{int(r.covered_wald)},{r.diam_score!r},{r.diam_wald!r},"
+                    f"{r.set_tag},{r.dn0!r},{r.phi_hat!r}\n"
+                )
+
+
+def reference_write_summary_csv(cells, path):
+    with open(path, "w", newline="") as handle:
+        handle.write(SUMMARY_COLUMNS + "\n")
+        for cell in cells:
+            s = aggregate(cell.results)
+            handle.write(
+                f"{cell.setting},{cell.n},{s.coverage_score!r},{s.coverage_wald!r},"
+                f"{s.se_score!r},{s.se_wald!r},{s.median_diam_score!r},"
+                f"{s.median_diam_wald!r},{s.frac_infinite!r},{s.median_ratio!r}\n"
+            )
+
+
+def reference_write_analysis(path, n, alpha, drml, cset, dn0, weak, coeffs, tol_a, tol_delta, diam_s, diam_w, ratio):
+    """analyze --out's header and one row."""
+    e = cset.endpoints()
+    e1 = repr(e[0]) if len(e) > 0 else ""
+    e2 = repr(e[1]) if len(e) > 1 else ""
+    with open(path, "w", newline="") as handle:
+        handle.write(
+            "n,alpha,phi_hat,sigma2_hat,wald_lo,wald_hi,set_tag,set_e1,set_e2,"
+            "dn0,weak_instrument,a,b,c,delta,zero_tol_a,zero_tol_delta,"
+            "diam_score,diam_wald,diam_ratio\n"
+        )
+        handle.write(
+            f"{n},{alpha!r},{drml.phi_hat!r},{drml.sigma2_hat!r},"
+            f"{drml.wald_lo!r},{drml.wald_hi!r},{cset.tag},{e1},{e2},"
+            f"{dn0!r},{int(weak)},{coeffs.a!r},{coeffs.b!r},{coeffs.c!r},"
+            f"{coeffs.delta!r},{tol_a!r},{tol_delta!r},"
+            f"{diam_s!r},{diam_w!r},{ratio!r}\n"
+        )
+
+
+@pytest.fixture(scope="session")
+def reference_row_writers():
+    return reference_write_replications_csv, reference_write_summary_csv, reference_write_analysis
+
+
+def ks_distance(sample1, sample2):
+    """Two-sample Kolmogorov-Smirnov statistic sup |F1 - F2|."""
+    s1 = np.sort(np.asarray(sample1, dtype=float))
+    s2 = np.sort(np.asarray(sample2, dtype=float))
+    if s1.size == 0 or s2.size == 0:
+        raise InvalidConfigError("both samples must be non-empty")
+    merged = np.concatenate([s1, s2])
+    cdf1 = np.searchsorted(s1, merged, side="right") / s1.size
+    cdf2 = np.searchsorted(s2, merged, side="right") / s2.size
+    return float(np.max(np.abs(cdf1 - cdf2)))
 
 
 # The regression half of cross_fit as it was before the fitters shared one
@@ -178,7 +242,7 @@ def reference_regression_cross_fit(data, spec, folds):
     out["m1"] = np.full(n, spec.m_value)
     flags = []
     for k in range(folds.K):
-        train, test = folds.complement(k), folds.members(k)
+        train, test = np.flatnonzero(folds.fold_of != k), np.flatnonzero(folds.fold_of == k)
         features = np.column_stack([data.z[train], data.x[train]])
         x_test = data.x[test]
         ones = np.ones(x_test.shape[0])
@@ -255,8 +319,6 @@ def reference_cell_mean_cross_fit(data, spec, folds):
 def reference_compute_scores(data, preds):
     if preds.n != data.n:
         raise InvalidConfigError(f"predictions cover {preds.n} units but the data has {data.n}")
-    if preds.m1.min() <= 0.0 or preds.m1.max() >= 1.0:
-        raise PositivityError("m1 must lie strictly inside (0, 1)")
     z = data.z
     sign = 2.0 * z - 1.0
     m_z = np.where(z == 1, preds.m1, 1.0 - preds.m1)

@@ -24,13 +24,14 @@ from latescore import (
     drml_estimate,
     estimate_weakiv_config,
     invert_score_test,
-    ks_distance,
     quad_coefficients,
     run_study,
     sample_weak_limit,
     score_confidence_set,
 )
 from latescore.cli import main as cli_main
+
+from conftest import ks_distance
 
 Z2 = NormalDist().inv_cdf(0.975) ** 2
 

@@ -13,6 +13,8 @@ from latescore import (
     compute_scores,
     cross_fit,
     dgp_generate,
+    drml_estimate,
+    instrument_is_weak,
     invert_score_test,
     load_csv,
     make_folds,
@@ -20,6 +22,7 @@ from latescore import (
     write_csv,
 )
 from latescore import simulation
+from latescore.inference import zero_tolerances
 from latescore.cli import _NEGATIVE_NUMBER, SCAN_BLOCK, main
 from latescore.weakiv import WeakIVConfig, sample_weak_limit
 
@@ -124,6 +127,37 @@ class TestAnalyze:
         assert main(base + ["--g", "ols", "--r", "cellmean"]) == 2
         assert main(base + ["--g", "ols", "--r", "logit", "--propensity", "logit"]) == 0
         assert "covariates = 0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("pi, seed, tag", [
+    (0.1, 7, "finite_interval"),
+    (0.1, 0, "two_rays"),
+    (0.1, 10, "whole_line"),
+    (0.15 / math.sqrt(600), 7, "point"),
+])
+def test_analysis_row_matches_the_f_string_writer(tmp_path, reference_row_writers, pi, seed, tag):
+    data_path = _export_dgp(tmp_path, pi=pi, n=600, seed=seed, name="d.csv")
+    out_path = tmp_path / "analysis.csv"
+    assert main([
+        "analyze", "--data", data_path, "--propensity", "known:0.5",
+        "--g", "cellmean", "--r", "cellmean", "--out", str(out_path),
+    ]) == 0
+    data = load_csv(data_path)
+    spec = LearnerSpec(
+        g_learner="cell_mean", r_learner="cell_mean", m_learner="known_constant", m_value=0.5
+    )
+    scores = compute_scores(data, cross_fit(data, spec, make_folds(data.n, spec.K, 0)))
+    coeffs = quad_coefficients(scores, 0.05)
+    cset, drml = invert_score_test(coeffs), drml_estimate(scores, 0.05)
+    assert cset.tag == tag
+    diam_s, diam_w = cset.diameter(), drml.diameter()
+    ratio = diam_s / diam_w if math.isfinite(diam_s) and math.isfinite(diam_w) and diam_w > 0 else math.nan
+    _, _, write_analysis = reference_row_writers
+    write_analysis(
+        str(tmp_path / "reference.csv"), data.n, 0.05, drml, cset, *instrument_is_weak(scores, 0.05),
+        coeffs, *zero_tolerances(coeffs), diam_s, diam_w, ratio,
+    )
+    assert out_path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 class TestIngestErrors:
@@ -271,6 +305,16 @@ class TestSimulate:
         status = main([
             "simulate", "--setting", "custom", f"--pi={pi}", "--n", "500", "--reps", "3",
             "--out-dir", str(out_dir),
+        ])
+        assert status == 2
+        _assert_one_error_line(capsys)
+        assert not out_dir.exists()
+
+    def test_alpha_whose_quantile_is_infinite_exits_2_leaving_no_directory(self, tmp_path, capsys):
+        # 1 - 1e-17/2 rounds to 1: the alpha is refused before any replication runs.
+        out_dir = tmp_path / "a"
+        status = main([
+            "simulate", "--alpha", "1e-17", "--n", "100", "--reps", "2", "--out-dir", str(out_dir),
         ])
         assert status == 2
         _assert_one_error_line(capsys)
@@ -583,6 +627,25 @@ class TestEntryPoint:
     def test_argument_errors_exit_2_with_one_line(self, argv, capsys):
         assert main(argv) == 2
         _assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("command", ["analyze", "scan", "weakiv-limit"])
+    def test_negative_seed_exits_2_before_reading_data(self, tmp_path, capsys, monkeypatch, command):
+        def no_load(*args):
+            raise AssertionError("load_csv was called")
+
+        monkeypatch.setattr("latescore.cli.load_csv", no_load)
+        data_path = _export_dgp(tmp_path, pi=5.0, n=100, seed=34, name="seed.csv")
+        out_path = tmp_path / "out.csv"
+        data = ["--data", data_path, "--propensity", "known:0.5", "--g", "cellmean", "--r", "cellmean"]
+        argv = {
+            "analyze": data,
+            "scan": [*data, "--theta-min", "-1", "--theta-max", "1"],
+            "weakiv-limit": ["--ca", "1", "--cb", "0", "--s11", "1", "--s12", "0", "--s22", "1"],
+        }[command]
+        status = main([command, *argv, "--seed", "-1", "--out", str(out_path)])
+        assert status == 2
+        _assert_one_error_line(capsys)
+        assert not out_path.exists()
 
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -61,8 +61,8 @@ class TestMakeFolds:
     def test_members_complement_partition(self):
         folds = make_folds(23, 4, seed=3)
         for k in range(4):
-            members = set(folds.members(k))
-            complement = set(folds.complement(k))
+            members = set(np.flatnonzero(folds.fold_of == k))
+            complement = set(np.flatnonzero(folds.fold_of != k))
             assert members | complement == set(range(23))
             assert not members & complement
 

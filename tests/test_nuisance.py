@@ -18,18 +18,19 @@ from latescore import (
     fit_ols,
     make_folds,
 )
+from latescore.nuisance import _predict
 
 
 class TestFitOls:
     def test_exact_line(self):
         model = fit_ols(np.array([[1.0], [2.0], [3.0]]), np.array([2.0, 4.0, 6.0]))
-        assert abs(model.slopes[0] - 2.0) < 1e-10
-        assert abs(model.intercept) < 1e-10
+        assert abs(model.beta[1] - 2.0) < 1e-10
+        assert abs(model.beta[0]) < 1e-10
 
     def test_constant_targets(self):
         model = fit_ols(np.array([[1.0], [2.0], [3.0]]), np.array([7.0, 7.0, 7.0]))
-        assert abs(model.intercept - 7.0) < 1e-10
-        assert abs(model.slopes[0]) < 1e-10
+        assert abs(model.beta[0] - 7.0) < 1e-10
+        assert abs(model.beta[1]) < 1e-10
 
     def test_against_lstsq_oracle(self):
         rng = np.random.Generator(np.random.PCG64(0))
@@ -38,37 +39,49 @@ class TestFitOls:
         model = fit_ols(x, y)
         design = np.column_stack([np.ones(50), x])
         oracle, *_ = np.linalg.lstsq(design, y, rcond=None)
-        assert abs(model.intercept - oracle[0]) < 1e-8
-        assert np.max(np.abs(model.slopes - oracle[1:])) < 1e-8
+        assert abs(model.beta[0] - oracle[0]) < 1e-8
+        assert np.max(np.abs(model.beta[1:] - oracle[1:])) < 1e-8
 
     def test_rank_deficient_uses_ridge(self):
         x = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])  # duplicated column
         model = fit_ols(x, np.array([1.0, 2.0, 3.0]))
         assert model.ridge_fallback
-        assert np.all(np.isfinite(model.slopes))
+        assert np.all(np.isfinite(model.beta[1:]))
 
     def test_predictions(self):
         model = fit_ols(np.array([[0.0], [1.0]]), np.array([1.0, 3.0]))
-        pred = model.predict(np.array([[2.0]]))
+        pred = _predict(model, np.array([[2.0]]))
         assert abs(pred[0] - 5.0) < 1e-10
 
 
 class TestFitLogistic:
     def test_pure_labels_fall_back_to_constant(self):
         model = fit_logistic(np.array([[0.1], [0.2], [0.3]]), np.array([1, 1, 1]))
-        assert model.constant == 1.0
+        assert model.beta[0] == np.inf and model.beta[1] == 0.0
         eps = 0.01
-        clipped = np.clip(model.predict_proba(np.array([[0.5]])), eps, 1 - eps)
+        clipped = np.clip(_predict(model, np.array([[0.5]])), eps, 1 - eps)
         assert clipped[0] == 1 - eps
+
+    @pytest.mark.parametrize("label", [0, 1])
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_pure_label_predictions_are_the_clipped_label(self, label, p):
+        # The constant model these fits replaced predicted exactly these bits.
+        rng = np.random.Generator(np.random.PCG64(label + 2 * p))
+        features = rng.standard_normal((9, p)) * 1e3
+        model = fit_logistic(features, np.full(9, label))
+        assert (model.converged, model.warning) == (True, False)
+        block = rng.standard_normal((6, p)) * 1e3
+        want = np.clip(np.full(6, float(label)), 1e-12, 1 - 1e-12)
+        assert _predict(model, block).tobytes() == want.tobytes()
 
     def test_balanced_labels_independent_of_features(self):
         # same feature values carry both labels: exact symmetry
         x = np.repeat(np.linspace(-1, 1, 10), 2).reshape(-1, 1)
         labels = np.tile([0, 1], 10)
         model = fit_logistic(x, labels)
-        assert abs(model.intercept) < 1e-6
-        assert abs(model.slopes[0]) < 1e-6
-        assert np.max(np.abs(model.predict_proba(x) - 0.5)) < 1e-6
+        assert abs(model.beta[0]) < 1e-6
+        assert abs(model.beta[1]) < 1e-6
+        assert np.max(np.abs(_predict(model, x) - 0.5)) < 1e-6
 
     def test_recovers_slope_against_grid_mle_oracle(self):
         rng = np.random.Generator(np.random.PCG64(7))
@@ -78,7 +91,7 @@ class TestFitLogistic:
         labels = (rng.random(n) < p).astype(int)
         model = fit_logistic(x.reshape(-1, 1), labels)
         assert model.converged
-        assert abs(model.slopes[0] - 1.5) < 0.3
+        assert abs(model.beta[1] - 1.5) < 0.3
 
         # independent oracle: fine grid search of the slope-only likelihood
         grid = np.linspace(0.0, 3.0, 3001)
@@ -87,14 +100,14 @@ class TestFitLogistic:
             t = beta * x
             loglik[i] = np.sum(labels * t - np.logaddexp(0.0, t))
         slope_oracle = grid[np.argmax(loglik)]
-        assert abs(model.slopes[0] - slope_oracle) < 0.15
+        assert abs(model.beta[1] - slope_oracle) < 0.15
 
     def test_perfect_separation_sets_warning(self):
         x = np.linspace(-1, 1, 20).reshape(-1, 1)
         labels = (x[:, 0] > 0).astype(int)
         model = fit_logistic(x, labels)
         assert model.warning
-        p = model.predict_proba(x)
+        p = _predict(model, x)
         assert np.all(p > 0) and np.all(p < 1)
 
     def test_clean_fit_has_no_warning(self):
@@ -169,8 +182,8 @@ class TestCrossFit:
         folds = make_folds(100, 5, seed=9)
         preds = cross_fit(data, _cellmean_spec(), folds)
         for k in range(5):
-            train = folds.complement(k)
-            test = folds.members(k)
+            train = np.flatnonzero(folds.fold_of != k)
+            test = np.flatnonzero(folds.fold_of == k)
             for i in test:
                 pos = int(data.x[i, 0] > 0)
                 for z_level, vec in ((1, preds.r1), (0, preds.r0)):
@@ -184,7 +197,7 @@ class TestCrossFit:
         folds = make_folds(80, 4, seed=5)
         spec = _cellmean_spec(K=4)
         preds = cross_fit(data, spec, folds)
-        fold0 = folds.members(0)
+        fold0 = np.flatnonzero(folds.fold_of == 0)
         # At scale 1e17 the fold-0 values would swamp a training table
         # taken as the total minus fold 0.
         for scale in (1.0, 1e17):
@@ -256,8 +269,8 @@ def _per_slice_cell_means(data, folds):
     slice's mean for an empty cell."""
     out = {name: np.empty(data.n) for name in ("g1", "g0", "r1", "r0")}
     for k in range(folds.K):
-        train = folds.complement(k)
-        test = folds.members(k)
+        train = np.flatnonzero(folds.fold_of != k)
+        test = np.flatnonzero(folds.fold_of == k)
         z_train = data.z[train]
         if z_train.min() == z_train.max():
             raise DegenerateFoldError(
@@ -376,14 +389,14 @@ def _masked_sigmoid(t):
 
 
 def test_sigmoid_matches_the_masked_formula_bit_for_bit():
-    from latescore.nuisance import _sigmoid
+    from latescore.nuisance import _sigmoid_inplace
 
     rng = np.random.Generator(np.random.PCG64(11))
     t = np.concatenate([
         rng.standard_normal(50_000) * 10.0 ** rng.integers(-8, 4, 50_000),
         [0.0, -0.0, 745.0, -745.0, 1e308, -1e308, 709.8, -709.8, 5e-324, -5e-324],
     ])
-    assert _sigmoid(t).tobytes() == _masked_sigmoid(t).tobytes()
+    assert _sigmoid_inplace(t.copy(), np.empty_like(t)).tobytes() == _masked_sigmoid(t).tobytes()
 
 
 # cross_fit's OLS and logistic fits sum their Gram and Hessian entries in
@@ -428,7 +441,7 @@ def _recorded_cross_fit(monkeypatch, data, spec, folds):
 
     def recording_logistic(features, labels):
         model = fit_logistic(features, labels)
-        flags.append(("logistic", (model.constant is not None, model.converged, model.warning)))
+        flags.append(("logistic", (bool(np.isinf(model.beta[0])), model.converged, model.warning)))
         return model
 
     with monkeypatch.context() as patch:

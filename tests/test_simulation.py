@@ -1,3 +1,4 @@
+import itertools
 import math
 from statistics import NormalDist
 
@@ -20,6 +21,8 @@ from latescore import (
     replication_seed,
     run_replication,
     run_study,
+    write_replications_csv,
+    write_summary_csv,
 )
 from latescore.simulation import N_CELLS, _draw, draw_oracle_cells
 
@@ -322,6 +325,7 @@ class TestStudySpecValidation:
         dict(reps=0),
         dict(alpha=0.0),
         dict(alpha=1.0),
+        dict(alpha=1e-17),
         dict(n_grid=()),
         dict(n_grid=(1,)),
         dict(setting="custom", pi=0.0),
@@ -336,3 +340,20 @@ class TestStudySpecValidation:
     def test_rejects_n_below_fold_count(self):
         with pytest.raises(InvalidConfigError, match=r"n=4 is below the fold count K=5"):
             StudySpec(n_grid=(300, 4, 3))
+
+
+class TestStudyWritersAgainstFStringReference:
+    @pytest.mark.parametrize("setting", ["weak", "strong"])
+    def test_same_bytes(self, tmp_path, reference_row_writers, setting):
+        cells = run_study(StudySpec(setting=setting, n_grid=(200, 600), reps=5, seed=3))
+        if setting == "weak":
+            # Unbounded sets write inf diameters, and a cell without a bounded
+            # one a NaN median ratio.
+            assert math.isinf(cells[0].results[0].diam_score)
+            assert math.isnan(aggregate(cells[0].results).median_ratio)
+        write_reps, write_summary, _ = reference_row_writers
+        pairs = ((write_replications_csv, write_reps), (write_summary_csv, write_summary))
+        for (ours, reference), written in itertools.product(pairs, (cells, [])):
+            ours(written, str(tmp_path / "ours.csv"))
+            reference(written, str(tmp_path / "reference.csv"))
+            assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()

@@ -11,13 +11,14 @@ from latescore import (
     StudySpec,
     WeakIVConfig,
     estimate_weakiv_config,
-    ks_distance,
     run_study,
     sample_bivariate_normal,
     sample_weak_limit,
 )
 from latescore import weakiv
 from latescore.cli import main
+
+from conftest import ks_distance
 
 
 class TestBivariateNormal:
