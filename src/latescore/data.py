@@ -34,11 +34,14 @@ class Dataset:
 
     def __init__(self, y, a, z, x) -> None:
         y = np.asarray(y, dtype=float)
-        a = np.asarray(a, dtype=int)
-        z = np.asarray(z, dtype=int)
+        a, z = np.asarray(a), np.asarray(z)
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             x = x.reshape(-1, 1)
+        if not (y.ndim == a.ndim == z.ndim == 1 and x.ndim == 2):
+            raise InvalidConfigError(
+                f"y, a and z must be 1-d and x at most 2-d, got {y.ndim}, {a.ndim}, {z.ndim} and {x.ndim}"
+            )
         n = y.shape[0]
         if n < 2:
             raise InvalidConfigError(f"a dataset needs at least 2 rows, got {n}")
@@ -52,6 +55,8 @@ class Dataset:
             raise InvalidConfigError("instrument column contains values other than 0/1")
         if not np.all(np.isfinite(y)) or not np.all(np.isfinite(x)):
             raise InvalidConfigError("outcome and covariates must be finite")
+        # Cast only now: a cast first would truncate a 0.5 to a valid 0.
+        a, z = a.astype(int, copy=False), z.astype(int, copy=False)
         for arr in (y, a, z, x):
             arr.setflags(write=False)
         self.y = y
@@ -98,7 +103,12 @@ class FoldAssignment:
     K: int
 
     def __post_init__(self) -> None:
-        fold_of = np.asarray(self.fold_of, dtype=int)
+        fold_of = np.asarray(self.fold_of)
+        if fold_of.ndim != 1 or fold_of.dtype.kind not in "biuf" or not np.all(
+            (fold_of >= 0) & (fold_of < self.K) & (fold_of % 1 == 0)
+        ):
+            raise InvalidConfigError(f"fold indices must be integers in [0, {self.K})")
+        fold_of = fold_of.astype(int, copy=False)
         fold_of.setflags(write=False)
         object.__setattr__(self, "fold_of", fold_of)
         sizes = np.bincount(fold_of, minlength=self.K)

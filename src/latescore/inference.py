@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,8 +66,7 @@ def score_statistic(scores: ScoreSample, theta: float | np.ndarray) -> float | n
     return float(s) if t.ndim == 0 else s
 
 
-@dataclass(frozen=True)
-class QuadCoefficients:
+class QuadCoefficients(NamedTuple):
     """Coefficients of the membership inequality a*t^2 + b*t + c <= 0.
 
     ``a_scale`` is the magnitude of the two cancelling terms in a and is

@@ -72,7 +72,9 @@ class NuisancePredictions:
     m1: np.ndarray
 
     def __post_init__(self) -> None:
-        n = self.g1.shape[0]
+        if np.ndim(self.g1) != 1:
+            raise InvalidConfigError(f"g1 has shape {np.shape(self.g1)}, expected a 1-d array")
+        n = np.shape(self.g1)[0]
         for name in ("g1", "g0", "r1", "r0", "m1"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (n,):
@@ -108,17 +110,6 @@ def _sigmoid_inplace(t: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return np.divide(scratch, t, out=t)
 
 
-def _with_intercept(features: np.ndarray) -> np.ndarray:
-    """The design [1, features] as one column-major array."""
-    features = np.asarray(features, dtype=float)
-    if features.ndim == 1:
-        features = features[:, None]
-    design = np.empty((features.shape[0], features.shape[1] + 1), order="F")
-    design[:, 0] = 1.0
-    design[:, 1:] = features
-    return design
-
-
 @dataclass(frozen=True)
 class LinearModel:
     """Least-squares coefficients, intercept first; ``ridge_fallback`` marks
@@ -128,15 +119,15 @@ class LinearModel:
     ridge_fallback: bool = False
 
 
-def fit_ols(features: np.ndarray, targets: np.ndarray) -> LinearModel:
-    """Fit least squares with intercept via the normal equations.
+def fit_ols(design: np.ndarray, targets: np.ndarray) -> LinearModel:
+    """Fit least squares, intercept in column 0 of ``design``, via the normal equations.
 
     A rank-deficient Gram matrix is regularized with a trace-scaled ridge
     penalty (1e-8 * trace/dim) instead of failing, with the fallback flag
     set, so degenerate folds cannot crash a Monte Carlo run.
     """
     targets = np.asarray(targets, dtype=float)
-    design = _with_intercept(features)
+    design = np.asarray(design, dtype=float)
     if design.shape[0] < 1:
         raise InvalidConfigError("fit_ols needs at least one row")
     gram = design.T @ design
@@ -169,16 +160,16 @@ class LogisticModel:
     warning: bool = False
 
 
-def fit_logistic(features: np.ndarray, labels: np.ndarray) -> LogisticModel:
+def fit_logistic(design: np.ndarray, labels: np.ndarray) -> LogisticModel:
     """Maximum-likelihood logistic regression of 0/1 labels via IRLS.
 
-    Labels of a single class yield the MLE's limit: an infinite intercept
-    of that class's sign and zero slopes.  Under perfect separation the
-    iteration cap stops the divergence and the model is returned with
-    ``converged=False``.
+    Column 0 of ``design`` must be the intercept's ones: labels of a single
+    class yield the MLE's limit, an infinite coefficient there of the
+    class's sign and zero slopes.  Under perfect separation the iteration
+    cap stops the divergence and the model is returned with ``converged=False``.
     """
     labels = np.asarray(labels, dtype=float)
-    design = _with_intercept(features)
+    design = np.asarray(design, dtype=float)
     n, d = design.shape
     beta = np.zeros(d)
     if labels.min() == labels.max():
@@ -215,10 +206,10 @@ def fit_logistic(features: np.ndarray, labels: np.ndarray) -> LogisticModel:
 
 
 def _predict(model, block: np.ndarray) -> np.ndarray:
-    """The fitted values beta[0] + block @ beta[1:] at the rows of ``block``;
+    """The fitted values block @ beta at the rows of the design ``block``;
     a logistic model's go through the sigmoid and are clipped to
     [1e-12, 1 - 1e-12], so an infinite intercept gives one of those ends."""
-    t = model.beta[0] + block @ model.beta[1:]
+    t = block @ model.beta
     if isinstance(model, LinearModel):
         return t
     return np.clip(_sigmoid_inplace(t, np.empty_like(t)), 1e-12, 1.0 - 1e-12, out=t)
@@ -320,30 +311,32 @@ def cross_fit(data: Dataset, spec: LearnerSpec, folds: FoldAssignment) -> Nuisan
     for name in per_fold:
         preds[name] = (np.empty(n), np.empty(n))
     if per_fold or spec.m_learner == "logistic":
-        # The rows of [z, x] sorted by fold: fold k's test rows are one slice
-        # and its training rows the two slices around it.  Every fit reads
-        # the training block; the test block is predicted at z=1 and then at
-        # z=0 by overwriting its z column, straight into the units' places.
+        # The design [1, z, x], rows sorted by fold: fold k's test rows are one
+        # slice and its training rows, copied once for all its fits, the two
+        # slices around it; the propensity drops the z column.  The test block
+        # is predicted at z=1 and then at z=0 by overwriting its z column.
         # A key of 16 bits or fewer takes numpy's radix sort, not timsort;
         # np.take gathers rows several times faster than fancy indexing.
         order = np.argsort(folds.fold_of.astype(np.min_scalar_type(folds.K - 1)), kind="stable")
-        zx = np.empty((n, 1 + data.p))
-        zx[:, 0] = np.take(data.z, order)
-        zx[:, 1:] = np.take(data.x, order, axis=0)
+        design = np.empty((n, 2 + data.p), order="F")
+        design[:, 0] = 1.0
+        design[:, 1] = np.take(data.z, order)
+        design[:, 2:] = np.take(data.x, order, axis=0)
         ends = np.cumsum(z_counts.sum(axis=1)).tolist()
         for lo, hi in zip([0, *ends], ends):
             test = order[lo:hi]
             train = np.concatenate((order[:lo], order[hi:]))
-            features, block = np.concatenate((zx[:lo], zx[hi:])), zx[lo:hi].copy()
+            features, block = np.concatenate((design[:lo], design[hi:])), design[lo:hi].copy(order="F")
             models = {}
             for name in per_fold:
                 learner, target = learners[name]
                 fit = fit_ols if learner == "ols_linear" else fit_logistic
                 models[name] = fit(features, np.take(target, train))
             if spec.m_learner == "logistic":
-                m1[test] = _predict(fit_logistic(features[:, 1:], features[:, 0]), block[:, 1:])
+                m_model = fit_logistic(np.delete(features, 1, axis=1), features[:, 1])
+                m1[test] = _predict(m_model, np.delete(block, 1, axis=1))
             for column, z_level in enumerate((1.0, 0.0)):
-                block[:, 0] = z_level
+                block[:, 1] = z_level
                 for name, model in models.items():
                     preds[name][column][test] = _predict(model, block)
 

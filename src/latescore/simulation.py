@@ -27,7 +27,7 @@ from .data import Dataset, _trusted, _write_columns, make_folds
 from .errors import DegenerateDataError, InvalidConfigError, LatescoreError
 from .inference import _z_crit, drml_estimate, instrument_strength, score_confidence_set
 from .nuisance import LearnerSpec, cross_fit
-from .scores import compute_scores, functional_oracle
+from .scores import _score, compute_scores, functional_oracle
 
 _MASK64 = (1 << 64) - 1
 
@@ -116,11 +116,11 @@ def oracle_cell_values(params: DgpParams) -> np.ndarray:
     r0 = 0.5
     g1 = params.treatment_shift * r1
     g0 = params.treatment_shift * r0
-    sign = 2.0 * z - 1.0
-    r_z = np.where(z == 1, r1, r0)
-    g_z = np.where(z == 1, g1, g0)
-    psi_a = sign / 0.5 * (a - r_z) + r1 - r0
-    psi_b = sign / 0.5 * (y - g_z) + g1 - g0
+    # compute_scores' weight (2z - 1) / m(z | x) at m = 0.5.
+    treated = z == 1
+    weight = (2.0 * z - 1.0) / np.where(treated, 0.5, 1.0 - 0.5)
+    psi_a = _score(weight, a, r1, r0, treated)
+    psi_b = _score(weight, y, g1, g0, treated)
     return np.stack([psi_a, psi_b, r1 - r0, g1 - g0])
 
 

@@ -11,7 +11,9 @@ from latescore import (
     CsvParseError,
     CsvSchema,
     Dataset,
+    FoldAssignment,
     InvalidConfigError,
+    NuisancePredictions,
     load_csv,
     make_folds,
     write_csv,
@@ -94,6 +96,38 @@ class TestDataset:
                 y=[r["y"] for r in rows], a=[r["a"] for r in rows],
                 z=[r["z"] for r in rows], x=[r["x"] for r in rows],
             )
+
+
+_COLUMNS = dict(y=[0.5, 1.0], a=[1, 0], z=[0, 1], x=[[0.25], [0.5]])
+_PREDICTIONS = dict(g1=[1.0, 2.0], g0=[0.0, 1.0], r1=[0.5, 0.75], r0=[0.25, 0.5], m1=[0.5, 0.5])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Dataset(**dict(_COLUMNS, a=[0.5, 1])),
+    lambda: Dataset(**dict(_COLUMNS, z=[1, 0.5])),
+    lambda: Dataset(**dict(_COLUMNS, y=1.0)),
+    lambda: Dataset(**dict(_COLUMNS, a=[[1], [0]], z=[[0], [1]])),
+    lambda: Dataset(**dict(_COLUMNS, x=np.zeros((2, 1, 1)))),
+    lambda: FoldAssignment(fold_of=[0, 1, 2, 0, 1, 2], K=2),
+    lambda: FoldAssignment(fold_of=[0, 1, -1, 0], K=2),
+    lambda: FoldAssignment(fold_of=[0, 1, 0.5, 1], K=2),
+    lambda: FoldAssignment(fold_of=[[0, 1], [1, 0]], K=2),
+    lambda: NuisancePredictions(**dict(_PREDICTIONS, r1=[0.5, 1.5])),
+    lambda: NuisancePredictions(**dict(_PREDICTIONS, g1=1.0)),
+], ids=[
+    "fractional-a", "fractional-z", "scalar-y", "2d-a-z", "3d-x", "fold-past-K", "negative-fold",
+    "fractional-fold", "2d-folds", "list-predictions-r1-above-1", "scalar-g1",
+])
+def test_public_constructors_check_before_casting(build):
+    with pytest.raises(InvalidConfigError):
+        build()
+
+
+def test_public_constructors_take_lists():
+    preds = NuisancePredictions(**_PREDICTIONS)
+    assert preds.n == 2 and preds.r1.tolist() == [0.5, 0.75]
+    assert FoldAssignment(fold_of=[0, 1, 1.0, 0], K=2).fold_of.tolist() == [0, 1, 1, 0]
+    assert Dataset(**dict(_COLUMNS, a=[1.0, 0.0])).a.tolist() == [1, 0]
 
 
 def _write(tmp_path, text, name="data.csv"):

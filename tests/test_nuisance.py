@@ -21,14 +21,20 @@ from latescore import (
 from latescore.nuisance import _predict
 
 
+def _design(features):
+    """The design [1, features]: the fitters take the intercept's ones as column 0."""
+    features = np.asarray(features, dtype=float)
+    return np.column_stack([np.ones(features.shape[0]), features])
+
+
 class TestFitOls:
     def test_exact_line(self):
-        model = fit_ols(np.array([[1.0], [2.0], [3.0]]), np.array([2.0, 4.0, 6.0]))
+        model = fit_ols(_design([[1.0], [2.0], [3.0]]), np.array([2.0, 4.0, 6.0]))
         assert abs(model.beta[1] - 2.0) < 1e-10
         assert abs(model.beta[0]) < 1e-10
 
     def test_constant_targets(self):
-        model = fit_ols(np.array([[1.0], [2.0], [3.0]]), np.array([7.0, 7.0, 7.0]))
+        model = fit_ols(_design([[1.0], [2.0], [3.0]]), np.array([7.0, 7.0, 7.0]))
         assert abs(model.beta[0] - 7.0) < 1e-10
         assert abs(model.beta[1]) < 1e-10
 
@@ -36,7 +42,7 @@ class TestFitOls:
         rng = np.random.Generator(np.random.PCG64(0))
         x = rng.standard_normal((50, 3))
         y = rng.standard_normal(50)
-        model = fit_ols(x, y)
+        model = fit_ols(_design(x), y)
         design = np.column_stack([np.ones(50), x])
         oracle, *_ = np.linalg.lstsq(design, y, rcond=None)
         assert abs(model.beta[0] - oracle[0]) < 1e-8
@@ -44,22 +50,22 @@ class TestFitOls:
 
     def test_rank_deficient_uses_ridge(self):
         x = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])  # duplicated column
-        model = fit_ols(x, np.array([1.0, 2.0, 3.0]))
+        model = fit_ols(_design(x), np.array([1.0, 2.0, 3.0]))
         assert model.ridge_fallback
         assert np.all(np.isfinite(model.beta[1:]))
 
     def test_predictions(self):
-        model = fit_ols(np.array([[0.0], [1.0]]), np.array([1.0, 3.0]))
-        pred = _predict(model, np.array([[2.0]]))
+        model = fit_ols(_design([[0.0], [1.0]]), np.array([1.0, 3.0]))
+        pred = _predict(model, _design([[2.0]]))
         assert abs(pred[0] - 5.0) < 1e-10
 
 
 class TestFitLogistic:
     def test_pure_labels_fall_back_to_constant(self):
-        model = fit_logistic(np.array([[0.1], [0.2], [0.3]]), np.array([1, 1, 1]))
+        model = fit_logistic(_design([[0.1], [0.2], [0.3]]), np.array([1, 1, 1]))
         assert model.beta[0] == np.inf and model.beta[1] == 0.0
         eps = 0.01
-        clipped = np.clip(_predict(model, np.array([[0.5]])), eps, 1 - eps)
+        clipped = np.clip(_predict(model, _design([[0.5]])), eps, 1 - eps)
         assert clipped[0] == 1 - eps
 
     @pytest.mark.parametrize("label", [0, 1])
@@ -68,20 +74,20 @@ class TestFitLogistic:
         # The constant model these fits replaced predicted exactly these bits.
         rng = np.random.Generator(np.random.PCG64(label + 2 * p))
         features = rng.standard_normal((9, p)) * 1e3
-        model = fit_logistic(features, np.full(9, label))
+        model = fit_logistic(_design(features), np.full(9, label))
         assert (model.converged, model.warning) == (True, False)
         block = rng.standard_normal((6, p)) * 1e3
         want = np.clip(np.full(6, float(label)), 1e-12, 1 - 1e-12)
-        assert _predict(model, block).tobytes() == want.tobytes()
+        assert _predict(model, _design(block)).tobytes() == want.tobytes()
 
     def test_balanced_labels_independent_of_features(self):
         # same feature values carry both labels: exact symmetry
         x = np.repeat(np.linspace(-1, 1, 10), 2).reshape(-1, 1)
         labels = np.tile([0, 1], 10)
-        model = fit_logistic(x, labels)
+        model = fit_logistic(_design(x), labels)
         assert abs(model.beta[0]) < 1e-6
         assert abs(model.beta[1]) < 1e-6
-        assert np.max(np.abs(_predict(model, x) - 0.5)) < 1e-6
+        assert np.max(np.abs(_predict(model, _design(x)) - 0.5)) < 1e-6
 
     def test_recovers_slope_against_grid_mle_oracle(self):
         rng = np.random.Generator(np.random.PCG64(7))
@@ -89,7 +95,7 @@ class TestFitLogistic:
         x = rng.standard_normal(n)
         p = 1.0 / (1.0 + np.exp(-1.5 * x))
         labels = (rng.random(n) < p).astype(int)
-        model = fit_logistic(x.reshape(-1, 1), labels)
+        model = fit_logistic(_design(x.reshape(-1, 1)), labels)
         assert model.converged
         assert abs(model.beta[1] - 1.5) < 0.3
 
@@ -105,16 +111,16 @@ class TestFitLogistic:
     def test_perfect_separation_sets_warning(self):
         x = np.linspace(-1, 1, 20).reshape(-1, 1)
         labels = (x[:, 0] > 0).astype(int)
-        model = fit_logistic(x, labels)
+        model = fit_logistic(_design(x), labels)
         assert model.warning
-        p = _predict(model, x)
+        p = _predict(model, _design(x))
         assert np.all(p > 0) and np.all(p < 1)
 
     def test_clean_fit_has_no_warning(self):
         rng = np.random.Generator(np.random.PCG64(1))
         x = rng.standard_normal(300)
         labels = (rng.random(300) < 1.0 / (1.0 + np.exp(-x))).astype(int)
-        model = fit_logistic(x.reshape(-1, 1), labels)
+        model = fit_logistic(_design(x.reshape(-1, 1)), labels)
         assert model.converged
         assert not model.warning
 
