@@ -2,8 +2,10 @@
 
 A sample is a table of rows (y, a, z, x_1..x_p) where the treatment a and
 the instrument z are binary and the covariate vector x has a common
-dimension across rows.  All containers are immutable after construction
-and safe to share across threads.
+dimension across rows.  Containers hold read-only arrays and cannot be
+written through.  A public constructor views an input array that needs
+no cast rather than copying it, so the caller's array stays writable and
+writing it shows through.
 """
 
 from __future__ import annotations
@@ -17,8 +19,25 @@ import numpy as np
 from .errors import CsvParseError, InvalidConfigError
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of ``arr``, which itself stays writable."""
+    view = arr.view()
+    view.setflags(write=False)
+    return view
+
+
+def _check_fold_count(K) -> None:
+    """Refuse a fold count that is not an integer; a bool is refused too."""
+    if isinstance(K, bool) or not isinstance(K, (int, np.integer)):
+        raise InvalidConfigError(f"fold count must be an integer, got {K!r}")
+
+
 class Dataset:
     """An ordered sample of n >= 2 units, stored as read-only arrays.
+
+    The arrays are read-only views of the inputs, without a copy where no
+    cast is needed, so the dataset shares memory with its inputs: the
+    caller's arrays stay writable, and writing them changes the dataset.
 
     Parameters
     ----------
@@ -57,12 +76,7 @@ class Dataset:
             raise InvalidConfigError("outcome and covariates must be finite")
         # Cast only now: a cast first would truncate a 0.5 to a valid 0.
         a, z = a.astype(int, copy=False), z.astype(int, copy=False)
-        for arr in (y, a, z, x):
-            arr.setflags(write=False)
-        self.y = y
-        self.a = a
-        self.z = z
-        self.x = x
+        self.y, self.a, self.z, self.x = (_read_only(arr) for arr in (y, a, z, x))
 
     @property
     def n(self) -> int:
@@ -81,7 +95,8 @@ def _trusted(cls, **fields):
 
     Only for values the package has just built and that are valid by
     construction; outside input goes through the public constructor, which
-    checks everything.  Arrays are made read-only, as the constructors do.
+    checks everything.  Arrays are made read-only in place: no caller
+    holds them.
     """
     obj = object.__new__(cls)
     for name, value in fields.items():
@@ -96,20 +111,23 @@ class FoldAssignment:
     """Assignment of n units to K cross-fitting folds.
 
     ``fold_of[i]`` is the fold index of unit i.  Every fold is non-empty
-    and fold sizes differ by at most one.
+    and fold sizes differ by at most one.  ``fold_of`` is a read-only view
+    of the input, which it shares memory with where no cast is needed.
     """
 
     fold_of: np.ndarray
     K: int
 
     def __post_init__(self) -> None:
+        _check_fold_count(self.K)
         fold_of = np.asarray(self.fold_of)
+        if fold_of.size == 0:
+            raise InvalidConfigError("a fold assignment needs at least one unit")
         if fold_of.ndim != 1 or fold_of.dtype.kind not in "biuf" or not np.all(
             (fold_of >= 0) & (fold_of < self.K) & (fold_of % 1 == 0)
         ):
             raise InvalidConfigError(f"fold indices must be integers in [0, {self.K})")
-        fold_of = fold_of.astype(int, copy=False)
-        fold_of.setflags(write=False)
+        fold_of = _read_only(fold_of.astype(int, copy=False))
         object.__setattr__(self, "fold_of", fold_of)
         sizes = np.bincount(fold_of, minlength=self.K)
         if np.any(sizes == 0):
@@ -129,6 +147,7 @@ def make_folds(n: int, K: int, seed: int) -> FoldAssignment:
     permuted order is split contiguously, so the first ``n mod K`` folds
     receive one extra unit.
     """
+    _check_fold_count(K)
     if K < 2 or K > n:
         raise InvalidConfigError(f"fold count must satisfy 2 <= K <= n, got K={K}, n={n}")
     rng = np.random.Generator(np.random.PCG64(seed))

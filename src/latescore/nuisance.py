@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, FoldAssignment, _trusted
+from .data import Dataset, FoldAssignment, _check_fold_count, _read_only, _trusted
 from .errors import DegenerateFoldError, InvalidConfigError
 
 G_LEARNERS = ("ols_linear", "cell_mean")
@@ -51,6 +51,7 @@ class LearnerSpec:
             raise InvalidConfigError(f"unknown m learner {self.m_learner!r}")
         if not 0.0 < self.clip_eps < 0.5:
             raise InvalidConfigError(f"clip_eps must lie in (0, 0.5), got {self.clip_eps}")
+        _check_fold_count(self.K)
         if self.K < 2:
             raise InvalidConfigError(f"fold count must be at least 2, got {self.K}")
         if self.m_learner == "known_constant" and not 0.0 < self.m_value < 1.0:
@@ -63,6 +64,8 @@ class NuisancePredictions:
 
     g1/g0 are outcome predictions at z=1/z=0, r1/r0 the treatment
     probabilities at z=1/z=0, and m1 the (clipped) probability of z=1.
+    Each is a read-only view of its input, which it shares memory with
+    where no cast is needed.
     """
 
     g1: np.ndarray
@@ -81,8 +84,7 @@ class NuisancePredictions:
                 raise InvalidConfigError(f"{name} has shape {arr.shape}, expected ({n},)")
             if not np.all(np.isfinite(arr)):
                 raise InvalidConfigError(f"{name} contains non-finite predictions")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _read_only(arr))
         for name in ("r1", "r0"):
             arr = getattr(self, name)
             if arr.min() < 0.0 or arr.max() > 1.0:

@@ -28,6 +28,11 @@ from .simulation import N_CELLS, DgpParams, draw_oracle_cells, oracle_cell_value
 # batch edges fix the order in which the random stream is read.
 _ORACLE_BATCH = 1_000_000
 
+# Pairs per block in the limit sampler, which bounds its temporaries to a
+# block's worth.  Blocks read the random stream in order, so the draws do
+# not depend on the block size.
+_LIMIT_BLOCK = 65_536
+
 
 def _cholesky_2x2(sigma: np.ndarray) -> np.ndarray:
     """Lower-triangular square root of a symmetric PSD 2x2 matrix."""
@@ -84,23 +89,42 @@ def sample_bivariate_normal(sigma_ab: np.ndarray, rng: np.random.Generator, size
     return draws[:, 0], draws[:, 1]
 
 
+def _draw_into(cfg: WeakIVConfig, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with limit draws; return the positions whose denominator
+    is exactly zero, which are left unset."""
+    na, nb = sample_bivariate_normal(cfg.sigma_ab, rng, size=out.size)
+    num = cfg.c_a * nb - cfg.c_b * na
+    den = cfg.c_a * cfg.c_a + cfg.c_a * na
+    zero = den == 0.0
+    np.divide(num, den, out=out, where=~zero)
+    return np.flatnonzero(zero)
+
+
 def sample_weak_limit(cfg: WeakIVConfig, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw ``size`` values of (c_a*N_b - c_b*N_a) / (c_a^2 + c_a*N_a).
 
     An exactly-zero denominator (a probability-zero event) triggers a
     redraw, which leaves the distribution unchanged.  Parameters whose
-    draws overflow double precision are rejected.
+    draws overflow double precision are rejected.  The pairs are drawn
+    ``_LIMIT_BLOCK`` at a time, and the redraws follow the last block, in
+    index order, so the stream is read as by one draw of ``size`` pairs.
     """
-    na, nb = sample_bivariate_normal(cfg.sigma_ab, rng, size=size)
-    num = cfg.c_a * nb - cfg.c_b * na
-    den = cfg.c_a * cfg.c_a + cfg.c_a * na
-    bad = den == 0.0
-    while np.any(bad):
-        na2, nb2 = sample_bivariate_normal(cfg.sigma_ab, rng, size=int(bad.sum()))
-        num[bad] = cfg.c_a * nb2 - cfg.c_b * na2
-        den[bad] = cfg.c_a * cfg.c_a + cfg.c_a * na2
-        bad = den == 0.0
-    draws = num / den
+    draws = np.empty(size)
+    zeros = []
+    lo = 0
+    while lo < size:
+        # A one-row tail joins the block before it: numpy's matmul takes a
+        # single row through a matrix-vector BLAS call, which can round
+        # differently from the matrix product that draws two or more rows.
+        hi = lo + _LIMIT_BLOCK if size - lo - _LIMIT_BLOCK >= 2 else size
+        zeros.extend(lo + _draw_into(cfg, rng, draws[lo:hi]))
+        lo = hi
+    redraw = np.array(zeros, dtype=np.intp)
+    while redraw.size:
+        fresh = np.empty(redraw.size)
+        zero = _draw_into(cfg, rng, fresh)
+        draws[redraw] = fresh
+        redraw = redraw[zero]
     if not np.all(np.isfinite(draws)):
         raise InvalidConfigError("the limit parameters give draws beyond double range")
     return draws

@@ -15,6 +15,7 @@ from latescore import (
     drml_estimate,
     functional_oracle,
     replication_seed,
+    sample_bivariate_normal,
     score_confidence_set,
 )
 from latescore.inference import instrument_strength
@@ -95,6 +96,26 @@ def reference_write_csv(data, path, schema):
 @pytest.fixture(scope="session")
 def reference_writers():
     return reference_write_draws, reference_write_scores, reference_write_csv
+
+
+def reference_sample_weak_limit(cfg, rng, size):
+    """The one-shot limit sampler that the block sampler replaced: all
+    pairs at once, then the zero-denominator redraws in index order."""
+    na, nb = sample_bivariate_normal(cfg.sigma_ab, rng, size=size)
+    num = cfg.c_a * nb - cfg.c_b * na
+    den = cfg.c_a * cfg.c_a + cfg.c_a * na
+    bad = den == 0.0
+    while np.any(bad):
+        na2, nb2 = sample_bivariate_normal(cfg.sigma_ab, rng, size=int(bad.sum()))
+        num[bad] = cfg.c_a * nb2 - cfg.c_b * na2
+        den[bad] = cfg.c_a * cfg.c_a + cfg.c_a * na2
+        bad = den == 0.0
+    return num / den
+
+
+@pytest.fixture(scope="session")
+def reference_weak_limit():
+    return reference_sample_weak_limit
 
 
 # The f-string row loops that the replication, summary and analyze writers

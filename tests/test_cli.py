@@ -24,7 +24,7 @@ from latescore import (
 from latescore import simulation
 from latescore.inference import zero_tolerances
 from latescore.cli import _NEGATIVE_NUMBER, SCAN_BLOCK, main
-from latescore.weakiv import WeakIVConfig, sample_weak_limit
+from latescore.weakiv import WeakIVConfig
 
 
 def _export_dgp(tmp_path, pi, n, seed, name):
@@ -572,8 +572,9 @@ class TestWeakIVLimit:
         ]) == 2
         assert capsys.readouterr().err == "error: argument --ca: expected one argument\n"
 
-    def test_draws_match_the_per_line_writer(self, tmp_path, reference_writers):
-        # Not a multiple of the writer's block, so the last block is short.
+    def test_draws_match_the_per_line_writer(self, tmp_path, reference_writers, reference_weak_limit):
+        # Not a multiple of the writer's or the sampler's block, so the last
+        # block of each is short.
         samples, seed = 1_000_003, 8
         out_path = tmp_path / "draws.csv"
         assert main([
@@ -581,7 +582,7 @@ class TestWeakIVLimit:
             "--samples", str(samples), "--seed", str(seed), "--out", str(out_path),
         ]) == 0
         cfg = WeakIVConfig(c_a=0.03, c_b=0.0, sigma_ab=np.array([[1.0, 4.0], [4.0, 16.0]]))
-        draws = sample_weak_limit(cfg, np.random.Generator(np.random.PCG64(seed)), size=samples)
+        draws = reference_weak_limit(cfg, np.random.Generator(np.random.PCG64(seed)), size=samples)
         write_draws, _, _ = reference_writers
         with open(tmp_path / "reference.csv", "w", newline="") as handle:
             handle.write("draw\n")

@@ -44,7 +44,7 @@ class TestMakeFolds:
         b = make_folds(100, 4, seed=2)
         assert not np.array_equal(a.fold_of, b.fold_of)
 
-    @pytest.mark.parametrize("n,k", [(10, 1), (10, 0), (3, 4), (2, 3)])
+    @pytest.mark.parametrize("n,k", [(10, 1), (10, 0), (3, 4), (2, 3), (10, 2.5), (10, 3.0), (10, True)])
     def test_bad_fold_counts(self, n, k):
         with pytest.raises(InvalidConfigError):
             make_folds(n, k, seed=0)
@@ -112,15 +112,39 @@ _PREDICTIONS = dict(g1=[1.0, 2.0], g0=[0.0, 1.0], r1=[0.5, 0.75], r0=[0.25, 0.5]
     lambda: FoldAssignment(fold_of=[0, 1, -1, 0], K=2),
     lambda: FoldAssignment(fold_of=[0, 1, 0.5, 1], K=2),
     lambda: FoldAssignment(fold_of=[[0, 1], [1, 0]], K=2),
+    lambda: FoldAssignment(fold_of=[], K=0),
+    lambda: FoldAssignment(fold_of=[0, 1, 2], K=2.5),
+    lambda: FoldAssignment(fold_of=[0, 1, 0], K=np.float64(2.0)),
+    lambda: FoldAssignment(fold_of=[0, 0], K=True),
     lambda: NuisancePredictions(**dict(_PREDICTIONS, r1=[0.5, 1.5])),
     lambda: NuisancePredictions(**dict(_PREDICTIONS, g1=1.0)),
 ], ids=[
     "fractional-a", "fractional-z", "scalar-y", "2d-a-z", "3d-x", "fold-past-K", "negative-fold",
-    "fractional-fold", "2d-folds", "list-predictions-r1-above-1", "scalar-g1",
+    "fractional-fold", "2d-folds", "empty-folds", "fractional-K", "float-K", "bool-K",
+    "list-predictions-r1-above-1", "scalar-g1",
 ])
 def test_public_constructors_check_before_casting(build):
     with pytest.raises(InvalidConfigError):
         build()
+
+
+def test_public_constructors_leave_the_callers_arrays_writable():
+    columns = dict(
+        y=np.array([0.5, 1.0]), a=np.array([1, 0]), z=np.array([0, 1]), x=np.array([[0.25], [0.5]])
+    )
+    predictions = {name: np.array(values) for name, values in _PREDICTIONS.items()}
+    fold_of = np.array([0, 1, 1, 0])
+    built = [
+        (Dataset(**columns), columns),
+        (NuisancePredictions(**predictions), predictions),
+        (FoldAssignment(fold_of=fold_of, K=2), {"fold_of": fold_of}),
+    ]
+    for container, inputs in built:
+        for name, given in inputs.items():
+            held = getattr(container, name)
+            assert given.flags.writeable and not held.flags.writeable, name
+            # No cast was needed, so the container holds a view, not a copy.
+            assert np.shares_memory(held, given), name
 
 
 def test_public_constructors_take_lists():

@@ -261,6 +261,9 @@ class TestLearnerSpecValidation:
         dict(clip_eps=0.5),
         dict(K=1),
         dict(m_learner="known_constant", m_value=0.0),
+        dict(K=2.5),
+        dict(K=5.0),
+        dict(K=True),
     ])
     def test_rejects(self, kwargs):
         from latescore import InvalidConfigError

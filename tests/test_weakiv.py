@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,89 @@ class TestSampleWeakLimit:
         d1 = sample_weak_limit(cfg, rng, size=100_000)
         d2 = sample_weak_limit(cfg_neg, rng, size=100_000)
         assert ks_distance(-d1, d2) < 0.02
+
+
+_B = weakiv._LIMIT_BLOCK
+
+
+class TestBlockSampler:
+    """The block sampler against the one-shot sampler it replaced."""
+
+    @pytest.mark.parametrize("size", [1, _B - 1, _B, _B + 1, 2 * _B + 1, 3 * _B + 7, 10**6])
+    @pytest.mark.parametrize("sigma", [
+        [[1.0, 0.5], [0.5, 2.0]],
+        [[0.0, 0.0], [0.0, 16.0]],
+        [[1.0, 0.0], [0.0, 0.0]],
+    ], ids=["full-rank", "s11-zero", "s22-zero"])
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_same_bytes_as_the_one_shot_sampler(self, reference_weak_limit, size, sigma, seed):
+        cfg = WeakIVConfig(c_a=0.03, c_b=0.5, sigma_ab=np.array(sigma))
+        got = sample_weak_limit(cfg, np.random.Generator(np.random.PCG64(seed)), size=size)
+        want = reference_weak_limit(cfg, np.random.Generator(np.random.PCG64(seed)), size=size)
+        assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory_is_at_most_twice_the_result(self):
+        cfg = WeakIVConfig(c_a=0.03, c_b=0.0, sigma_ab=np.array([[1.0, 4.0], [4.0, 16.0]]))
+        rng = np.random.Generator(np.random.PCG64(1))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            draws = sample_weak_limit(cfg, rng, size=10**6)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * draws.nbytes
+
+
+class _ScriptedNormals:
+    """A generator stand-in whose standard_normal hands out a fixed script
+    of normals in order and records the shape of every request."""
+
+    def __init__(self, script):
+        self.script = np.asarray(script, dtype=float).ravel()
+        self.used = 0
+        self.requests = []
+
+    def standard_normal(self, shape):
+        count = shape[0] * shape[1]
+        self.requests.append(shape)
+        out = self.script[self.used : self.used + count].reshape(shape)
+        self.used += count
+        return out.copy()
+
+
+class TestZeroDenominatorRedraw:
+    # c_a = 1 and Sigma = I, so N_a is the first normal of a pair and the
+    # denominator 1 + N_a is exactly zero where that normal is -1.
+    cfg = WeakIVConfig(c_a=1.0, c_b=0.5, sigma_ab=np.eye(2))
+    size, first, later = 2 * _B + 10, 3, _B + 5
+    # Round one redraws (first, later) and hits zero again at first;
+    # round two redraws first alone.
+    redraws = [[-1.0, 7.0], [0.5, 2.0], [0.25, -3.0]]
+
+    def _script(self):
+        primary = np.random.Generator(np.random.PCG64(0)).uniform(-0.5, 0.5, (self.size, 2))
+        primary[[self.first, self.later], 0] = -1.0
+        return np.concatenate([primary, self.redraws])
+
+    def _limit(self, na, nb):
+        c_a, c_b = self.cfg.c_a, self.cfg.c_b
+        return (c_a * nb - c_b * na) / (c_a * c_a + c_a * na)
+
+    def test_redraws_follow_every_primary_pair_in_index_order(self):
+        rng = _ScriptedNormals(self._script())
+        draws = sample_weak_limit(self.cfg, rng, size=self.size)
+        assert rng.requests == [(_B, 2), (_B, 2), (10, 2), (2, 2), (1, 2)]
+        assert rng.used == rng.script.size
+        assert draws[self.later] == self._limit(0.5, 2.0)
+        assert draws[self.first] == self._limit(0.25, -3.0)
+        assert np.all(np.isfinite(draws))
+
+    def test_matches_the_one_shot_sampler_on_the_same_script(self, reference_weak_limit):
+        got = sample_weak_limit(self.cfg, _ScriptedNormals(self._script()), size=self.size)
+        want = reference_weak_limit(self.cfg, _ScriptedNormals(self._script()), size=self.size)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestEstimateWeakIVConfig:
