@@ -7,7 +7,8 @@ statistic on a theta grid, and ``weakiv-limit`` samples the
 weak-instrument limiting distribution.
 
 Exit statuses are a stable contract: 0 success, 2 configuration or parse
-error (an output path that cannot be written included), 3 degenerate data.
+error (an output path that cannot be written and an allocation that
+cannot be made included), 3 degenerate data.
 """
 
 from __future__ import annotations
@@ -312,6 +313,10 @@ def main(argv=None) -> int:
     except (DegenerateDataError, DegenerateFoldError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except MemoryError as exc:
+        # Typically numpy refusing an array that a size flag asks for.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -236,11 +236,13 @@ def fit_cell_mean(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.divide(sums, counts, out=means, where=counts > 0)
 
 
-def _cell_mean_predictions(data, folds, fold_z, targets):
+def _cell_mean_predictions(folds, key, counts, targets):
     """Cross-fitted cell means of each target, predicted at z=1 and z=0.
 
-    ``targets`` maps a name to per-unit values.  One pass tabulates each
-    fold's counts and target sums per (z, 1{x1 > 0}) cell.  Fold k is
+    ``key`` numbers each unit's (fold, z, 1{x1 > 0}) cell as 4*fold +
+    2*z + 1{x1 > 0}, and ``counts`` holds the units per cell in that order.
+    ``targets`` maps a name to per-unit values.  One pass per target
+    tabulates each fold's target sums per (z, 1{x1 > 0}) cell.  Fold k is
     fitted on the sum of the other folds' tables, added in fold order: the
     total minus fold k could cancel in a small cell.  The fitted means are
     checked in the cells that hold units, at z=1 then z=0 for each target,
@@ -248,10 +250,9 @@ def _cell_mean_predictions(data, folds, fold_z, targets):
     pair per target.
     """
     K, T = folds.K, len(targets)
-    pos = data.x[:, 0] > 0
-    key = fold_z * 2 + pos
-    tables = np.stack([np.bincount(key, weights=w, minlength=4 * K) for w in (None, *targets.values())])
-    tables = tables.reshape(-1, K, 2, 2)  # [counts or target sums, fold, z, pos]
+    sums = [np.bincount(key, weights=w, minlength=4 * K) for w in targets.values()]
+    # [counts or target sums, fold, z, pos]
+    tables = np.stack([counts.reshape(-1), *sums]).reshape(-1, K, 2, 2)
     train = np.zeros((K, T + 1, 2, 2))  # [fold, counts or target sums, z, pos]
     others = ~np.eye(K, dtype=bool)[:, :, None, None, None]
     for j in range(K):
@@ -294,8 +295,17 @@ def cross_fit(data: Dataset, spec: LearnerSpec, folds: FoldAssignment) -> Nuisan
     else:
         m1 = np.empty(n)
 
+    learners = {"g": (spec.g_learner, data.y), "r": (spec.r_learner, data.a)}
+    cell = {name: target for name, (learner, target) in learners.items() if learner == "cell_mean"}
     fold_z = folds.fold_of * 2 + data.z
-    z_counts = np.bincount(fold_z, minlength=2 * folds.K).reshape(folds.K, 2)
+    if cell:
+        # The cell means' count table, summed over 1{x1 > 0}, gives the units
+        # per (fold, z), so the units are counted once.
+        key = fold_z * 2 + (data.x[:, 0] > 0)
+        counts = np.bincount(key, minlength=4 * folds.K).reshape(folds.K, 2, 2)
+        z_counts = counts.sum(axis=-1)
+    else:
+        z_counts = np.bincount(fold_z, minlength=2 * folds.K).reshape(folds.K, 2)
     z_train = z_counts.sum(axis=0) - z_counts  # integer counts: subtraction is exact
     degenerate = np.flatnonzero(z_train.min(axis=1) == 0)
     if degenerate.size:
@@ -304,11 +314,9 @@ def cross_fit(data: Dataset, spec: LearnerSpec, folds: FoldAssignment) -> Nuisan
             f"training complement of fold {k} contains only instrument level {int(z_train[k, 1] > 0)}"
         )
 
-    learners = {"g": (spec.g_learner, data.y), "r": (spec.r_learner, data.a)}
     preds = {}  # name -> (prediction at z=1, prediction at z=0)
-    cell = {name: target for name, (learner, target) in learners.items() if learner == "cell_mean"}
     if cell:
-        preds.update(zip(cell, _cell_mean_predictions(data, folds, fold_z, cell)))
+        preds.update(zip(cell, _cell_mean_predictions(folds, key, counts, cell)))
     per_fold = [name for name in learners if name not in preds]
     for name in per_fold:
         preds[name] = (np.empty(n), np.empty(n))

@@ -17,27 +17,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _trusted
 from .errors import InvalidConfigError
 from .nuisance import NuisancePredictions
 
 
+def _check_finite(psi_a: np.ndarray, psi_b: np.ndarray) -> None:
+    if not (np.all(np.isfinite(psi_a)) and np.all(np.isfinite(psi_b))):
+        raise InvalidConfigError("scores must be finite")
+
+
 @dataclass(frozen=True)
 class ScoreSample:
-    """The paired per-unit score vectors (psi_a, psi_b)."""
+    """The paired per-unit score vectors (psi_a, psi_b).
+
+    Each is held as a read-only copy of its input, so the caller's arrays
+    stay writable and writing them cannot change the cached moments.
+    """
 
     psi_a: np.ndarray
     psi_b: np.ndarray
 
     def __post_init__(self) -> None:
-        psi_a = np.asarray(self.psi_a, dtype=float)
-        psi_b = np.asarray(self.psi_b, dtype=float)
+        psi_a = np.array(self.psi_a, dtype=float)
+        psi_b = np.array(self.psi_b, dtype=float)
         if psi_a.shape != psi_b.shape or psi_a.ndim != 1:
             raise InvalidConfigError(
                 f"score vectors must be 1-d and equal length, got {psi_a.shape} and {psi_b.shape}"
             )
-        if not (np.all(np.isfinite(psi_a)) and np.all(np.isfinite(psi_b))):
-            raise InvalidConfigError("scores must be finite")
+        _check_finite(psi_a, psi_b)
         psi_a.setflags(write=False)
         psi_b.setflags(write=False)
         object.__setattr__(self, "psi_a", psi_a)
@@ -76,7 +84,10 @@ def compute_scores(data: Dataset, preds: NuisancePredictions) -> ScoreSample:
     np.divide(2.0 * data.z - 1.0, weight, out=weight)
     psi_b = _score(weight, data.y, preds.g1, preds.g0, treated)
     psi_a = _score(weight, data.a, preds.r1, preds.r0, treated)
-    return ScoreSample(psi_a=psi_a, psi_b=psi_b)
+    # Both arrays are new and equal in length; no caller holds them, so
+    # they are frozen in place rather than copied.
+    _check_finite(psi_a, psi_b)
+    return _trusted(ScoreSample, psi_a=psi_a, psi_b=psi_b)
 
 
 def _score(weight, target, fit1, fit0, treated):

@@ -71,8 +71,8 @@ class DgpParams:
 def _draw(params: DgpParams, rng: np.random.Generator, size: int):
     """Draw ``size`` units (x, z, a, u) from the law, with z and a boolean.
 
-    This is the only consumer of the law's random stream, which it reads
-    in a fixed order: u, then x, then the uniform behind z.
+    It reads the law's random stream in a fixed order: u, then x, then the
+    uniform behind z.  :func:`draw_oracle_cells` reads it in the same order.
     """
     u = rng.standard_normal(size)
     x = rng.standard_normal(size)
@@ -96,6 +96,25 @@ def _norm_cdf(t: float) -> float:
 # Every oracle score is a function of the unit's cell (z, 1{x > 0}, a,
 # sign(u)), numbered 12*z + 6*1{x > 0} + 3*a + sign(u) + 1.
 N_CELLS = 24
+
+# Units per block in draw_oracle_cells, which bounds its float temporaries
+# to a block's worth.  Blocks read the random stream in order, so the cells
+# do not depend on the block size.
+_CELL_BLOCK = 65_536
+
+
+def _cell_of_code(code: int) -> int:
+    """The cell of the code 12*z + 6*1{x > 0} + 3*1{pi + u > 0} + sign(u) + 1.
+
+    The code has the cell's layout with 1{pi + u > 0} in place of a, which
+    equals it where z = 1 and x > 0 and is 1{u > 0} elsewhere.
+    """
+    z, pos, shifted, sign = code // 12, code // 6 % 2, code // 3 % 2, code % 3
+    a = shifted if z == 1 and pos == 1 else int(sign == 2)
+    return 12 * z + 6 * pos + 3 * a + sign
+
+
+_CELL_OF_CODE = np.array([_cell_of_code(code) for code in range(N_CELLS)], dtype=np.uint8)
 
 
 def oracle_cell_values(params: DgpParams) -> np.ndarray:
@@ -125,9 +144,29 @@ def oracle_cell_values(params: DgpParams) -> np.ndarray:
 
 
 def draw_oracle_cells(params: DgpParams, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw ``size`` units from the law and return their cell numbers as uint8."""
-    x, z, a, u = _draw(params, rng, size)
-    return np.uint8(12) * z + np.uint8(6) * (x > 0) + np.uint8(3) * a + (u > 0) + (u >= 0)
+    """Draw ``size`` units from the law and return their cell numbers as uint8.
+
+    The stream is read as :func:`_draw` reads it, all u, then all x, then
+    all uniforms behind z, each pass ``_CELL_BLOCK`` units at a time.  A
+    unit keeps one byte between passes, a code that the last pass maps to
+    its cell through ``_CELL_OF_CODE``.
+    """
+    cells = np.empty(size, dtype=np.uint8)
+    blocks = [cells[lo : lo + _CELL_BLOCK] for lo in range(0, size, _CELL_BLOCK)]
+    for code in blocks:
+        u = rng.standard_normal(code.size)
+        # sign(u) + 1 is 1{u > 0} + 1{u >= 0}, so a zero of either sign gives 1.
+        np.greater(u, 0.0, out=code.view(np.bool_))
+        code += u >= 0.0
+        # pi + u is _draw's pi*z*1{x > 0} + u, bit for bit, where z = 1 and x > 0.
+        u += params.pi
+        code += np.uint8(3) * (u > 0.0)
+    for code in blocks:
+        code += np.uint8(6) * (rng.standard_normal(code.size) > 0.0)
+    for code in blocks:
+        code += np.uint8(12) * (rng.random(code.size) < 0.5)
+        np.take(_CELL_OF_CODE, code, out=code)
+    return cells
 
 
 def oracle_scores(params: DgpParams, rng: np.random.Generator, size: int):

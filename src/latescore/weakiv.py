@@ -76,7 +76,7 @@ class WeakIVConfig:
         # every draw is 0 or NaN.
         if not 0.0 < self.c_a * self.c_a < math.inf:
             raise InvalidConfigError(f"c_a must be nonzero with c_a^2 in double range, got {self.c_a}")
-        sigma = np.asarray(self.sigma_ab, dtype=float)
+        sigma = np.array(self.sigma_ab, dtype=float)  # a copy, so the caller's stays writable
         _cholesky_2x2(sigma)  # validates symmetry and PSD
         sigma.setflags(write=False)
         object.__setattr__(self, "sigma_ab", sigma)

@@ -19,7 +19,7 @@ from latescore import (
     score_confidence_set,
 )
 from latescore.inference import instrument_strength
-from latescore.simulation import REPLICATION_COLUMNS, SUMMARY_COLUMNS, _splitmix64, aggregate
+from latescore.simulation import REPLICATION_COLUMNS, SUMMARY_COLUMNS, _draw, _splitmix64, aggregate
 
 
 def reference_draw(params, rng, size):
@@ -51,9 +51,21 @@ def reference_oracle_scores(params, rng, size):
     return psi_a, psi_b, r1 - r0, g1 - g0
 
 
+def reference_draw_oracle_cells(params, rng, size):
+    """The oracle cell draw that the block reader replaced: the law's full
+    float arrays from _draw, then the cell formula on them."""
+    x, z, a, u = _draw(params, rng, size)
+    return np.uint8(12) * z + np.uint8(6) * (x > 0) + np.uint8(3) * a + (u > 0) + (u >= 0)
+
+
 @pytest.fixture(scope="session")
 def reference_oracle():
     return reference_oracle_scores
+
+
+@pytest.fixture(scope="session")
+def reference_oracle_cells():
+    return reference_draw_oracle_cells
 
 
 @pytest.fixture(scope="session")

@@ -500,6 +500,18 @@ class TestScan:
         assert status == 2
         _assert_one_error_line(capsys)
 
+    def test_grid_too_large_to_allocate_exits_2_leaving_no_file(self, tmp_path, capsys):
+        # 10^14 float64s are 728 TiB, more than a 47-bit address space maps,
+        # so numpy refuses the array before anything is allocated.
+        data_path = _export_dgp(tmp_path, pi=5.0, n=100, seed=38, name="scan6.csv")
+        out_path = tmp_path / "out" / "s.csv"
+        out_path.parent.mkdir()
+        capsys.readouterr()
+        status = main(_scan_argv(data_path, -1.0, 1.0, 10**14, str(out_path)))
+        assert status == 2
+        _assert_one_error_line(capsys)
+        _assert_no_files(out_path.parent)
+
     def test_bad_grid_exits_2(self, tmp_path):
         data_path = _export_dgp(tmp_path, pi=5.0, n=100, seed=38, name="scan4.csv")
         status = main([
@@ -556,6 +568,18 @@ class TestWeakIVLimit:
         ])
         assert status == 2
         _assert_one_error_line(capsys)
+
+    def test_samples_too_many_to_allocate_exit_2_leaving_no_file(self, tmp_path, capsys):
+        # 10^14 draws are 728 TiB, refused by numpy before anything is allocated.
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        status = main([
+            "weakiv-limit", "--ca", "1", "--cb", "1", "--s11", "1", "--s12", "0",
+            "--s22", "1", "--samples", str(10**14), "--out", str(out_dir / "d.csv"),
+        ])
+        assert status == 2
+        _assert_one_error_line(capsys)
+        _assert_no_files(out_dir)
 
     def test_negative_value_in_scientific_notation(self, tmp_path):
         paths = [str(tmp_path / "spaced.csv"), str(tmp_path / "joined.csv")]
@@ -647,6 +671,18 @@ class TestEntryPoint:
         assert status == 2
         _assert_one_error_line(capsys)
         assert not out_path.exists()
+
+    def test_a_memory_error_without_a_message_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("latescore.cli.sample_weak_limit", no_memory)
+        status = main([
+            "weakiv-limit", "--ca", "1", "--cb", "0", "--s11", "1", "--s12", "0", "--s22", "1",
+            "--out", str(tmp_path / "d.csv"),
+        ])
+        assert status == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
 
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

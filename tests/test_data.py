@@ -14,6 +14,8 @@ from latescore import (
     FoldAssignment,
     InvalidConfigError,
     NuisancePredictions,
+    ScoreSample,
+    WeakIVConfig,
     load_csv,
     make_folds,
     write_csv,
@@ -134,17 +136,23 @@ def test_public_constructors_leave_the_callers_arrays_writable():
     )
     predictions = {name: np.array(values) for name, values in _PREDICTIONS.items()}
     fold_of = np.array([0, 1, 1, 0])
+    scores = dict(psi_a=np.array([0.5, -1.0]), psi_b=np.array([2.0, 0.0]))
+    sigma = {"sigma_ab": np.array([[1.0, 0.5], [0.5, 2.0]])}
+    # (container, its array inputs, whether it holds views of them)
     built = [
-        (Dataset(**columns), columns),
-        (NuisancePredictions(**predictions), predictions),
-        (FoldAssignment(fold_of=fold_of, K=2), {"fold_of": fold_of}),
+        (Dataset(**columns), columns, True),
+        (NuisancePredictions(**predictions), predictions, True),
+        (FoldAssignment(fold_of=fold_of, K=2), {"fold_of": fold_of}, True),
+        # A copy: the cached moments need score arrays nobody can write.
+        (ScoreSample(**scores), scores, False),
+        (WeakIVConfig(c_a=1.0, c_b=0.0, **sigma), sigma, False),
     ]
-    for container, inputs in built:
+    for container, inputs, views in built:
         for name, given in inputs.items():
             held = getattr(container, name)
             assert given.flags.writeable and not held.flags.writeable, name
-            # No cast was needed, so the container holds a view, not a copy.
-            assert np.shares_memory(held, given), name
+            # No cast was needed, so a container of views shares the memory.
+            assert np.shares_memory(held, given) == views, name
 
 
 def test_public_constructors_take_lists():

@@ -226,6 +226,21 @@ class TestCrossFit:
         with pytest.raises(DegenerateFoldError, match="fold 0"):
             cross_fit(data, _cellmean_spec(K=2), folds)
 
+    def test_mixed_learners_match_each_learner_alone(self):
+        # The cell-mean and per-fold halves of one cross_fit share the fold
+        # counts; each half must predict as it does without the other.
+        data = dgp_generate(DgpParams(pi=5.0, n=301), seed=4)
+        folds = make_folds(301, 5, seed=5)
+        cells = cross_fit(data, LearnerSpec(g_learner="cell_mean", r_learner="cell_mean", K=5), folds)
+        regressions = cross_fit(data, LearnerSpec(K=5), folds)
+        for g, r, g_from, r_from in [
+            ("cell_mean", "logistic", cells, regressions),
+            ("ols_linear", "cell_mean", regressions, cells),
+        ]:
+            mixed = cross_fit(data, LearnerSpec(g_learner=g, r_learner=r, K=5), folds)
+            for name, want in [("g1", g_from), ("g0", g_from), ("r1", r_from), ("r0", r_from), ("m1", regressions)]:
+                assert getattr(mixed, name).tobytes() == getattr(want, name).tobytes(), (g, r, name)
+
     def test_deterministic(self):
         data = _simple_dataset(n=64, seed=7)
         folds = make_folds(64, 4, seed=8)

@@ -123,6 +123,12 @@ class TestComputeScores:
         with pytest.raises(InvalidConfigError):
             compute_scores(data, _preds(3, 0.0, 0.0, 0.5, 0.5, 0.5))
 
+    def test_non_finite_scores_rejected(self):
+        # y - g(z) overflows to +inf for the treated unit.
+        data = Dataset(y=[1e308, 0.0], a=[0, 1], z=[1, 0], x=[[0.0], [0.0]])
+        with np.errstate(over="ignore"), pytest.raises(InvalidConfigError, match="scores must be finite"):
+            compute_scores(data, _preds(2, -1e308, 0.0, 0.5, 0.5, 0.5))
+
 
 def _mc_itt_ratio(draw_fn, draws, seed):
     """Independent oracle: ratio of intent-to-treat contrasts by simulation.
@@ -178,3 +184,13 @@ class TestScoreSample:
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidConfigError):
             ScoreSample(psi_a=np.array([1.0, np.inf]), psi_b=np.zeros(2))
+
+    def test_writing_the_callers_arrays_leaves_the_moments_unchanged(self):
+        psi_a, psi_b = np.array([1.0, 2.0, 4.0]), np.array([0.5, -1.0, 3.0])
+        scores = ScoreSample(psi_a=psi_a, psi_b=psi_b)
+        want = ScoreSample(psi_a=psi_a.copy(), psi_b=psi_b.copy()).moments()
+        psi_a[:] = 100.0
+        psi_b[:] = -100.0
+        assert scores.moments() == want
+        assert scores.psi_a.tolist() == [1.0, 2.0, 4.0]
+        assert scores.psi_b.tolist() == [0.5, -1.0, 3.0]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
@@ -24,6 +25,7 @@ from latescore import (
     write_replications_csv,
     write_summary_csv,
 )
+from latescore.simulation import _CELL_BLOCK as _B
 from latescore.simulation import N_CELLS, _draw, draw_oracle_cells
 
 _PI = st.sampled_from([0.0, -0.0, 0.15 / math.sqrt(5000), 1.0, -1.0, 5.0, -40.0]) | st.floats(-10.0, 10.0)
@@ -161,6 +163,57 @@ class TestOracleCellTable:
         assert cells.dtype == np.uint8
         assert cells.tolist() == expected.tolist()
         assert N_CELLS == 24
+
+
+class _RecordingRng:
+    """A Generator that records the kind and size of every request."""
+
+    def __init__(self, seed):
+        self.rng = np.random.Generator(np.random.PCG64(seed))
+        self.requests = []
+
+    def standard_normal(self, size):
+        self.requests.append(("normal", size))
+        return self.rng.standard_normal(size)
+
+    def random(self, size):
+        self.requests.append(("uniform", size))
+        return self.rng.random(size)
+
+
+class TestBlockCellReader:
+    """The block-wise cell reader against the full-array draw it replaced."""
+
+    @pytest.mark.parametrize("size", [_B - 1, _B, _B + 1, 2 * _B + 1])
+    @pytest.mark.parametrize("pi", [0.15 / math.sqrt(5000), 5.0, -3.0], ids=["weak", "5", "-3"])
+    def test_same_bytes_as_the_full_array_draw(self, reference_oracle_cells, pi, size):
+        params = DgpParams(pi=pi, n=5000)
+        got = draw_oracle_cells(params, np.random.Generator(np.random.PCG64(9)), size)
+        want = reference_oracle_cells(params, np.random.Generator(np.random.PCG64(9)), size)
+        assert got.dtype == want.dtype == np.uint8
+        assert got.tobytes() == want.tobytes()
+
+    def test_reads_u_then_x_then_the_uniforms_block_by_block(self, reference_oracle_cells):
+        params = DgpParams(pi=0.5, n=100)
+        rng = _RecordingRng(3)
+        cells = draw_oracle_cells(params, rng, 2 * _B + 3)
+        blocks = [_B, _B, 3]
+        assert rng.requests == [("normal", m) for m in 2 * blocks] + [("uniform", m) for m in blocks]
+        want = reference_oracle_cells(params, np.random.Generator(np.random.PCG64(3)), 2 * _B + 3)
+        assert cells.tobytes() == want.tobytes()
+
+    def test_peak_memory_is_at_most_three_times_the_result(self):
+        params = DgpParams(pi=0.15 / math.sqrt(5000), n=5000)
+        rng = np.random.Generator(np.random.PCG64(1))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            cells = draw_oracle_cells(params, rng, 10**6)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * cells.nbytes
 
 
 class TestReplicationSeeds:

@@ -310,6 +310,19 @@ class TestCalibratorAgainstBruteForce:
             assert math.isclose(g, w, rel_tol=1e-12, abs_tol=0.0), (got, want)
 
 
+class TestCalibratorAgainstFullArrayCells:
+    @pytest.mark.parametrize("pi", [0.15 / math.sqrt(5000), 5.0, -3.0], ids=["weak", "5", "-3"])
+    def test_same_calibration_as_counting_the_reference_cells(self, monkeypatch, reference_oracle_cells, pi):
+        # 1,000,001 draws: one full batch and a one-draw batch.
+        params = DgpParams(pi=pi, n=5000)
+        got = estimate_weakiv_config(params, oracle_draws=1_000_001, seed=5)
+        monkeypatch.setattr(weakiv, "draw_oracle_cells", reference_oracle_cells)
+        want = estimate_weakiv_config(params, oracle_draws=1_000_001, seed=5)
+        assert got.sigma_ab.tobytes() == want.sigma_ab.tobytes()
+        for name in ("c_a", "c_b", "ca_se", "cb_se", "ca_violated", "cb_violated", "draws"):
+            assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+
+
 class TestKsDistance:
     def test_identical_samples(self):
         x = np.array([3.0, 1.0, 2.0])
