@@ -14,6 +14,7 @@ cannot be made included), 3 degenerate data.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import re
@@ -166,6 +167,17 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _missing_dirs(path: str) -> list[str]:
+    """The directories that os.makedirs(path) would create, deepest first."""
+    missing = []
+    # Not normalized: makedirs also creates the directory before a "..".
+    path = os.path.join(os.getcwd(), path)
+    while not os.path.exists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
+
+
 def cmd_simulate(args) -> int:
     try:
         n_grid = tuple(int(v) for v in args.n.split(","))
@@ -185,8 +197,17 @@ def cmd_simulate(args) -> int:
             m_value=0.5,
         ),
     )
+    # Made before the study, so that a directory that cannot be made fails
+    # fast; if the study fails, the directories made here are removed.
+    made = _missing_dirs(args.out_dir)
     os.makedirs(args.out_dir, exist_ok=True)
-    cells = run_study(spec)
+    try:
+        cells = run_study(spec)
+    except BaseException:
+        for path in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
     for cell in cells:
         print(
             f"setting={cell.setting} n={cell.n} pi={cell.pi:.6g}: "

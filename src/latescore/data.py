@@ -26,10 +26,12 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return view
 
 
-def _check_fold_count(K) -> None:
-    """Refuse a fold count that is not an integer; a bool is refused too."""
-    if isinstance(K, bool) or not isinstance(K, (int, np.integer)):
-        raise InvalidConfigError(f"fold count must be an integer, got {K!r}")
+def _check_integer(value, name: str) -> int:
+    """``value`` as a Python int; a ``name`` that is not a Python or numpy
+    integer is refused, and so is a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 class Dataset:
@@ -119,7 +121,7 @@ class FoldAssignment:
     K: int
 
     def __post_init__(self) -> None:
-        _check_fold_count(self.K)
+        _check_integer(self.K, "fold count")
         fold_of = np.asarray(self.fold_of)
         if fold_of.size == 0:
             raise InvalidConfigError("a fold assignment needs at least one unit")
@@ -147,7 +149,7 @@ def make_folds(n: int, K: int, seed: int) -> FoldAssignment:
     permuted order is split contiguously, so the first ``n mod K`` folds
     receive one extra unit.
     """
-    _check_fold_count(K)
+    _check_integer(K, "fold count")
     if K < 2 or K > n:
         raise InvalidConfigError(f"fold count must satisfy 2 <= K <= n, got K={K}, n={n}")
     rng = np.random.Generator(np.random.PCG64(seed))

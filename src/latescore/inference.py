@@ -266,8 +266,10 @@ def drml_estimate(scores: ScoreSample, alpha: float) -> DrmlResult:
             "and the score confidence set should be used instead"
         )
     phi_hat = mb / ma
-    resid = scores.psi_b - phi_hat * scores.psi_a
-    sigma2 = float(np.mean(resid * resid)) / (ma * ma)
+    # mean((psi_b - phi_hat*psi_a)^2), in one buffer.
+    resid = np.multiply(scores.psi_a, phi_hat)
+    np.subtract(scores.psi_b, resid, out=resid)
+    sigma2 = float(np.add.reduce(np.multiply(resid, resid, out=resid))) / n / (ma * ma)
     half = z * math.sqrt(sigma2 / n)
     return DrmlResult(
         phi_hat=phi_hat,

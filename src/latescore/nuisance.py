@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, FoldAssignment, _check_fold_count, _read_only, _trusted
+from .data import Dataset, FoldAssignment, _check_integer, _read_only, _trusted
 from .errors import DegenerateFoldError, InvalidConfigError
 
 G_LEARNERS = ("ols_linear", "cell_mean")
@@ -51,7 +51,7 @@ class LearnerSpec:
             raise InvalidConfigError(f"unknown m learner {self.m_learner!r}")
         if not 0.0 < self.clip_eps < 0.5:
             raise InvalidConfigError(f"clip_eps must lie in (0, 0.5), got {self.clip_eps}")
-        _check_fold_count(self.K)
+        _check_integer(self.K, "fold count")
         if self.K < 2:
             raise InvalidConfigError(f"fold count must be at least 2, got {self.K}")
         if self.m_learner == "known_constant" and not 0.0 < self.m_value < 1.0:
@@ -224,16 +224,19 @@ def fit_cell_mean(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
     means are exactly correct for data whose conditional means depend on
     the covariates only through the sign of the first one.
     """
-    sums = np.asarray(sums, dtype=float)
-    counts = np.asarray(counts, dtype=float)
-    # np.add.reduce and fill are sum() and np.full without their Python
-    # wrappers; cross_fit calls this once per fold and target.
-    total = np.add.reduce(counts, axis=None)
+    # On the table's four Python floats; cross_fit calls this once per fold
+    # and target.  Each total is np.add.reduce's sum of four elements: from
+    # 0.0, left to right.
+    (s00, s01), (s10, s11) = np.asarray(sums, dtype=float).tolist()
+    (c00, c01), (c10, c11) = np.asarray(counts, dtype=float).tolist()
+    total = 0.0 + c00 + c01 + c10 + c11
     if total < 1:
         raise InvalidConfigError("fit_cell_mean needs a non-empty table")
-    means = np.empty((2, 2))
-    means.fill(np.add.reduce(sums, axis=None) / total)
-    return np.divide(sums, counts, out=means, where=counts > 0)
+    fill = (0.0 + s00 + s01 + s10 + s11) / total
+    return np.array([
+        [s00 / c00 if c00 > 0 else fill, s01 / c01 if c01 > 0 else fill],
+        [s10 / c10 if c10 > 0 else fill, s11 / c11 if c11 > 0 else fill],
+    ])
 
 
 def _cell_mean_predictions(folds, key, counts, targets):
@@ -291,20 +294,23 @@ def cross_fit(data: Dataset, spec: LearnerSpec, folds: FoldAssignment) -> Nuisan
         raise InvalidConfigError("cell-mean learners split on the first covariate; the data has none")
     n = data.n
     if spec.m_learner == "known_constant":
-        m1 = np.full(n, spec.m_value, dtype=float)
+        # The constant is clipped once, not the n copies of it.
+        m1 = np.full(n, min(max(spec.m_value, spec.clip_eps), 1.0 - spec.clip_eps), dtype=float)
     else:
         m1 = np.empty(n)
 
     learners = {"g": (spec.g_learner, data.y), "r": (spec.r_learner, data.a)}
     cell = {name: target for name, (learner, target) in learners.items() if learner == "cell_mean"}
-    fold_z = folds.fold_of * 2 + data.z
     if cell:
         # The cell means' count table, summed over 1{x1 > 0}, gives the units
         # per (fold, z), so the units are counted once.
-        key = fold_z * 2 + (data.x[:, 0] > 0)
+        key = folds.fold_of * 4
+        key += 2 * data.z
+        key += data.x[:, 0] > 0
         counts = np.bincount(key, minlength=4 * folds.K).reshape(folds.K, 2, 2)
         z_counts = counts.sum(axis=-1)
     else:
+        fold_z = folds.fold_of * 2 + data.z
         z_counts = np.bincount(fold_z, minlength=2 * folds.K).reshape(folds.K, 2)
     z_train = z_counts.sum(axis=0) - z_counts  # integer counts: subtraction is exact
     degenerate = np.flatnonzero(z_train.min(axis=1) == 0)
@@ -351,7 +357,8 @@ def cross_fit(data: Dataset, spec: LearnerSpec, folds: FoldAssignment) -> Nuisan
                     preds[name][column][test] = _predict(model, block)
 
     (g1, g0), (r1, r0) = preds["g"], preds["r"]
-    m1 = np.clip(m1, spec.clip_eps, 1.0 - spec.clip_eps)
+    if spec.m_learner == "logistic":
+        np.clip(m1, spec.clip_eps, 1.0 - spec.clip_eps, out=m1)
     if spec.m_learner == "known_constant" and not per_fold:
         # Cell means were checked where units read them, those of a 0/1
         # treatment lie in [0, 1], and a known m1 clipped so lies in (0, 1).

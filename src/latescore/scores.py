@@ -23,7 +23,7 @@ from .nuisance import NuisancePredictions
 
 
 def _check_finite(psi_a: np.ndarray, psi_b: np.ndarray) -> None:
-    if not (np.all(np.isfinite(psi_a)) and np.all(np.isfinite(psi_b))):
+    if not (np.isfinite(psi_a).all() and np.isfinite(psi_b).all()):
         raise InvalidConfigError("scores must be finite")
 
 
@@ -63,14 +63,13 @@ class ScoreSample:
         the score arrays are read-only.
         """
         if "_moments" not in self.__dict__:
-            psi_a, psi_b = self.psi_a, self.psi_b
-            self.__dict__["_moments"] = (
-                float(np.mean(psi_a)),
-                float(np.mean(psi_b)),
-                float(np.mean(psi_a * psi_a)),
-                float(np.mean(psi_b * psi_b)),
-                float(np.mean(psi_a * psi_b)),
-            )
+            psi_a, psi_b, n = self.psi_a, self.psi_b, self.n
+            # np.mean's pairwise sum divided by n, with the products in one buffer.
+            product = np.multiply(psi_a, psi_a)
+            sums = [np.add.reduce(psi_a), np.add.reduce(psi_b), np.add.reduce(product)]
+            sums.append(np.add.reduce(np.multiply(psi_b, psi_b, out=product)))
+            sums.append(np.add.reduce(np.multiply(psi_a, psi_b, out=product)))
+            self.__dict__["_moments"] = tuple(float(v) / n for v in sums)
         return self.__dict__["_moments"]
 
 

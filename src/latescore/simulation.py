@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, _trusted, _write_columns, make_folds
+from .data import Dataset, _check_integer, _trusted, _write_columns, make_folds
 from .errors import DegenerateDataError, InvalidConfigError, LatescoreError
 from .inference import _z_crit, drml_estimate, instrument_strength, score_confidence_set
 from .nuisance import LearnerSpec, cross_fit
@@ -60,6 +60,8 @@ class DgpParams:
     treatment_shift: float = 0.0
 
     def __post_init__(self) -> None:
+        # Sizes are kept as Python ints: a numpy integer overflows the seed mixer.
+        object.__setattr__(self, "n", _check_integer(self.n, "sample size"))
         if self.n < 2:
             raise InvalidConfigError(f"sample size must be at least 2, got {self.n}")
         if not np.isfinite(self.pi):
@@ -77,14 +79,20 @@ def _draw(params: DgpParams, rng: np.random.Generator, size: int):
     u = rng.standard_normal(size)
     x = rng.standard_normal(size)
     z = rng.random(size) < 0.5
-    a = params.pi * z * (x > 0) + u > 0
+    # The law's pi*z*1{x > 0} + u > 0, read as a threshold on u: pi + u > 0
+    # exactly when u > -pi, and elsewhere the threshold is a zero of either sign.
+    a = u > np.multiply(z & (x > 0), -params.pi)
     return x, z, a, u
 
 
 def dgp_generate(params: DgpParams, seed: int) -> Dataset:
     """Draw one sample from the law, deterministically in the seed."""
     x, z, a, u = _draw(params, np.random.Generator(np.random.PCG64(seed)), params.n)
-    y = 2.0 * np.sign(u) + params.treatment_shift * a
+    # 2*sign(u) + treatment_shift*a, in one buffer.  (np.sign is several
+    # times slower writing over its input than into a new array.)
+    y = np.sign(u)
+    y *= 2.0
+    y += params.treatment_shift * a
     # n >= 2, a and z are boolean, and y is finite with a finite shift.
     return _trusted(Dataset, y=y, a=a.astype(int), z=z.astype(int), x=x.reshape(-1, 1))
 
@@ -216,9 +224,12 @@ class StudySpec:
             raise InvalidConfigError("setting='custom' needs pi != 0, where the target ratio is defined")
         if self.setting == "custom" and not math.isfinite(self.pi):
             raise InvalidConfigError(f"setting='custom' needs a finite pi, got {self.pi}")
+        # Sizes are kept as Python ints: a numpy integer overflows the seed mixer.
+        object.__setattr__(self, "reps", _check_integer(self.reps, "replication count"))
         if self.reps < 1:
             raise InvalidConfigError(f"replication count must be at least 1, got {self.reps}")
         _z_crit(self.alpha)  # refuses an alpha whose normal quantile is not finite
+        object.__setattr__(self, "n_grid", tuple(_check_integer(n, "sample size") for n in self.n_grid))
         if len(self.n_grid) == 0 or any(n < 2 for n in self.n_grid):
             raise InvalidConfigError("n_grid must list sample sizes of at least 2")
         for n in self.n_grid:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecompositionError, InvalidConfigError
-from .simulation import N_CELLS, DgpParams, draw_oracle_cells, oracle_cell_values
+from .simulation import _CELL_BLOCK, N_CELLS, DgpParams, draw_oracle_cells, oracle_cell_values
 
 # Oracle draws per batch in the calibrator, which bounds its memory.  The
 # batch edges fix the order in which the random stream is read.
@@ -172,7 +172,11 @@ def estimate_weakiv_config(
     counts = np.zeros(N_CELLS, dtype=np.int64)
     while total < oracle_draws:
         m = min(_ORACLE_BATCH, oracle_draws - total)
-        counts += np.bincount(draw_oracle_cells(params, rng, m), minlength=N_CELLS)
+        cells = draw_oracle_cells(params, rng, m)
+        # np.bincount casts its input to intp, eight bytes a cell: count a
+        # block at a time, not the whole uint8 batch at once.
+        for lo in range(0, m, _CELL_BLOCK):
+            counts += np.bincount(cells[lo : lo + _CELL_BLOCK], minlength=N_CELLS)
         total += m
     psi_a, psi_b, ca, cb = oracle_cell_values(params)
     cell_terms = [psi_a, psi_b, psi_a * psi_a, psi_b * psi_b, psi_a * psi_b, ca, ca * ca, cb, cb * cb]

@@ -315,6 +315,11 @@ def reference_fit_cell_mean(sums, counts):
     return np.divide(sums, counts, out=np.full((2, 2), sums.sum() / total), where=counts > 0)
 
 
+@pytest.fixture(scope="session")
+def reference_cell_mean_fit():
+    return reference_fit_cell_mean
+
+
 def reference_make_folds(n, K, seed):
     perm = np.random.Generator(np.random.PCG64(seed)).permutation(n)
     base, extra = divmod(n, K)

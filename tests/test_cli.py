@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from latescore import (
     Dataset,
+    DegenerateDataError,
     DgpParams,
     LearnerSpec,
     compute_scores,
@@ -319,6 +320,45 @@ class TestSimulate:
         assert status == 2
         _assert_one_error_line(capsys)
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("error, status", [
+        (MemoryError("Unable to allocate 728. TiB"), 2),
+        (DegenerateDataError("setting=weak n=5: all 2 replications failed"), 3),
+    ], ids=["memory", "degenerate"])
+    def test_a_failed_study_removes_the_directories_it_made(self, tmp_path, capsys, monkeypatch, error, status):
+        def failing_study(spec):
+            assert (tmp_path / "new" / "study").is_dir()
+            raise error
+
+        monkeypatch.setattr("latescore.cli.run_study", failing_study)
+        argv = ["simulate", "--n", "100", "--reps", "2", "--out-dir", str(tmp_path / "new" / "study")]
+        assert main(argv) == status
+        _assert_one_error_line(capsys)
+        assert list(tmp_path.iterdir()) == []
+        # os.makedirs makes "skipped" on the way to "new/study", and both go.
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv[:-1], "skipped/../new/study"]) == status
+        _assert_one_error_line(capsys)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("error, status", [
+        (MemoryError(), 2),
+        (DegenerateDataError("setting=weak n=5: all 2 replications failed"), 3),
+    ], ids=["memory", "degenerate"])
+    def test_a_failed_study_keeps_a_directory_that_existed(self, tmp_path, capsys, monkeypatch, error, status):
+        def failing_study(spec):
+            raise error
+
+        monkeypatch.setattr("latescore.cli.run_study", failing_study)
+        out_dir = tmp_path / "study"
+        out_dir.mkdir()
+        assert main(["simulate", "--n", "100", "--reps", "2", "--out-dir", str(out_dir)]) == status
+        _assert_one_error_line(capsys)
+        assert out_dir.is_dir() and list(out_dir.iterdir()) == []
+        # Only the missing part of a path is made, and only it is removed.
+        assert main(["simulate", "--n", "100", "--reps", "2", "--out-dir", str(out_dir / "a" / "b")]) == status
+        _assert_one_error_line(capsys)
+        assert out_dir.is_dir() and list(out_dir.iterdir()) == []
 
     def test_custom_minus_inf_pi_as_its_own_argument_exits_2(self, tmp_path, capsys):
         out_dir = tmp_path / "c"

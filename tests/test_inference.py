@@ -426,13 +426,18 @@ class TestDnStatistic:
 
 
 class TestScoreSampleMoments:
-    def test_taken_once_and_kept(self, monkeypatch):
+    def test_taken_once_and_kept(self):
         s = random_scores(np.random.Generator(np.random.PCG64(3)))
+        twin = ScoreSample(psi_a=s.psi_a, psi_b=s.psi_b)
         first = s.moments()
-        monkeypatch.setattr(np, "mean", lambda *args, **kwargs: pytest.fail("moments were taken again"))
+        # Other scores behind the cache: whatever takes the moments again,
+        # however it sums, reads these and gets other numbers.
+        object.__setattr__(s, "psi_a", s.psi_a[::-1] * 3.0)
+        object.__setattr__(s, "psi_b", s.psi_b[::-1] - 1.0)
         assert s.moments() is first
-        quad_coefficients(s, 0.05)
-        score_statistic(s, np.linspace(-1.0, 1.0, 5))
+        assert quad_coefficients(s, 0.05) == quad_coefficients(twin, 0.05)
+        theta = np.linspace(-1.0, 1.0, 5)
+        assert score_statistic(s, theta).tobytes() == score_statistic(twin, theta).tobytes()
 
 
 class TestEquivariance:

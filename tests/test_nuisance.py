@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latescore import (
@@ -146,6 +146,53 @@ class TestFitCellMean:
         # one unit, z=1 and x1=0.5, with value 2.5
         means = fit_cell_mean(np.array([[0.0, 0.0], [0.0, 2.5]]), np.array([[0, 0], [0, 1]]))
         assert means.tolist() == [[2.5, 2.5], [2.5, 2.5]]
+
+
+def _fit_outcome(fit, sums, counts):
+    """A fit's result as (dtype, shape, bytes), or its error as (type, message)."""
+    try:
+        means = fit(sums, counts)
+    except InvalidConfigError as exc:
+        return type(exc), str(exc)
+    return means.dtype, means.shape, means.tobytes()
+
+
+_CELL_SUM = st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308])
+_CELL_COUNT = st.integers(0, 3) | st.integers(0, 2**53)
+
+
+class TestFitCellMeanAgainstReference:
+    """fit_cell_mean on Python floats against the numpy form it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # Four equal sums reach the signed zeros: only -0.0 four times sums to -0.0.
+        sums=st.lists(_CELL_SUM, min_size=4, max_size=4) | _CELL_SUM.map(lambda v: [v] * 4),
+        counts=st.lists(_CELL_COUNT, min_size=4, max_size=4),
+        form=st.sampled_from(["array", "float array", "list"]),
+    )
+    @example(sums=[-0.0] * 4, counts=[0, 1, 2, 0], form="array")
+    def test_same_bits_or_same_error(self, reference_cell_mean_fit, sums, counts, form):
+        if form == "list":
+            tables = [sums[:2], sums[2:]], [counts[:2], counts[2:]]
+        else:
+            kind = float if form == "float array" else int
+            tables = np.array(sums).reshape(2, 2), np.array(counts, dtype=kind).reshape(2, 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _fit_outcome(reference_cell_mean_fit, *tables)
+        assert _fit_outcome(fit_cell_mean, *tables) == want
+
+    def test_an_all_empty_table_raises_the_same_error(self, reference_cell_mean_fit):
+        sums, counts = [[1.0, -0.0], [2.5, 0.0]], np.zeros((2, 2), dtype=int)
+        want = _fit_outcome(reference_cell_mean_fit, sums, counts)
+        assert want[0] is InvalidConfigError
+        assert _fit_outcome(fit_cell_mean, sums, counts) == want
+
+    def test_returns_a_new_array(self):
+        sums, counts = np.ones((2, 2)), np.ones((2, 2))
+        means = fit_cell_mean(sums, counts)
+        assert not np.shares_memory(means, sums) and not np.shares_memory(means, counts)
+        assert means.flags.writeable
 
 
 def _simple_dataset(n=60, seed=0, pi=5.0):

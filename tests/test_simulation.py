@@ -45,6 +45,15 @@ class TestDgpParams:
         with pytest.raises(InvalidConfigError):
             DgpParams(**kwargs)
 
+    @pytest.mark.parametrize("n", [300.0, 300.5, True, np.float64(300.0), "300"])
+    def test_rejects_a_sample_size_that_is_not_an_integer(self, n):
+        with pytest.raises(InvalidConfigError, match="sample size must be an integer"):
+            DgpParams(pi=1.0, n=n)
+
+    def test_keeps_a_numpy_integer_sample_size_as_a_python_int(self):
+        n = DgpParams(pi=1.0, n=np.int64(300)).n
+        assert n == 300 and type(n) is int
+
 
 class TestDgpGenerate:
     def test_no_instrument_effect_balanced_treatment(self):
@@ -163,6 +172,22 @@ class TestOracleCellTable:
         assert cells.dtype == np.uint8
         assert cells.tolist() == expected.tolist()
         assert N_CELLS == 24
+
+
+class TestDrawTreatment:
+    """_draw's treatment threshold against the law's formula it replaced."""
+
+    @pytest.mark.parametrize("pi", [0.15 / math.sqrt(5000), 5.0, -3.0, 1e-300], ids=["weak", "5", "-3", "1e-300"])
+    def test_matches_the_law_at_the_boundaries(self, pi):
+        edges = [0.0, -0.0, 5e-324, -5e-324, -pi, math.nextafter(-pi, math.inf), math.nextafter(-pi, -math.inf)]
+        # Every edge value of u with each (z, sign of x) pair, x = +-0.0 included.
+        u, x, z = (np.array(column) for column in zip(*itertools.product(edges, [1.0, -1.0, 0.0, -0.0], [0, 1])))
+        uniform = np.where(z == 1, 0.25, 0.75)
+        x_got, z_got, a, u_got = _draw(DgpParams(pi=pi, n=2), _ScriptedRng(u, x, uniform), u.size)
+        assert u_got.tobytes() == u.tobytes() and x_got.tobytes() == x.tobytes()
+        assert z_got.tolist() == (z == 1).tolist()
+        assert a.dtype == np.bool_
+        assert a.tolist() == (pi * (z == 1) * (x > 0) + u > 0).tolist()
 
 
 class _RecordingRng:
@@ -393,6 +418,22 @@ class TestStudySpecValidation:
     def test_rejects_n_below_fold_count(self):
         with pytest.raises(InvalidConfigError, match=r"n=4 is below the fold count K=5"):
             StudySpec(n_grid=(300, 4, 3))
+
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(reps=2.5), "replication count"),
+        (dict(reps=3.0), "replication count"),
+        (dict(reps=True), "replication count"),
+        (dict(n_grid=(300.5,)), "sample size"),
+        (dict(n_grid=(300, 600.0)), "sample size"),
+        (dict(n_grid=(True, 300)), "sample size"),
+    ])
+    def test_rejects_sizes_that_are_not_integers(self, kwargs, field):
+        with pytest.raises(InvalidConfigError, match=f"{field} must be an integer"):
+            StudySpec(**kwargs)
+
+    def test_takes_numpy_integer_sizes(self):
+        spec = StudySpec(reps=np.int64(2), n_grid=(np.int32(40), np.int64(50)))
+        assert [len(cell.results) + len(cell.failures) for cell in run_study(spec)] == [2, 2]
 
 
 class TestStudyWritersAgainstFStringReference:

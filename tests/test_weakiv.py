@@ -323,6 +323,33 @@ class TestCalibratorAgainstFullArrayCells:
             assert repr(getattr(got, name)) == repr(getattr(want, name)), name
 
 
+class TestCalibratorCounts:
+    def test_count_slices_do_not_change_the_calibration(self, monkeypatch):
+        # 250,003 draws in one batch, counted in slices of 65,536 and of 999.
+        params = DgpParams(pi=0.15 / math.sqrt(5000), n=5000)
+        want = estimate_weakiv_config(params, oracle_draws=250_003, seed=6)
+        monkeypatch.setattr(weakiv, "_CELL_BLOCK", 999)
+        got = estimate_weakiv_config(params, oracle_draws=250_003, seed=6)
+        assert got.sigma_ab.tobytes() == want.sigma_ab.tobytes()
+        for name in ("c_a", "c_b", "ca_se", "cb_se", "ca_violated", "cb_violated", "draws"):
+            assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+
+    def test_peak_memory_of_a_batch_is_at_most_3_mb(self):
+        # One batch of 10^6 draws holds 1 MB of cells; counting them all at
+        # once would cast them to 8 MB of indices.
+        params = DgpParams(pi=0.15 / math.sqrt(5000), n=5000)
+        estimate_weakiv_config(params, oracle_draws=1000)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            estimate_weakiv_config(params, oracle_draws=10**6)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3_000_000
+
+
 class TestKsDistance:
     def test_identical_samples(self):
         x = np.array([3.0, 1.0, 2.0])
