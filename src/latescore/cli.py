@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .data import CsvSchema, _write_columns, load_csv, make_folds
+from .data import CsvSchema, _write_columns, _write_rows, load_csv, make_folds
 from .errors import (
     CsvParseError,
     DecompositionError,
@@ -222,6 +222,16 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+# scan's member_by_quadratic and member_by_statistic cells, comma included;
+# an undefined statistic leaves the second empty.
+_MEMBERSHIP = np.array(["0,", "1,", "0,0", "1,0", "0,1", "1,1"])
+
+
+def _membership(by_quad, by_stat, defined) -> np.ndarray:
+    """scan's two membership cells of each grid point, as one string column."""
+    return _MEMBERSHIP[by_quad + 2 * defined + 2 * (defined & by_stat)]
+
+
 def cmd_scan(args) -> int:
     if not (math.isfinite(args.theta_min) and math.isfinite(args.theta_max)):
         raise InvalidConfigError("grid bounds must be finite")
@@ -247,8 +257,7 @@ def cmd_scan(args) -> int:
                 abs(coeffs.a) * theta * theta + abs(coeffs.b) * np.abs(theta) + abs(coeffs.c) + 1.0
             )
             mismatches += int(np.count_nonzero(defined & (by_quad != by_stat) & (np.abs(quad) > band)))
-            rows = zip(theta.tolist(), s.tolist(), by_quad.tolist(), by_stat.tolist(), defined.tolist())
-            handle.write("".join(f"{t!r},{v!r},{int(q)},{int(b) if d else ''}\n" for t, v, q, b, d in rows))
+            _write_rows(handle, theta, s, _membership(by_quad, by_stat, defined))
     print(f"score set: {cset.tag} {cset}")
     print(f"mismatches outside boundary band: {mismatches}")
     if args.dump_scores:

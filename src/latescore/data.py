@@ -334,7 +334,7 @@ def write_csv(data: Dataset, path: str, schema: CsvSchema = CsvSchema()) -> None
     _write_columns(path, header, data.y, data.a, data.z, *data.x.T)
 
 
-# _write_columns formats and writes this many rows at a time, which bounds the text it holds.
+# _write_rows formats and writes this many rows at a time, which bounds the text it holds.
 _WRITE_BLOCK = 1 << 14
 
 
@@ -342,11 +342,17 @@ def _write_columns(path: str, header, *columns) -> None:
     """Write a CSV file: ``header`` through csv.writer, then the rows of the
     equal-length columns (1-D numpy arrays, lists or tuples; none for a
     header alone) as ``str`` text: exact floats, plain ints and unquoted
-    strings.  Pass bools as ints."""
+    strings, so a numpy string array is written as-is.  Pass bools as ints."""
     with open(path, "w", newline="") as handle:
         csv.writer(handle, lineterminator="\n").writerow(header)
-        for start in range(0, len(columns[0]) if columns else 0, _WRITE_BLOCK):
-            blocks = [c[start : start + _WRITE_BLOCK] for c in columns]
-            cells = [map(str, b.tolist() if isinstance(b, np.ndarray) else b) for b in blocks]
-            lines = cells[0] if len(cells) == 1 else map(",".join, zip(*cells))
-            handle.write("\n".join(lines) + "\n")
+        _write_rows(handle, *columns)
+
+
+def _write_rows(handle, *columns) -> None:
+    """Write the rows of ``_write_columns``' columns to an open text handle,
+    one write per block of rows."""
+    for start in range(0, len(columns[0]) if columns else 0, _WRITE_BLOCK):
+        blocks = [c[start : start + _WRITE_BLOCK] for c in columns]
+        cells = [map(str, b.tolist() if isinstance(b, np.ndarray) else b) for b in blocks]
+        lines = cells[0] if len(cells) == 1 else map(",".join, zip(*cells))
+        handle.write("\n".join(lines) + "\n")

@@ -224,7 +224,8 @@ class StudySpec:
             raise InvalidConfigError("setting='custom' needs pi != 0, where the target ratio is defined")
         if self.setting == "custom" and not math.isfinite(self.pi):
             raise InvalidConfigError(f"setting='custom' needs a finite pi, got {self.pi}")
-        # Sizes are kept as Python ints: a numpy integer overflows the seed mixer.
+        # Sizes and the seed are kept as Python ints: a numpy integer overflows the seed mixer.
+        object.__setattr__(self, "seed", _check_integer(self.seed, "seed"))
         object.__setattr__(self, "reps", _check_integer(self.reps, "replication count"))
         if self.reps < 1:
             raise InvalidConfigError(f"replication count must be at least 1, got {self.reps}")

@@ -183,6 +183,18 @@ def reference_row_writers():
     return reference_write_replications_csv, reference_write_summary_csv, reference_write_analysis
 
 
+def reference_write_scan_rows(theta, s, by_quad, by_stat, defined):
+    """scan's grid rows as its per-row f-string wrote them: theta, S_n, the
+    quadratic's membership and, where S_n is defined, the statistic's."""
+    rows = zip(theta.tolist(), s.tolist(), by_quad.tolist(), by_stat.tolist(), defined.tolist())
+    return "".join(f"{t!r},{v!r},{int(q)},{int(b) if d else ''}\n" for t, v, q, b, d in rows)
+
+
+@pytest.fixture(scope="session")
+def reference_scan_rows():
+    return reference_write_scan_rows
+
+
 def ks_distance(sample1, sample2):
     """Two-sample Kolmogorov-Smirnov statistic sup |F1 - F2|."""
     s1 = np.sort(np.asarray(sample1, dtype=float))

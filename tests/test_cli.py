@@ -1,4 +1,6 @@
 import csv
+import io
+import itertools
 import math
 
 import numpy as np
@@ -23,8 +25,9 @@ from latescore import (
     write_csv,
 )
 from latescore import simulation
-from latescore.inference import zero_tolerances
-from latescore.cli import _NEGATIVE_NUMBER, SCAN_BLOCK, main
+from latescore.inference import score_statistic, zero_tolerances
+from latescore.cli import _NEGATIVE_NUMBER, SCAN_BLOCK, _membership, main
+from latescore.data import _write_rows
 from latescore.weakiv import WeakIVConfig
 
 
@@ -458,6 +461,37 @@ class TestScan:
         assert f"mismatches outside boundary band: {mismatches}\n" in capsys.readouterr().out
         if kind == "proportional":
             assert expected.splitlines()[1 + SCAN_BLOCK].startswith("2.0,nan,")
+
+    @pytest.mark.parametrize("by_quad, defined, by_stat", itertools.product((False, True), repeat=3))
+    def test_membership_cells_match_the_f_string_row(self, reference_scan_rows, by_quad, defined, by_stat):
+        theta, s = np.array([-0.1]), np.array([1.0 / 3.0 if defined else np.nan])
+        columns = theta, s, np.array([by_quad]), np.array([by_stat]), np.array([defined])
+        handle = io.StringIO()
+        _write_rows(handle, theta, s, _membership(*columns[2:]))
+        assert handle.getvalue() == reference_scan_rows(*columns)
+
+    def test_a_block_with_an_undefined_statistic_and_a_member_matches_the_f_string_rows(
+        self, tmp_path, reference_scan_rows
+    ):
+        # On y = 2a the set is the point {2}, where S_n is undefined: the
+        # fifth of these 13 rows is "2.0,nan,1,", among defined non-members.
+        data_path = _proportional_csv(tmp_path)
+        out_path = str(tmp_path / "s.csv")
+        assert main(_scan_argv(data_path, -2.0, 10.0, 13, out_path)) == 0
+        data = load_csv(data_path)
+        spec = LearnerSpec(
+            g_learner="cell_mean", r_learner="cell_mean", m_learner="known_constant", m_value=0.5
+        )
+        scores = compute_scores(data, cross_fit(data, spec, make_folds(data.n, spec.K, 0)))
+        coeffs = quad_coefficients(scores, 0.05)
+        theta = np.linspace(-2.0, 10.0, 13)
+        s = score_statistic(scores, theta)
+        rows = reference_scan_rows(
+            theta, s, invert_score_test(coeffs).contains(theta), np.abs(s) <= coeffs.z_crit, ~np.isnan(s)
+        )
+        assert rows.splitlines()[4] == "2.0,nan,1,"
+        with open(out_path, newline="") as handle:
+            assert handle.read() == "theta,s_n,member_by_quadratic,member_by_statistic\n" + rows
 
     def test_zero_mismatches_and_grid_size(self, tmp_path, capsys):
         data_path = _export_dgp(tmp_path, pi=5.0, n=500, seed=35, name="scan.csv")

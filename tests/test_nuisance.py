@@ -388,6 +388,29 @@ def _assert_agree(data, folds, same):
         same(fast[name], reference[name])
 
 
+def _continuous(K, n, seed):
+    """Normal outcomes scaled by 10**k for k in [-3, 3], and K seeded folds."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    data = Dataset(
+        y=rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4),
+        a=rng.integers(0, 2, n),
+        z=np.arange(n) % 2,
+        x=rng.standard_normal((n, 2)),
+    )
+    return data, make_folds(n, K, seed=seed)
+
+
+def _within_cell_scale(data, folds, fast, reference):
+    """Whether each prediction is within 1e-10 of its cell's sum of |y| (or
+    of a) over its count of the reference.  A cell mean can nearly cancel,
+    so a bound relative to the mean itself fails on correct code."""
+    scale = _per_slice_cell_means(Dataset(y=np.abs(data.y), a=data.a, z=data.z, x=data.x), folds)
+    return all(
+        np.all(np.abs(fast[name] - reference[name]) <= 1e-10 * scale[name])
+        for name in ("g1", "g0", "r1", "r0")
+    )
+
+
 class TestCellMeansAgainstPerSliceReference:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -403,20 +426,30 @@ class TestCellMeansAgainstPerSliceReference:
         data = dgp_generate(DgpParams(pi=pi, n=n), seed=seed)
         _assert_agree(data, make_folds(n, K, seed=seed + 1), _assert_bitwise_equal)
 
+    # K=2, n=2001, seed=0 has a cell mean of -9.7e-11 that two summation
+    # orders put 1.1e-20 apart: 1.1e-10 of the mean, 1e-20 of its mean |y|.
     @settings(max_examples=60, deadline=None)
     @given(K=st.integers(2, 10), n=st.integers(10, 3000), seed=st.integers(0, 2**32 - 1))
+    @example(K=2, n=2001, seed=0)
     def test_close_on_continuous_outcomes(self, K, n, seed):
-        rng = np.random.Generator(np.random.PCG64(seed))
-        data = Dataset(
-            y=rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4),
-            a=rng.integers(0, 2, n),
-            z=np.arange(n) % 2,
-            x=rng.standard_normal((n, 2)),
-        )
-        _assert_agree(
-            data, make_folds(n, K, seed=seed),
-            lambda fast, reference: np.testing.assert_allclose(fast, reference, rtol=1e-10, atol=0),
-        )
+        data, folds = _continuous(K, n, seed)
+        reference, fast = _both(data, folds)
+        if isinstance(reference, str) or isinstance(fast, str):
+            assert fast == reference
+            return
+        assert _within_cell_scale(data, folds, fast, reference)
+
+    def test_the_bound_fails_with_one_unit_too_many_in_a_cell(self):
+        data, folds = _continuous(2, 2001, 0)
+        reference, fast = _both(data, folds)
+        assert _within_cell_scale(data, folds, fast, reference)
+        # Fold 0's (z = 1, x1 > 0) training cell mean, taken over one more unit.
+        train, pos = folds.fold_of != 0, data.x[:, 0] > 0
+        cell = train & (data.z == 1) & pos
+        extra = np.flatnonzero(train & ~cell)[0]
+        wrong = (data.y[cell].sum() + data.y[extra]) / (cell.sum() + 1)
+        fast["g1"] = np.where(~train & pos, wrong, fast["g1"])
+        assert not _within_cell_scale(data, folds, fast, reference)
 
     def test_empty_training_cell_takes_the_marginal_mean(self):
         # Unit 4 is the only (z=0, x1 <= 0) unit, so the training complement

@@ -426,6 +426,8 @@ class TestStudySpecValidation:
         (dict(n_grid=(300.5,)), "sample size"),
         (dict(n_grid=(300, 600.0)), "sample size"),
         (dict(n_grid=(True, 300)), "sample size"),
+        (dict(seed=2.5), "seed"),
+        (dict(seed=True), "seed"),
     ])
     def test_rejects_sizes_that_are_not_integers(self, kwargs, field):
         with pytest.raises(InvalidConfigError, match=f"{field} must be an integer"):
@@ -434,6 +436,13 @@ class TestStudySpecValidation:
     def test_takes_numpy_integer_sizes(self):
         spec = StudySpec(reps=np.int64(2), n_grid=(np.int32(40), np.int64(50)))
         assert [len(cell.results) + len(cell.failures) for cell in run_study(spec)] == [2, 2]
+
+    def test_a_numpy_integer_seed_runs_as_its_python_int(self, tmp_path):
+        for seed in (3, np.int64(3)):
+            spec = StudySpec(seed=seed, reps=2, n_grid=(50,))
+            assert type(spec.seed) is int
+            write_replications_csv(run_study(spec), str(tmp_path / f"{type(seed).__name__}.csv"))
+        assert (tmp_path / "int64.csv").read_bytes() == (tmp_path / "int.csv").read_bytes()
 
 
 class TestStudyWritersAgainstFStringReference:
