@@ -18,7 +18,9 @@ import contextlib
 import math
 import os
 import re
+import shutil
 import sys
+import tempfile
 
 import numpy as np
 
@@ -41,7 +43,7 @@ from .inference import (
 from .nuisance import LearnerSpec, cross_fit
 from .scores import compute_scores
 from .simulation import StudySpec, run_study, write_replications_csv, write_summary_csv
-from .weakiv import WeakIVConfig, sample_weak_limit
+from .weakiv import WeakIVConfig, _limit_blocks
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -267,12 +269,47 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
+def _open_beside(path: str):
+    """A new text file in ``path``'s directory and its name, with the
+    permissions ``path`` has, or that ``open(path, "w")`` would give it."""
+    fd, temp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=f".{os.path.basename(path)}.")
+    try:
+        if os.path.exists(path):
+            shutil.copymode(path, temp)
+        else:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(temp, 0o666 & ~umask)
+        return open(fd, "w", newline=""), temp
+    except BaseException:
+        os.close(fd)
+        os.remove(temp)
+        raise
+
+
 def cmd_weakiv_limit(args) -> int:
     if args.samples < 1:
         raise InvalidConfigError("--samples must be at least 1")
     cfg = WeakIVConfig(args.ca, args.cb, np.array([[args.s11, args.s12], [args.s12, args.s22]]))
-    draws = sample_weak_limit(cfg, np.random.Generator(np.random.PCG64(args.seed)), size=args.samples)
-    _write_columns(args.out, ["draw"], draws)
+    path = os.path.realpath(args.out)
+    # The header "draw" and the shortest row, "0.0", each with its newline.
+    least, free = 5 + 4 * args.samples, shutil.disk_usage(os.path.dirname(path)).free
+    if least > free:
+        raise InvalidConfigError(f"{args.samples} draws need at least {least} bytes; {free} are free")
+    blocks = _limit_blocks(cfg, np.random.Generator(np.random.PCG64(args.seed)), args.samples)
+    # The draws go to a file beside --out, which replaces it only once
+    # complete: a failed run leaves --out as it was.
+    handle, temp = _open_beside(path)
+    try:
+        with handle:
+            handle.write("draw\n")
+            for block in blocks:
+                _write_rows(handle, block)
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(temp)
+        raise
     print(f"wrote {args.samples} draws to {args.out}")
     return EXIT_OK
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _check_integer
 from .errors import DecompositionError, InvalidConfigError
 from .simulation import _CELL_BLOCK, N_CELLS, DgpParams, draw_oracle_cells, oracle_cell_values
 
@@ -82,10 +83,18 @@ class WeakIVConfig:
         object.__setattr__(self, "sigma_ab", sigma)
 
 
+def _check_size(size, name: str) -> int:
+    """``size`` as a Python int; a negative or non-integer one is refused."""
+    size = _check_integer(size, name)
+    if size < 0:
+        raise InvalidConfigError(f"{name} must be non-negative, got {size}")
+    return size
+
+
 def sample_bivariate_normal(sigma_ab: np.ndarray, rng: np.random.Generator, size: int):
     """Draw ``size`` pairs (N_a, N_b) ~ N(0, Sigma_ab) via the triangular square root."""
     chol = _cholesky_2x2(sigma_ab)
-    draws = rng.standard_normal((size, 2)) @ chol.T
+    draws = rng.standard_normal((_check_size(size, "size"), 2)) @ chol.T
     return draws[:, 0], draws[:, 1]
 
 
@@ -93,11 +102,59 @@ def _draw_into(cfg: WeakIVConfig, rng: np.random.Generator, out: np.ndarray) -> 
     """Fill ``out`` with limit draws; return the positions whose denominator
     is exactly zero, which are left unset."""
     na, nb = sample_bivariate_normal(cfg.sigma_ab, rng, size=out.size)
-    num = cfg.c_a * nb - cfg.c_b * na
-    den = cfg.c_a * cfg.c_a + cfg.c_a * na
-    zero = den == 0.0
-    np.divide(num, den, out=out, where=~zero)
+    # A draw beyond double range is refused by _finite, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = cfg.c_a * nb - cfg.c_b * na
+        den = cfg.c_a * cfg.c_a + cfg.c_a * na
+        zero = den == 0.0
+        np.divide(num, den, out=out, where=~zero)
     return np.flatnonzero(zero)
+
+
+def _finite(block: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(block)):
+        raise InvalidConfigError("the limit parameters give draws beyond double range")
+    return block
+
+
+def _limit_blocks(cfg: WeakIVConfig, rng: np.random.Generator, size: int):
+    """Yield ``size`` limit draws in order, as arrays of at most
+    ``_LIMIT_BLOCK + 1`` draws each.
+
+    A block is yielded as soon as it is final, that is unless it holds an
+    exactly-zero denominator.  From the first such block on, blocks are
+    held until the redraws, which follow the last block in index order,
+    fill them.  So the stream is read as by one draw of ``size`` pairs, and
+    in the common case one block of draws is held at a time.
+    """
+    held = []  # (block, positions still to redraw)
+    lo = 0
+    while lo < size:
+        # A one-row tail joins the block before it: numpy's matmul takes a
+        # single row through a matrix-vector BLAS call, which can round
+        # differently from the matrix product that draws two or more rows.
+        hi = lo + _LIMIT_BLOCK if size - lo - _LIMIT_BLOCK >= 2 else size
+        block = np.empty(hi - lo)
+        zero = _draw_into(cfg, rng, block)
+        if held or zero.size:
+            held.append((block, zero))
+        else:
+            yield _finite(block)
+        lo = hi
+    pending = [(block, zero) for block, zero in held if zero.size]
+    while pending:
+        cuts = np.cumsum([zero.size for _, zero in pending])
+        fresh = np.empty(cuts[-1])
+        again = np.zeros(fresh.size, dtype=bool)
+        again[_draw_into(cfg, rng, fresh)] = True
+        parts = zip(pending, np.split(fresh, cuts[:-1]), np.split(again, cuts[:-1]))
+        pending = []
+        for (block, zero), values, bad in parts:
+            block[zero] = values
+            if bad.any():
+                pending.append((block, zero[bad]))
+    for block, _ in held:
+        yield _finite(block)
 
 
 def sample_weak_limit(cfg: WeakIVConfig, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -107,26 +164,14 @@ def sample_weak_limit(cfg: WeakIVConfig, rng: np.random.Generator, size: int) ->
     redraw, which leaves the distribution unchanged.  Parameters whose
     draws overflow double precision are rejected.  The pairs are drawn
     ``_LIMIT_BLOCK`` at a time, and the redraws follow the last block, in
-    index order, so the stream is read as by one draw of ``size`` pairs.
+    index order, so the stream is read as by one draw of ``size`` pairs;
+    the draws are those ``weakiv-limit`` writes.
     """
-    draws = np.empty(size)
-    zeros = []
+    draws = np.empty(_check_size(size, "size"))
     lo = 0
-    while lo < size:
-        # A one-row tail joins the block before it: numpy's matmul takes a
-        # single row through a matrix-vector BLAS call, which can round
-        # differently from the matrix product that draws two or more rows.
-        hi = lo + _LIMIT_BLOCK if size - lo - _LIMIT_BLOCK >= 2 else size
-        zeros.extend(lo + _draw_into(cfg, rng, draws[lo:hi]))
-        lo = hi
-    redraw = np.array(zeros, dtype=np.intp)
-    while redraw.size:
-        fresh = np.empty(redraw.size)
-        zero = _draw_into(cfg, rng, fresh)
-        draws[redraw] = fresh
-        redraw = redraw[zero]
-    if not np.all(np.isfinite(draws)):
-        raise InvalidConfigError("the limit parameters give draws beyond double range")
+    for block in _limit_blocks(cfg, rng, draws.size):
+        draws[lo : lo + block.size] = block
+        lo += block.size
     return draws
 
 
@@ -165,6 +210,7 @@ def estimate_weakiv_config(
     of the unit's cell, so the draws are only counted per cell, and the
     sums are read from the cell values at the end.
     """
+    oracle_draws = _check_integer(oracle_draws, "oracle_draws")
     if oracle_draws < 2:
         raise InvalidConfigError(f"oracle_draws must be at least 2, got {oracle_draws}")
     rng = np.random.Generator(np.random.PCG64(seed))

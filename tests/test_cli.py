@@ -2,6 +2,13 @@ import csv
 import io
 import itertools
 import math
+import os
+import shutil
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +31,7 @@ from latescore import (
     quad_coefficients,
     write_csv,
 )
+import latescore
 from latescore import simulation
 from latescore.inference import score_statistic, zero_tolerances
 from latescore.cli import _NEGATIVE_NUMBER, SCAN_BLOCK, _membership, main
@@ -644,7 +652,7 @@ class TestWeakIVLimit:
         _assert_one_error_line(capsys)
 
     def test_samples_too_many_to_allocate_exit_2_leaving_no_file(self, tmp_path, capsys):
-        # 10^14 draws are 728 TiB, refused by numpy before anything is allocated.
+        # 10^14 draws take at least 400 TB of text, refused before any file is made.
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         status = main([
@@ -693,6 +701,87 @@ class TestWeakIVLimit:
             "--s22", "1", "--samples", "10", "--out", str(tmp_path / "d.csv"),
         ])
         assert status == 2
+
+    _FULL_RANK = ["--ca", "0.03", "--cb", "0", "--s11", "1", "--s12", "4", "--s22", "16"]
+
+    def test_peak_memory_does_not_grow_with_samples(self, tmp_path):
+        out = str(tmp_path / "d.csv")
+        # A first run makes the lazy imports and caches, which later runs keep.
+        assert main(["weakiv-limit", *self._FULL_RANK, "--samples", "10", "--out", out]) == 0
+        for samples in (10**6, 2 * 10**6):
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                assert main(["weakiv-limit", *self._FULL_RANK, "--samples", str(samples), "--out", out]) == 0
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4_000_000, samples
+
+    @staticmethod
+    def _fail_after_one_block(*args):
+        yield np.ones(5)
+        raise MemoryError("Unable to allocate the next block")
+
+    @pytest.mark.parametrize("how", ["overflow", "after-a-block"])
+    def test_a_failed_run_leaves_an_existing_out_as_it_was(self, tmp_path, capsys, monkeypatch, how):
+        out = tmp_path / "d.csv"
+        out.write_bytes(b"draw\n1.5\n")
+        if how == "after-a-block":
+            monkeypatch.setattr("latescore.cli._limit_blocks", self._fail_after_one_block)
+        status = main([
+            "weakiv-limit", "--ca", "1e-150", "--cb", "1e200", "--s11", "1", "--s12", "0",
+            "--s22", "1", "--samples", "1000", "--out", str(out),
+        ])
+        assert status == 2
+        _assert_one_error_line(capsys)
+        assert out.read_bytes() == b"draw\n1.5\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+    @pytest.mark.parametrize("samples,status", [(23, 0), (24, 2)])
+    def test_refused_when_the_shortest_file_exceeds_the_free_space(
+        self, tmp_path, capsys, monkeypatch, samples, status
+    ):
+        # 5 bytes of header and 4 of each shortest row: 97 bytes for 23 draws.
+        asked = []
+
+        def disk_usage(path):
+            asked.append(path)
+            return SimpleNamespace(free=97)
+
+        monkeypatch.setattr(shutil, "disk_usage", disk_usage)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "d.csv"
+        assert main(["weakiv-limit", *self._FULL_RANK, "--samples", str(samples), "--out", str(out)]) == status
+        assert asked == [os.path.realpath(out_dir)]
+        if status == 0:
+            assert len(_read_rows(out)) == samples
+        else:
+            _assert_one_error_line(capsys)
+            _assert_no_files(out_dir)
+
+    def test_new_and_replaced_files_keep_the_permissions_open_gives(self, tmp_path):
+        new, existing = tmp_path / "new.csv", tmp_path / "existing.csv"
+        existing.write_text("")
+        existing.chmod(0o604)
+        umask = os.umask(0o027)
+        try:
+            for out in (new, existing):
+                assert main(["weakiv-limit", *self._FULL_RANK, "--samples", "10", "--out", str(out)]) == 0
+        finally:
+            os.umask(umask)
+        assert new.stat().st_mode & 0o777 == 0o640
+        assert existing.stat().st_mode & 0o777 == 0o604
+
+    def test_a_symlinked_out_writes_its_target(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("")
+        link.symlink_to(target)
+        assert main(["weakiv-limit", *self._FULL_RANK, "--samples", "10", "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert len(_read_rows(target)) == 10
 
 
 class TestNegativeNumbers:
@@ -750,13 +839,40 @@ class TestEntryPoint:
         def no_memory(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr("latescore.cli.sample_weak_limit", no_memory)
+        monkeypatch.setattr("latescore.cli._limit_blocks", no_memory)
         status = main([
             "weakiv-limit", "--ca", "1", "--cb", "0", "--s11", "1", "--s12", "0", "--s22", "1",
             "--out", str(tmp_path / "d.csv"),
         ])
         assert status == 2
         assert capsys.readouterr().err == "error: out of memory\n"
+
+    @staticmethod
+    def _python_m(*argv):
+        src = str(Path(latescore.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run(
+            [sys.executable, "-m", "latescore", *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+
+    def test_python_m_runs_the_command_line(self, tmp_path):
+        out = tmp_path / "d.csv"
+        run = self._python_m(
+            "weakiv-limit", "--ca", "1", "--cb", "0", "--s11", "1", "--s12", "0", "--s22", "1",
+            "--samples", "10", "--out", str(out),
+        )
+        assert (run.returncode, run.stderr) == (0, "")
+        assert len(_read_rows(out)) == 10
+
+    def test_draws_beyond_double_range_print_one_line_and_no_warning(self, tmp_path):
+        # numpy warns of the overflow on stderr unless the sampler silences it.
+        run = self._python_m(
+            "weakiv-limit", "--ca", "1e-150", "--cb", "1e200", "--s11", "1", "--s12", "0",
+            "--s22", "1", "--samples", "1000", "--out", str(tmp_path / "d.csv"),
+        )
+        assert run.returncode == 2
+        assert run.stderr == "error: the limit parameters give draws beyond double range\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 import csv
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -227,6 +228,73 @@ class TestZeroDenominatorRedraw:
         got = sample_weak_limit(self.cfg, _ScriptedNormals(self._script()), size=self.size)
         want = reference_weak_limit(self.cfg, _ScriptedNormals(self._script()), size=self.size)
         assert got.tobytes() == want.tobytes()
+
+
+class TestLimitBlocks:
+    """The block generator that weakiv-limit writes from."""
+
+    cfg = TestZeroDenominatorRedraw.cfg
+
+    def test_hands_over_a_zero_free_block_before_drawing_the_next(self):
+        script = np.random.Generator(np.random.PCG64(1)).uniform(-0.5, 0.5, (2 * _B + 10, 2))
+        script[_B + 5, 0] = -1.0
+        rng = _ScriptedNormals(np.concatenate([script, [[0.5, 2.0]]]))
+        blocks = weakiv._limit_blocks(self.cfg, rng, 2 * _B + 10)
+        first = next(blocks)
+        assert rng.requests == [(_B, 2)]
+        na, nb = script[:_B, 0], script[:_B, 1]
+        assert first.tobytes() == ((nb - 0.5 * na) / (1.0 + na)).tobytes()
+        rest = list(blocks)
+        assert [b.size for b in rest] == [_B, 10]
+        assert rng.requests == [(_B, 2), (_B, 2), (10, 2), (1, 2)]
+
+    def test_held_blocks_match_the_one_shot_sampler(self, reference_weak_limit):
+        # Zeros at 3 and 65,541: every block is held until the redraws.
+        case = TestZeroDenominatorRedraw()
+        got = np.concatenate(list(weakiv._limit_blocks(self.cfg, _ScriptedNormals(case._script()), case.size)))
+        want = reference_weak_limit(self.cfg, _ScriptedNormals(case._script()), size=case.size)
+        assert got.tobytes() == want.tobytes()
+
+    def test_draws_beyond_double_range_raise_without_a_warning(self):
+        cfg = WeakIVConfig(c_a=1e-150, c_b=1e200, sigma_ab=np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidConfigError, match="double range"):
+                sample_weak_limit(cfg, np.random.Generator(np.random.PCG64(0)), size=1000)
+
+
+class TestSizeArguments:
+    cfg = WeakIVConfig(c_a=0.03, c_b=0.5, sigma_ab=np.array([[1.0, 0.5], [0.5, 2.0]]))
+    params = DgpParams(pi=1.0, n=1000)
+
+    @pytest.mark.parametrize("size", [-1, 2.5, True, 3.0, "3"])
+    def test_samplers_refuse_a_size_that_is_not_a_non_negative_integer(self, size):
+        rng = np.random.Generator(np.random.PCG64(0))
+        with pytest.raises(InvalidConfigError, match="size"):
+            sample_weak_limit(self.cfg, rng, size)
+        with pytest.raises(InvalidConfigError, match="size"):
+            sample_bivariate_normal(self.cfg.sigma_ab, rng, size)
+
+    def test_a_numpy_size_runs_as_its_python_int(self):
+        got = sample_weak_limit(self.cfg, np.random.Generator(np.random.PCG64(3)), np.int64(70_000))
+        want = sample_weak_limit(self.cfg, np.random.Generator(np.random.PCG64(3)), 70_000)
+        assert got.tobytes() == want.tobytes()
+
+    def test_size_zero_gives_an_empty_array(self):
+        draws = sample_weak_limit(self.cfg, np.random.Generator(np.random.PCG64(0)), 0)
+        assert draws.shape == (0,) and draws.dtype == float
+
+    @pytest.mark.parametrize("draws", [2.5, True, 1e4])
+    def test_calibrator_refuses_a_draw_count_that_is_not_an_integer(self, draws):
+        with pytest.raises(InvalidConfigError, match="oracle_draws"):
+            estimate_weakiv_config(self.params, draws)
+
+    def test_calibrator_runs_a_numpy_draw_count_as_its_python_int(self):
+        got = estimate_weakiv_config(self.params, np.int32(10_000), seed=2)
+        want = estimate_weakiv_config(self.params, 10_000, seed=2)
+        assert got.sigma_ab.tobytes() == want.sigma_ab.tobytes()
+        for name in ("c_a", "c_b", "ca_se", "cb_se", "draws"):
+            assert repr(getattr(got, name)) == repr(getattr(want, name)), name
 
 
 class TestEstimateWeakIVConfig:
