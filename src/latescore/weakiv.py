@@ -92,10 +92,18 @@ def _check_size(size, name: str) -> int:
 
 
 def sample_bivariate_normal(sigma_ab: np.ndarray, rng: np.random.Generator, size: int):
-    """Draw ``size`` pairs (N_a, N_b) ~ N(0, Sigma_ab) via the triangular square root."""
-    chol = _cholesky_2x2(sigma_ab)
-    draws = rng.standard_normal((_check_size(size, "size"), 2)) @ chol.T
-    return draws[:, 0], draws[:, 1]
+    """Draw ``size`` pairs (N_a, N_b) ~ N(0, Sigma_ab) via the triangular square root.
+
+    Each pair is the product of the square root with its two standard
+    normals (e0, e1), summed elementwise: a pair's bits depend on its
+    normals alone, not on how many pairs one call draws or on the BLAS
+    build, as a matrix product's rounding does.  The sums start from +0.0,
+    as a matrix product's do, so that neither gives -0.0.
+    """
+    (l11, _), (l21, l22) = _cholesky_2x2(sigma_ab)
+    e = rng.standard_normal((_check_size(size, "size"), 2))
+    e0, e1 = e[:, 0], e[:, 1]
+    return 0.0 + e0 * l11, 0.0 + e0 * l21 + e1 * l22
 
 
 def _draw_into(cfg: WeakIVConfig, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
@@ -119,7 +127,7 @@ def _finite(block: np.ndarray) -> np.ndarray:
 
 def _limit_blocks(cfg: WeakIVConfig, rng: np.random.Generator, size: int):
     """Yield ``size`` limit draws in order, as arrays of at most
-    ``_LIMIT_BLOCK + 1`` draws each.
+    ``_LIMIT_BLOCK`` draws each.
 
     A block is yielded as soon as it is final, that is unless it holds an
     exactly-zero denominator.  From the first such block on, blocks are
@@ -130,10 +138,7 @@ def _limit_blocks(cfg: WeakIVConfig, rng: np.random.Generator, size: int):
     held = []  # (block, positions still to redraw)
     lo = 0
     while lo < size:
-        # A one-row tail joins the block before it: numpy's matmul takes a
-        # single row through a matrix-vector BLAS call, which can round
-        # differently from the matrix product that draws two or more rows.
-        hi = lo + _LIMIT_BLOCK if size - lo - _LIMIT_BLOCK >= 2 else size
+        hi = min(lo + _LIMIT_BLOCK, size)
         block = np.empty(hi - lo)
         zero = _draw_into(cfg, rng, block)
         if held or zero.size:

@@ -68,6 +68,32 @@ class TestBivariateNormal:
         assert 0.97 < (na / 1e100).var() < 1.03
 
 
+class TestPairTransform:
+    sigma = np.array([[1.0, 0.5], [0.5, 2.0]])
+
+    def test_a_pair_does_not_depend_on_how_many_pairs_a_call_draws(self):
+        # A BLAS product takes one row through a matrix-vector kernel, which
+        # rounds N_b differently from the matrix kernel in about 3 pairs of 10.
+        one_call = np.stack(sample_bivariate_normal(self.sigma, np.random.Generator(np.random.PCG64(7)), 1000))
+        rng = np.random.Generator(np.random.PCG64(7))
+        one_by_one = np.hstack([np.stack(sample_bivariate_normal(self.sigma, rng, 1)) for _ in range(1000)])
+        assert one_call.tobytes() == one_by_one.tobytes()
+
+    def test_pairs_are_the_elementwise_sums_of_the_square_root(self):
+        na, nb = sample_bivariate_normal(self.sigma, np.random.Generator(np.random.PCG64(8)), 10_000)
+        e = np.random.Generator(np.random.PCG64(8)).standard_normal((10_000, 2))
+        l21, l22 = 0.5, math.sqrt(2.0 - 0.25)
+        assert na.tobytes() == e[:, 0].copy().tobytes()
+        assert nb.tobytes() == (e[:, 0] * l21 + e[:, 1] * l22).tobytes()
+
+    @pytest.mark.parametrize("sigma", [np.zeros((2, 2)), np.diag([0.0, 4.0]), np.diag([4.0, 0.0])])
+    def test_no_pair_holds_a_negative_zero(self, sigma):
+        # As from a matrix product, whose sums start from +0.0.
+        pairs = sample_bivariate_normal(sigma, np.random.Generator(np.random.PCG64(9)), 10_000)
+        for values in pairs:
+            assert not np.any(np.signbit(values) & (values == 0.0))
+
+
 class TestHugeCovarianceCli:
     """Covariances whose determinant overflows are judged on the scaled entries."""
 
