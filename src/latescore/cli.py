@@ -293,7 +293,8 @@ def cmd_weakiv_limit(args) -> int:
     cfg = WeakIVConfig(args.ca, args.cb, np.array([[args.s11, args.s12], [args.s12, args.s22]]))
     path = os.path.realpath(args.out)
     # The header "draw" and the shortest row, "0.0", each with its newline.
-    least, free = 5 + 4 * args.samples, shutil.disk_usage(os.path.dirname(path)).free
+    least = 5 + 4 * args.samples
+    free = shutil.disk_usage(os.path.dirname(path)).free
     if least > free:
         raise InvalidConfigError(f"{args.samples} draws need at least {least} bytes; {free} are free")
     blocks = _limit_blocks(cfg, np.random.Generator(np.random.PCG64(args.seed)), args.samples)

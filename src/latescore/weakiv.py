@@ -146,18 +146,14 @@ def _limit_blocks(cfg: WeakIVConfig, rng: np.random.Generator, size: int):
         else:
             yield _finite(block)
         lo = hi
-    pending = [(block, zero) for block, zero in held if zero.size]
+    # Zero denominators have probability zero, so these are few.
+    pending = [(block, i) for block, zero in held for i in zero]
     while pending:
-        cuts = np.cumsum([zero.size for _, zero in pending])
-        fresh = np.empty(cuts[-1])
-        again = np.zeros(fresh.size, dtype=bool)
-        again[_draw_into(cfg, rng, fresh)] = True
-        parts = zip(pending, np.split(fresh, cuts[:-1]), np.split(again, cuts[:-1]))
-        pending = []
-        for (block, zero), values, bad in parts:
-            block[zero] = values
-            if bad.any():
-                pending.append((block, zero[bad]))
+        fresh = np.empty(len(pending))
+        again = _draw_into(cfg, rng, fresh)
+        for (block, i), value in zip(pending, fresh):
+            block[i] = value
+        pending = [pending[j] for j in again]
     for block, _ in held:
         yield _finite(block)
 

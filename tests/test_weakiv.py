@@ -274,11 +274,16 @@ class TestLimitBlocks:
         assert [b.size for b in rest] == [_B, 10]
         assert rng.requests == [(_B, 2), (_B, 2), (10, 2), (1, 2)]
 
-    def test_held_blocks_match_the_one_shot_sampler(self, reference_weak_limit):
+    @pytest.mark.parametrize("redraws", [
+        TestZeroDenominatorRedraw.redraws,
+        [[-1.0, 7.0], [-1.0, 1.0], [0.5, 2.0], [0.25, -3.0]],  # both zero again in round one
+    ])
+    def test_held_blocks_match_the_one_shot_sampler(self, reference_weak_limit, redraws):
         # Zeros at 3 and 65,541: every block is held until the redraws.
         case = TestZeroDenominatorRedraw()
-        got = np.concatenate(list(weakiv._limit_blocks(self.cfg, _ScriptedNormals(case._script()), case.size)))
-        want = reference_weak_limit(self.cfg, _ScriptedNormals(case._script()), size=case.size)
+        script = np.concatenate([case._script()[: case.size], redraws])
+        got = np.concatenate(list(weakiv._limit_blocks(self.cfg, _ScriptedNormals(script), case.size)))
+        want = reference_weak_limit(self.cfg, _ScriptedNormals(script), size=case.size)
         assert got.tobytes() == want.tobytes()
 
     def test_draws_beyond_double_range_raise_without_a_warning(self):
