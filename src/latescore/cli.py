@@ -287,30 +287,43 @@ def _open_beside(path: str):
         raise
 
 
-def cmd_weakiv_limit(args) -> int:
-    if args.samples < 1:
-        raise InvalidConfigError("--samples must be at least 1")
-    cfg = WeakIVConfig(args.ca, args.cb, np.array([[args.s11, args.s12], [args.s12, args.s22]]))
-    path = os.path.realpath(args.out)
+def _write_draws(handle, blocks) -> None:
+    handle.write("draw\n")
+    for block in blocks:
+        _write_rows(handle, block)
+
+
+def _replace_with_draws(path: str, samples: int, blocks) -> None:
+    """Write the draws to a file beside ``path``, which replaces it only
+    once complete: a failed run leaves ``path`` as it was."""
     # The header "draw" and the shortest row, "0.0", each with its newline.
-    least = 5 + 4 * args.samples
+    least = 5 + 4 * samples
     free = shutil.disk_usage(os.path.dirname(path)).free
     if least > free:
-        raise InvalidConfigError(f"{args.samples} draws need at least {least} bytes; {free} are free")
-    blocks = _limit_blocks(cfg, np.random.Generator(np.random.PCG64(args.seed)), args.samples)
-    # The draws go to a file beside --out, which replaces it only once
-    # complete: a failed run leaves --out as it was.
+        raise InvalidConfigError(f"{samples} draws need at least {least} bytes; {free} are free")
     handle, temp = _open_beside(path)
     try:
         with handle:
-            handle.write("draw\n")
-            for block in blocks:
-                _write_rows(handle, block)
+            _write_draws(handle, blocks)
         os.replace(temp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(temp)
         raise
+
+
+def cmd_weakiv_limit(args) -> int:
+    if args.samples < 1:
+        raise InvalidConfigError("--samples must be at least 1")
+    cfg = WeakIVConfig(args.ca, args.cb, np.array([[args.s11, args.s12], [args.s12, args.s22]]))
+    blocks = _limit_blocks(cfg, np.random.Generator(np.random.PCG64(args.seed)), args.samples)
+    if os.path.exists(args.out) and not os.path.isfile(args.out):
+        # A device or a pipe, such as /dev/stdout, holds no file to keep
+        # and must not be replaced: it takes the rows as they come.
+        with open(args.out, "w", newline="") as handle:
+            _write_draws(handle, blocks)
+    else:
+        _replace_with_draws(os.path.realpath(args.out), args.samples, blocks)
     print(f"wrote {args.samples} draws to {args.out}")
     return EXIT_OK
 

@@ -4,8 +4,10 @@ import itertools
 import math
 import os
 import shutil
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -774,6 +776,26 @@ class TestWeakIVLimit:
             os.umask(umask)
         assert new.stat().st_mode & 0o777 == 0o640
         assert existing.stat().st_mode & 0o777 == 0o604
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_out_takes_the_rows_and_stays_a_pipe(self, tmp_path):
+        # As /dev/stdout or /dev/null would: such a file is written, never replaced.
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(pipe.read_bytes()), daemon=True)
+        reader.start()
+        assert main(["weakiv-limit", *self._FULL_RANK, "--samples", "1000", "--out", str(pipe)]) == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+        assert got[0].startswith(b"draw\n") and got[0].count(b"\n") == 1001
+        assert list(tmp_path.iterdir()) == [pipe]
+
+    def test_a_directory_out_exits_2(self, tmp_path, capsys):
+        assert main(["weakiv-limit", *self._FULL_RANK, "--samples", "10", "--out", str(tmp_path)]) == 2
+        _assert_one_error_line(capsys)
+        assert list(tmp_path.iterdir()) == []
 
     def test_a_symlinked_out_writes_its_target(self, tmp_path):
         target, link = tmp_path / "target.csv", tmp_path / "link.csv"
