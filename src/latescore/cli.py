@@ -269,24 +269,6 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _open_beside(path: str):
-    """A new text file in ``path``'s directory and its name, with the
-    permissions ``path`` has, or that ``open(path, "w")`` would give it."""
-    fd, temp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=f".{os.path.basename(path)}.")
-    try:
-        if os.path.exists(path):
-            shutil.copymode(path, temp)
-        else:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(temp, 0o666 & ~umask)
-        return open(fd, "w", newline=""), temp
-    except BaseException:
-        os.close(fd)
-        os.remove(temp)
-        raise
-
-
 def _write_draws(handle, blocks) -> None:
     handle.write("draw\n")
     for block in blocks:
@@ -301,9 +283,17 @@ def _replace_with_draws(path: str, samples: int, blocks) -> None:
     free = shutil.disk_usage(os.path.dirname(path)).free
     if least > free:
         raise InvalidConfigError(f"{samples} draws need at least {least} bytes; {free} are free")
-    handle, temp = _open_beside(path)
+    fd, temp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=f".{os.path.basename(path)}.")
     try:
-        with handle:
+        with open(fd, "w", newline="") as handle:
+            # The permissions open(path, "w") leaves: path's own, or those
+            # the umask gives a new file.
+            if os.path.exists(path):
+                shutil.copymode(path, temp)
+            else:
+                umask = os.umask(0)
+                os.umask(umask)
+                os.chmod(temp, 0o666 & ~umask)
             _write_draws(handle, blocks)
         os.replace(temp, path)
     except BaseException:
