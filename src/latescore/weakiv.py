@@ -95,10 +95,10 @@ def sample_bivariate_normal(sigma_ab: np.ndarray, rng: np.random.Generator, size
     """Draw ``size`` pairs (N_a, N_b) ~ N(0, Sigma_ab) via the triangular square root.
 
     Each pair is the product of the square root with its two standard
-    normals (e0, e1), summed elementwise: a pair's bits depend on its
-    normals alone, not on how many pairs one call draws or on the BLAS
-    build, as a matrix product's rounding does.  The sums start from +0.0,
-    as a matrix product's do, so that neither gives -0.0.
+    normals (e0, e1), summed elementwise, so its bits depend on those
+    normals alone; a BLAS matrix product rounds differently from build to
+    build, and for one pair than for many.  The sums start from +0.0, as a
+    matrix product's do, so that neither gives -0.0.
     """
     (l11, _), (l21, l22) = _cholesky_2x2(sigma_ab)
     e = rng.standard_normal((_check_size(size, "size"), 2))
