@@ -25,13 +25,7 @@ import tempfile
 import numpy as np
 
 from .data import CsvSchema, _write_columns, _write_rows, load_csv, make_folds
-from .errors import (
-    CsvParseError,
-    DecompositionError,
-    DegenerateDataError,
-    DegenerateFoldError,
-    InvalidConfigError,
-)
+from .errors import CsvParseError, DegenerateDataError, InvalidConfigError
 from .inference import (
     drml_estimate,
     instrument_is_weak,
@@ -376,12 +370,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (InvalidConfigError, CsvParseError, DecompositionError, OSError) as exc:
+    except (InvalidConfigError, CsvParseError, OSError) as exc:
         # load_csv reports unreadable input as CsvParseError, so an OSError
         # here comes from an output file or directory.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DegenerateDataError, DegenerateFoldError) as exc:
+    except DegenerateDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except MemoryError as exc:

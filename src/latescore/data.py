@@ -26,12 +26,15 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return view
 
 
-def _check_integer(value, name: str) -> int:
+def _check_integer(value, name: str, least: int | None = None) -> int:
     """``value`` as a Python int; a ``name`` that is not a Python or numpy
-    integer is refused, and so is a bool."""
+    integer is refused, and so are a bool and an integer below ``least``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if least is not None and value < least:
+        raise InvalidConfigError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 class Dataset:
@@ -251,15 +254,11 @@ def _load_columns(path: str, schema: CsvSchema):
             return None
     if table.shape != (rows, len(needed)):
         return None
-    y, a, z = table[:, 0].copy(), table[:, 1], table[:, 2]
-    x = np.ascontiguousarray(table[:, 3:])
-    if not (
-        np.isfinite(y).all() and np.isfinite(x).all()
-        and ((a == 0) | (a == 1)).all() and ((z == 0) | (z == 1)).all()
-    ):
+    y, x = table[:, 0].copy(), np.ascontiguousarray(table[:, 3:])
+    try:
+        return Dataset(y=y, a=table[:, 1], z=table[:, 2], x=x)
+    except InvalidConfigError:
         return None
-    # Checked above, as the Dataset constructor would, and rows >= 2.
-    return _trusted(Dataset, y=y, a=a.astype(int), z=z.astype(int), x=x)
 
 
 def _csv_rows(handle, path: str):

@@ -21,7 +21,7 @@ class DegenerateDataError(LatescoreError):
     """A statistic is undefined because a second moment is exactly zero."""
 
 
-class DegenerateFoldError(LatescoreError):
+class DegenerateFoldError(DegenerateDataError):
     """A cross-fitting training set contains only one instrument level."""
 
 
@@ -33,5 +33,5 @@ class WeakDenominatorError(DegenerateDataError):
     """
 
 
-class DecompositionError(LatescoreError):
+class DecompositionError(InvalidConfigError):
     """A covariance matrix is not symmetric positive semidefinite."""

@@ -51,9 +51,7 @@ class LearnerSpec:
             raise InvalidConfigError(f"unknown m learner {self.m_learner!r}")
         if not 0.0 < self.clip_eps < 0.5:
             raise InvalidConfigError(f"clip_eps must lie in (0, 0.5), got {self.clip_eps}")
-        _check_integer(self.K, "fold count")
-        if self.K < 2:
-            raise InvalidConfigError(f"fold count must be at least 2, got {self.K}")
+        _check_integer(self.K, "fold count", least=2)
         if self.m_learner == "known_constant" and not 0.0 < self.m_value < 1.0:
             raise InvalidConfigError(f"known propensity must lie in (0, 1), got {self.m_value}")
 
@@ -301,17 +299,14 @@ def cross_fit(data: Dataset, spec: LearnerSpec, folds: FoldAssignment) -> Nuisan
 
     learners = {"g": (spec.g_learner, data.y), "r": (spec.r_learner, data.a)}
     cell = {name: target for name, (learner, target) in learners.items() if learner == "cell_mean"}
+    # The units per (fold, z, 1{x1 > 0}), the last only for cell means, whose
+    # count table it is; summed over it, the units per (fold, z).
+    key = folds.fold_of * 4
+    key += 2 * data.z
     if cell:
-        # The cell means' count table, summed over 1{x1 > 0}, gives the units
-        # per (fold, z), so the units are counted once.
-        key = folds.fold_of * 4
-        key += 2 * data.z
         key += data.x[:, 0] > 0
-        counts = np.bincount(key, minlength=4 * folds.K).reshape(folds.K, 2, 2)
-        z_counts = counts.sum(axis=-1)
-    else:
-        fold_z = folds.fold_of * 2 + data.z
-        z_counts = np.bincount(fold_z, minlength=2 * folds.K).reshape(folds.K, 2)
+    counts = np.bincount(key, minlength=4 * folds.K).reshape(folds.K, 2, 2)
+    z_counts = counts.sum(axis=-1)
     z_train = z_counts.sum(axis=0) - z_counts  # integer counts: subtraction is exact
     degenerate = np.flatnonzero(z_train.min(axis=1) == 0)
     if degenerate.size:

@@ -61,9 +61,7 @@ class DgpParams:
 
     def __post_init__(self) -> None:
         # Sizes are kept as Python ints: a numpy integer overflows the seed mixer.
-        object.__setattr__(self, "n", _check_integer(self.n, "sample size"))
-        if self.n < 2:
-            raise InvalidConfigError(f"sample size must be at least 2, got {self.n}")
+        object.__setattr__(self, "n", _check_integer(self.n, "sample size", least=2))
         if not np.isfinite(self.pi):
             raise InvalidConfigError(f"pi must be finite, got {self.pi}")
         if not np.isfinite(self.treatment_shift):
@@ -226,13 +224,11 @@ class StudySpec:
             raise InvalidConfigError(f"setting='custom' needs a finite pi, got {self.pi}")
         # Sizes and the seed are kept as Python ints: a numpy integer overflows the seed mixer.
         object.__setattr__(self, "seed", _check_integer(self.seed, "seed"))
-        object.__setattr__(self, "reps", _check_integer(self.reps, "replication count"))
-        if self.reps < 1:
-            raise InvalidConfigError(f"replication count must be at least 1, got {self.reps}")
+        object.__setattr__(self, "reps", _check_integer(self.reps, "replication count", least=1))
         _z_crit(self.alpha)  # refuses an alpha whose normal quantile is not finite
-        object.__setattr__(self, "n_grid", tuple(_check_integer(n, "sample size") for n in self.n_grid))
-        if len(self.n_grid) == 0 or any(n < 2 for n in self.n_grid):
-            raise InvalidConfigError("n_grid must list sample sizes of at least 2")
+        object.__setattr__(self, "n_grid", tuple(_check_integer(n, "sample size", least=2) for n in self.n_grid))
+        if len(self.n_grid) == 0:
+            raise InvalidConfigError("n_grid must list at least one sample size")
         for n in self.n_grid:
             if n < self.learner.K:
                 raise InvalidConfigError(f"sample size n={n} is below the fold count K={self.learner.K}")

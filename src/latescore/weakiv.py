@@ -30,8 +30,8 @@ from .simulation import _CELL_BLOCK, N_CELLS, DgpParams, draw_oracle_cells, orac
 _ORACLE_BATCH = 1_000_000
 
 # Pairs per block in the limit sampler, which bounds its temporaries to a
-# block's worth.  Blocks read the random stream in order, so the draws do
-# not depend on the block size.
+# block's worth.  Blocks read the random stream in order, so, unless a
+# denominator is exactly zero, the draws do not depend on the block size.
 _LIMIT_BLOCK = 65_536
 
 
@@ -83,14 +83,6 @@ class WeakIVConfig:
         object.__setattr__(self, "sigma_ab", sigma)
 
 
-def _check_size(size, name: str) -> int:
-    """``size`` as a Python int; a negative or non-integer one is refused."""
-    size = _check_integer(size, name)
-    if size < 0:
-        raise InvalidConfigError(f"{name} must be non-negative, got {size}")
-    return size
-
-
 def sample_bivariate_normal(sigma_ab: np.ndarray, rng: np.random.Generator, size: int):
     """Draw ``size`` pairs (N_a, N_b) ~ N(0, Sigma_ab) via the triangular square root.
 
@@ -101,61 +93,36 @@ def sample_bivariate_normal(sigma_ab: np.ndarray, rng: np.random.Generator, size
     matrix product's do, so that neither gives -0.0.
     """
     (l11, _), (l21, l22) = _cholesky_2x2(sigma_ab)
-    e = rng.standard_normal((_check_size(size, "size"), 2))
+    e = rng.standard_normal((_check_integer(size, "size", least=0), 2))
     e0, e1 = e[:, 0], e[:, 1]
     return 0.0 + e0 * l11, 0.0 + e0 * l21 + e1 * l22
 
 
 def _draw_into(cfg: WeakIVConfig, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with limit draws; return the positions whose denominator
-    is exactly zero, which are left unset."""
+    """Fill ``out`` with limit draws and return it.
+
+    A pair whose denominator is exactly zero is redrawn after the pairs of
+    ``out``, in index order, and so on until none is zero.  Parameters whose
+    draws overflow double precision are refused, not warned about.
+    """
     na, nb = sample_bivariate_normal(cfg.sigma_ab, rng, size=out.size)
-    # A draw beyond double range is refused by _finite, not warned about.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         num = cfg.c_a * nb - cfg.c_b * na
         den = cfg.c_a * cfg.c_a + cfg.c_a * na
-        zero = den == 0.0
-        np.divide(num, den, out=out, where=~zero)
-    return np.flatnonzero(zero)
-
-
-def _finite(block: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(block)):
+        np.divide(num, den, out=out)
+    zero = np.flatnonzero(den == 0.0)
+    if zero.size:  # a probability-zero event
+        out[zero] = _draw_into(cfg, rng, np.empty(zero.size))
+    if not np.isfinite(out).all():
         raise InvalidConfigError("the limit parameters give draws beyond double range")
-    return block
+    return out
 
 
 def _limit_blocks(cfg: WeakIVConfig, rng: np.random.Generator, size: int):
     """Yield ``size`` limit draws in order, as arrays of at most
-    ``_LIMIT_BLOCK`` draws each.
-
-    A block is yielded as soon as it is final, that is unless it holds an
-    exactly-zero denominator.  From the first such block on, blocks are
-    held until the redraws, which follow the last block in index order,
-    fill them.  So the stream is read as by one draw of ``size`` pairs, and
-    in the common case one block of draws is held at a time.
-    """
-    held = []  # (block, positions still to redraw)
-    lo = 0
-    while lo < size:
-        hi = min(lo + _LIMIT_BLOCK, size)
-        block = np.empty(hi - lo)
-        zero = _draw_into(cfg, rng, block)
-        if held or zero.size:
-            held.append((block, zero))
-        else:
-            yield _finite(block)
-        lo = hi
-    # Zero denominators have probability zero, so these are few.
-    pending = [(block, i) for block, zero in held for i in zero]
-    while pending:
-        fresh = np.empty(len(pending))
-        again = _draw_into(cfg, rng, fresh)
-        for (block, i), value in zip(pending, fresh):
-            block[i] = value
-        pending = [pending[j] for j in again]
-    for block, _ in held:
-        yield _finite(block)
+    ``_LIMIT_BLOCK`` draws each, with one block held at a time."""
+    for lo in range(0, size, _LIMIT_BLOCK):
+        yield _draw_into(cfg, rng, np.empty(min(_LIMIT_BLOCK, size - lo)))
 
 
 def sample_weak_limit(cfg: WeakIVConfig, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -164,15 +131,12 @@ def sample_weak_limit(cfg: WeakIVConfig, rng: np.random.Generator, size: int) ->
     An exactly-zero denominator (a probability-zero event) triggers a
     redraw, which leaves the distribution unchanged.  Parameters whose
     draws overflow double precision are rejected.  The pairs are drawn
-    ``_LIMIT_BLOCK`` at a time, and the redraws follow the last block, in
-    index order, so the stream is read as by one draw of ``size`` pairs;
+    ``_LIMIT_BLOCK`` at a time, each block's redraws following its pairs;
     the draws are those ``weakiv-limit`` writes.
     """
-    draws = np.empty(_check_size(size, "size"))
-    lo = 0
-    for block in _limit_blocks(cfg, rng, draws.size):
-        draws[lo : lo + block.size] = block
-        lo += block.size
+    draws = np.empty(_check_integer(size, "size", least=0))
+    for lo in range(0, draws.size, _LIMIT_BLOCK):
+        _draw_into(cfg, rng, draws[lo : lo + _LIMIT_BLOCK])
     return draws
 
 
@@ -211,9 +175,7 @@ def estimate_weakiv_config(
     of the unit's cell, so the draws are only counted per cell, and the
     sums are read from the cell values at the end.
     """
-    oracle_draws = _check_integer(oracle_draws, "oracle_draws")
-    if oracle_draws < 2:
-        raise InvalidConfigError(f"oracle_draws must be at least 2, got {oracle_draws}")
+    oracle_draws = _check_integer(oracle_draws, "oracle_draws", least=2)
     rng = np.random.Generator(np.random.PCG64(seed))
     total = 0
     counts = np.zeros(N_CELLS, dtype=np.int64)

@@ -11,13 +11,19 @@ from latescore import (
     CsvParseError,
     CsvSchema,
     Dataset,
+    DgpParams,
     FoldAssignment,
     InvalidConfigError,
+    LearnerSpec,
     NuisancePredictions,
     ScoreSample,
+    StudySpec,
     WeakIVConfig,
+    estimate_weakiv_config,
     load_csv,
     make_folds,
+    sample_bivariate_normal,
+    sample_weak_limit,
     write_csv,
 )
 from latescore import data as data_module
@@ -69,6 +75,46 @@ class TestMakeFolds:
             complement = set(np.flatnonzero(folds.fold_of != k))
             assert members | complement == set(range(23))
             assert not members & complement
+
+
+_CELL_MEANS = LearnerSpec(g_learner="cell_mean", r_learner="cell_mean", m_learner="known_constant", K=2)
+_LIMIT = WeakIVConfig(c_a=0.03, c_b=0.5, sigma_ab=np.eye(2))
+
+
+class TestIntegerLowerBounds:
+    """Every caller of _check_integer with a lower bound: (call, name, least)."""
+
+    SITES = {
+        "DgpParams.n": (lambda v: DgpParams(pi=1.0, n=v), "sample size", 2),
+        "StudySpec.reps": (lambda v: StudySpec(reps=v, n_grid=(100,)), "replication count", 1),
+        "StudySpec.n_grid": (lambda v: StudySpec(n_grid=(v,), learner=_CELL_MEANS), "sample size", 2),
+        "LearnerSpec.K": (lambda v: LearnerSpec(K=v), "fold count", 2),
+        "sample_weak_limit": (
+            lambda v: sample_weak_limit(_LIMIT, np.random.Generator(np.random.PCG64(0)), v), "size", 0,
+        ),
+        "sample_bivariate_normal": (
+            lambda v: sample_bivariate_normal(np.eye(2), np.random.Generator(np.random.PCG64(0)), v), "size", 0,
+        ),
+        "estimate_weakiv_config": (lambda v: estimate_weakiv_config(DgpParams(pi=1.0, n=100), v), "oracle_draws", 2),
+    }
+
+    @pytest.fixture(params=sorted(SITES))
+    def site(self, request):
+        return self.SITES[request.param]
+
+    def test_one_below_the_bound_is_refused_with_the_bound(self, site):
+        call, name, least = site
+        with pytest.raises(InvalidConfigError, match=f"^{name} must be at least {least}, got {least - 1}$"):
+            call(least - 1)
+
+    def test_a_numpy_integer_at_the_bound_runs(self, site):
+        call, _, least = site
+        call(np.int64(least))
+
+    def test_a_bool_is_refused(self, site):
+        call, name, _ = site
+        with pytest.raises(InvalidConfigError, match=f"^{name} must be an integer, got True$"):
+            call(True)
 
 
 class TestDataset:

@@ -223,36 +223,45 @@ class _ScriptedNormals:
         return out.copy()
 
 
+def _per_block(reference, cfg, rng, size):
+    """The one-shot sampler run on each block in turn, which reads the
+    stream as the rule does: a block's redraws follow its own pairs."""
+    return np.concatenate([reference(cfg, rng, size=min(_B, size - lo)) for lo in range(0, size, _B)])
+
+
 class TestZeroDenominatorRedraw:
     # c_a = 1 and Sigma = I, so N_a is the first normal of a pair and the
     # denominator 1 + N_a is exactly zero where that normal is -1.
     cfg = WeakIVConfig(c_a=1.0, c_b=0.5, sigma_ab=np.eye(2))
     size, first, later = 2 * _B + 10, 3, _B + 5
-    # Round one redraws (first, later) and hits zero again at first;
-    # round two redraws first alone.
-    redraws = [[-1.0, 7.0], [0.5, 2.0], [0.25, -3.0]]
+    # The redraws of block 0 (first) and of block 1 (later).  Block 0's
+    # round one hits zero again, so its round two redraws first once more.
+    redraws = ([[-1.0, 7.0], [0.5, 2.0]], [[0.25, -3.0]])
 
-    def _script(self):
+    def _script(self, zeros=(first, later), redraws=redraws):
+        """Primary pairs with a zero denominator at ``zeros``, each block's
+        redraw pairs following the block's own pairs."""
         primary = np.random.Generator(np.random.PCG64(0)).uniform(-0.5, 0.5, (self.size, 2))
-        primary[[self.first, self.later], 0] = -1.0
-        return np.concatenate([primary, self.redraws])
+        primary[list(zeros), 0] = -1.0
+        parts = [primary[: _B], redraws[0], primary[_B : 2 * _B], redraws[1], primary[2 * _B :]]
+        return np.concatenate([np.reshape(part, (-1, 2)) for part in parts])
 
     def _limit(self, na, nb):
         c_a, c_b = self.cfg.c_a, self.cfg.c_b
         return (c_a * nb - c_b * na) / (c_a * c_a + c_a * na)
 
-    def test_redraws_follow_every_primary_pair_in_index_order(self):
+    def test_redraws_follow_their_own_blocks_pairs(self):
         rng = _ScriptedNormals(self._script())
         draws = sample_weak_limit(self.cfg, rng, size=self.size)
-        assert rng.requests == [(_B, 2), (_B, 2), (10, 2), (2, 2), (1, 2)]
+        assert rng.requests == [(_B, 2), (1, 2), (1, 2), (_B, 2), (1, 2), (10, 2)]
         assert rng.used == rng.script.size
-        assert draws[self.later] == self._limit(0.5, 2.0)
-        assert draws[self.first] == self._limit(0.25, -3.0)
+        assert draws[self.first] == self._limit(0.5, 2.0)
+        assert draws[self.later] == self._limit(0.25, -3.0)
         assert np.all(np.isfinite(draws))
 
-    def test_matches_the_one_shot_sampler_on_the_same_script(self, reference_weak_limit):
+    def test_matches_the_one_shot_sampler_block_by_block(self, reference_weak_limit):
         got = sample_weak_limit(self.cfg, _ScriptedNormals(self._script()), size=self.size)
-        want = reference_weak_limit(self.cfg, _ScriptedNormals(self._script()), size=self.size)
+        want = _per_block(reference_weak_limit, self.cfg, _ScriptedNormals(self._script()), self.size)
         assert got.tobytes() == want.tobytes()
 
 
@@ -264,7 +273,7 @@ class TestLimitBlocks:
     def test_hands_over_a_zero_free_block_before_drawing_the_next(self):
         script = np.random.Generator(np.random.PCG64(1)).uniform(-0.5, 0.5, (2 * _B + 10, 2))
         script[_B + 5, 0] = -1.0
-        rng = _ScriptedNormals(np.concatenate([script, [[0.5, 2.0]]]))
+        rng = _ScriptedNormals(np.concatenate([script[: 2 * _B], [[0.5, 2.0]], script[2 * _B :]]))
         blocks = weakiv._limit_blocks(self.cfg, rng, 2 * _B + 10)
         first = next(blocks)
         assert rng.requests == [(_B, 2)]
@@ -272,19 +281,24 @@ class TestLimitBlocks:
         assert first.tobytes() == ((nb - 0.5 * na) / (1.0 + na)).tobytes()
         rest = list(blocks)
         assert [b.size for b in rest] == [_B, 10]
-        assert rng.requests == [(_B, 2), (_B, 2), (10, 2), (1, 2)]
+        assert rng.requests == [(_B, 2), (_B, 2), (1, 2), (10, 2)]
+        assert rng.used == rng.script.size
 
-    @pytest.mark.parametrize("redraws", [
-        TestZeroDenominatorRedraw.redraws,
-        [[-1.0, 7.0], [-1.0, 1.0], [0.5, 2.0], [0.25, -3.0]],  # both zero again in round one
-    ])
-    def test_held_blocks_match_the_one_shot_sampler(self, reference_weak_limit, redraws):
-        # Zeros at 3 and 65,541: every block is held until the redraws.
+    @pytest.mark.parametrize("zeros, redraws", [
+        ((3, _B + 5), TestZeroDenominatorRedraw.redraws),
+        # Both blocks' round one hits zero again.
+        ((3, _B + 5), ([[-1.0, 7.0], [0.5, 2.0]], [[-1.0, 1.0], [0.25, -3.0]])),
+        # Two zeros in block 0, redrawn in index order; round one hits zero
+        # again at the second.
+        ((3, 7), ([[0.5, 2.0], [-1.0, 1.0], [0.25, -3.0]], [])),
+    ], ids=["second-round", "second-round-in-both", "two-in-one-block"])
+    def test_blocks_match_the_one_shot_sampler_block_by_block(self, reference_weak_limit, zeros, redraws):
         case = TestZeroDenominatorRedraw()
-        script = np.concatenate([case._script()[: case.size], redraws])
+        script = case._script(zeros, redraws)
         got = np.concatenate(list(weakiv._limit_blocks(self.cfg, _ScriptedNormals(script), case.size)))
-        want = reference_weak_limit(self.cfg, _ScriptedNormals(script), size=case.size)
+        want = _per_block(reference_weak_limit, self.cfg, _ScriptedNormals(script), case.size)
         assert got.tobytes() == want.tobytes()
+        assert np.all(np.isfinite(got))
 
     def test_draws_beyond_double_range_raise_without_a_warning(self):
         cfg = WeakIVConfig(c_a=1e-150, c_b=1e200, sigma_ab=np.eye(2))
