@@ -63,7 +63,8 @@ class NuisancePredictions:
     g1/g0 are outcome predictions at z=1/z=0, r1/r0 the treatment
     probabilities at z=1/z=0, and m1 the (clipped) probability of z=1.
     Each is a read-only view of its input, which it shares memory with
-    where no cast is needed.
+    where no cast is needed.  A known propensity from ``cross_fit`` is one
+    number: its m1 is a stride-0 view of it, n entries long.
     """
 
     g1: np.ndarray
@@ -190,8 +191,11 @@ def fit_logistic(design: np.ndarray, labels: np.ndarray) -> LogisticModel:
         np.subtract(1.0, p, out=w)
         w *= p
         # The Hessian's upper triangle, a row at a time from the weighted
-        # column j; the lower triangle is its mirror image.
-        for j in range(d):
+        # column j; the lower triangle is its mirror image.  Column 0 is the
+        # ones, whose weighted column is w itself.
+        hess[0] = design.T @ w
+        hess[:, 0] = hess[0]
+        for j in range(1, d):
             hess[j, j:] = design[:, j:].T @ np.multiply(design[:, j], w, out=p)
             hess[j:, j] = hess[j, j:]
         hess /= n
@@ -274,6 +278,31 @@ def _cell_mean_predictions(folds, key, counts, targets):
     return [(preds[2 * t + 1], preds[2 * t]) for t in range(T)]
 
 
+def _gather(out, values, parts):
+    """Write the rows of ``values`` at the index arrays ``parts``, one after
+    another, into the start of ``out``; returns the part written."""
+    start = 0
+    for part in parts:
+        out[start : start + part.size] = np.take(values, part, axis=0)
+        start += part.size
+    return out[:start]
+
+
+def _design(buffer, parts, x, z=None):
+    """The design [1, x], or [1, z, x] given z, at the rows ``parts``,
+    gathered into the start of the flat float ``buffer`` as a contiguous
+    column-major view."""
+    rows = sum(part.size for part in parts)
+    j = 1 if z is None else 2
+    d = j + x.shape[1]
+    design = buffer[: rows * d].reshape((rows, d), order="F")
+    design[:, 0] = 1.0
+    if z is not None:
+        _gather(design[:, 1], z, parts)
+    _gather(design[:, j:], x, parts)
+    return design
+
+
 def cross_fit(data: Dataset, spec: LearnerSpec, folds: FoldAssignment) -> NuisancePredictions:
     """Produce out-of-fold nuisance predictions for every unit.
 
@@ -281,10 +310,11 @@ def cross_fit(data: Dataset, spec: LearnerSpec, folds: FoldAssignment) -> Nuisan
     predict inside the fold; g and r are predicted at both instrument
     levels by switching the z feature (or cell).  Cell means are read from
     per-fold sums; OLS and logistic fits visit the folds one by one.  In
-    the known-propensity mode m1 is filled directly with no fitting.  All
-    propensities are clipped to [clip_eps, 1 - clip_eps].  Predictions from
-    cell means and a known propensity are checked on the fitted tables;
-    the others are checked by the NuisancePredictions constructor.
+    the known-propensity mode m1 is a read-only stride-0 view of the one
+    clipped value, with no fitting.  All propensities are clipped to
+    [clip_eps, 1 - clip_eps].  Predictions from cell means and a known
+    propensity are checked on the fitted tables; the others are checked
+    by the NuisancePredictions constructor.
     """
     if folds.n != data.n:
         raise InvalidConfigError(f"folds cover {folds.n} units but the data has {data.n}")
@@ -292,8 +322,7 @@ def cross_fit(data: Dataset, spec: LearnerSpec, folds: FoldAssignment) -> Nuisan
         raise InvalidConfigError("cell-mean learners split on the first covariate; the data has none")
     n = data.n
     if spec.m_learner == "known_constant":
-        # The constant is clipped once, not the n copies of it.
-        m1 = np.full(n, min(max(spec.m_value, spec.clip_eps), 1.0 - spec.clip_eps), dtype=float)
+        m1 = np.broadcast_to(float(min(max(spec.m_value, spec.clip_eps), 1.0 - spec.clip_eps)), (n,))
     else:
         m1 = np.empty(n)
 
@@ -322,30 +351,34 @@ def cross_fit(data: Dataset, spec: LearnerSpec, folds: FoldAssignment) -> Nuisan
     for name in per_fold:
         preds[name] = (np.empty(n), np.empty(n))
     if per_fold or spec.m_learner == "logistic":
-        # The design [1, z, x], rows sorted by fold: fold k's test rows are one
-        # slice and its training rows, copied once for all its fits, the two
-        # slices around it; the propensity drops the z column.  The test block
-        # is predicted at z=1 and then at z=0 by overwriting its z column.
-        # A key of 16 bits or fewer takes numpy's radix sort, not timsort;
-        # np.take gathers rows several times faster than fancy indexing.
+        # Units sorted by fold, stably: fold k's test units are one slice of
+        # ``order`` and its training units the two slices around it.  Every
+        # design is gathered from the data into the start of one
+        # buffer, sized for the largest training complement, as a contiguous
+        # column-major view: a row slice of a larger array would have another
+        # column stride, which BLAS rounds differently.  Beside the outputs
+        # this holds ``order``, the buffer and one label vector.  Per fold,
+        # g and r fit on [1, z, x], then the propensity on [1, x] with z as
+        # its labels; the test units' [1, x] and then [1, z, x] follow, the
+        # latter predicted at z=1 and at z=0 by overwriting its z column.
+        # A key of 16 bits or fewer takes numpy's radix sort, not timsort.
         order = np.argsort(folds.fold_of.astype(np.min_scalar_type(folds.K - 1)), kind="stable")
-        design = np.empty((n, 2 + data.p), order="F")
-        design[:, 0] = 1.0
-        design[:, 1] = np.take(data.z, order)
-        design[:, 2:] = np.take(data.x, order, axis=0)
-        ends = np.cumsum(z_counts.sum(axis=1)).tolist()
+        sizes = z_counts.sum(axis=1)
+        ends = np.cumsum(sizes).tolist()
+        size = n - int(sizes.min())
+        buffer, labels = np.empty(size * (2 + data.p)), np.empty(size)
         for lo, hi in zip([0, *ends], ends):
-            test = order[lo:hi]
-            train = np.concatenate((order[:lo], order[hi:]))
-            features, block = np.concatenate((design[:lo], design[hi:])), design[lo:hi].copy(order="F")
+            test, train = order[lo:hi], (order[:lo], order[hi:])
+            features = _design(buffer, train, data.x, data.z)
             models = {}
             for name in per_fold:
                 learner, target = learners[name]
                 fit = fit_ols if learner == "ols_linear" else fit_logistic
-                models[name] = fit(features, np.take(target, train))
+                models[name] = fit(features, _gather(labels, target, train))
             if spec.m_learner == "logistic":
-                m_model = fit_logistic(np.delete(features, 1, axis=1), features[:, 1])
-                m1[test] = _predict(m_model, np.delete(block, 1, axis=1))
+                m_model = fit_logistic(_design(buffer, train, data.x), _gather(labels, data.z, train))
+                m1[test] = _predict(m_model, _design(buffer, (test,), data.x))
+            block = _design(buffer, (test,), data.x, data.z)
             for column, z_level in enumerate((1.0, 0.0)):
                 block[:, 1] = z_level
                 for name, model in models.items():

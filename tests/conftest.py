@@ -19,6 +19,7 @@ from latescore import (
     score_confidence_set,
 )
 from latescore.inference import instrument_strength
+from latescore.nuisance import _cell_mean_predictions, _sigmoid_inplace
 from latescore.simulation import REPLICATION_COLUMNS, SUMMARY_COLUMNS, _draw, _splitmix64, aggregate
 
 
@@ -309,6 +310,130 @@ def reference_regression_cross_fit(data, spec, folds):
 @pytest.fixture(scope="session")
 def reference_regression():
     return reference_regression_cross_fit
+
+
+# cross_fit as it was before each fold gathered its training design into one
+# reused buffer: the units sorted by fold into one column-major [1, z, x]
+# design, each fold's training rows one np.concatenate of the two slices
+# around its test slice, the propensity's design an np.delete of column 1, and
+# the IRLS Hessian's row 0 from the weighted ones column.  Kept as the
+# reference the current code must equal byte for byte.
+
+
+def _sorted_fit_ols(design, targets):
+    gram = design.T @ design
+    moment = design.T @ targets
+    d = gram.shape[0]
+    fallback = np.linalg.matrix_rank(gram) < d
+    if fallback:
+        gram = gram + (1e-8 * np.trace(gram) / d) * np.eye(d)
+    try:
+        coef = np.linalg.solve(gram, moment)
+    except np.linalg.LinAlgError:
+        fallback = True
+        gram = gram + (1e-8 * max(np.trace(gram), 1.0) / d) * np.eye(d)
+        coef = np.linalg.solve(gram, moment)
+    return coef, ("ols", bool(fallback))
+
+
+def _sorted_fit_logistic(design, labels):
+    labels = np.asarray(labels, dtype=float)
+    n, d = design.shape
+    beta = np.zeros(d)
+    if labels.min() == labels.max():
+        beta[0] = math.inf if labels[0] else -math.inf
+        return beta, ("logistic", (True, True, False))
+    p, w = np.empty(n), np.empty(n)
+    hess = np.empty((d, d))
+    converged = False
+    for _ in range(100):
+        _sigmoid_inplace(np.dot(design, beta, out=p), w)
+        np.clip(p, 1e-10, 1.0 - 1e-10, out=p)
+        grad = design.T @ np.subtract(labels, p, out=w) / n
+        if np.max(np.abs(grad)) <= 1e-8:
+            converged = True
+            break
+        np.subtract(1.0, p, out=w)
+        w *= p
+        for j in range(d):
+            hess[j, j:] = design[:, j:].T @ np.multiply(design[:, j], w, out=p)
+            hess[j:, j] = hess[j, j:]
+        hess /= n
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            hess = hess + (1e-10 * max(np.trace(hess), 1.0) / d) * np.eye(d)
+            step = np.linalg.solve(hess, grad)
+        beta = beta + step
+    saturated = bool(np.max(np.abs(np.dot(design, beta, out=p))) > 30.0)
+    return beta, ("logistic", (False, converged, (not converged) or saturated))
+
+
+def _sorted_predict(beta, logistic, block):
+    t = block @ beta
+    if not logistic:
+        return t
+    return np.clip(_sigmoid_inplace(t, np.empty_like(t)), 1e-12, 1.0 - 1e-12, out=t)
+
+
+def reference_sorted_design_cross_fit(data, spec, folds):
+    """g1, g0, r1, r0 and m1 of the sorted-design cross_fit for any learner
+    triple, as a dict, and each regression fit's flags in call order (g, r,
+    then m per fold)."""
+    n = data.n
+    if spec.m_learner == "known_constant":
+        m1 = np.full(n, min(max(spec.m_value, spec.clip_eps), 1.0 - spec.clip_eps), dtype=float)
+    else:
+        m1 = np.empty(n)
+    learners = {"g": (spec.g_learner, data.y), "r": (spec.r_learner, data.a)}
+    cell = {name: target for name, (learner, target) in learners.items() if learner == "cell_mean"}
+    key = folds.fold_of * 4
+    key += 2 * data.z
+    if cell:
+        key += data.x[:, 0] > 0
+    counts = np.bincount(key, minlength=4 * folds.K).reshape(folds.K, 2, 2)
+    z_counts = counts.sum(axis=-1)
+    preds, flags = {}, []
+    if cell:
+        preds.update(zip(cell, _cell_mean_predictions(folds, key, counts, cell)))
+    per_fold = [name for name in learners if name not in preds]
+    for name in per_fold:
+        preds[name] = (np.empty(n), np.empty(n))
+    if per_fold or spec.m_learner == "logistic":
+        order = np.argsort(folds.fold_of.astype(np.min_scalar_type(folds.K - 1)), kind="stable")
+        design = np.empty((n, 2 + data.p), order="F")
+        design[:, 0] = 1.0
+        design[:, 1] = np.take(data.z, order)
+        design[:, 2:] = np.take(data.x, order, axis=0)
+        ends = np.cumsum(z_counts.sum(axis=1)).tolist()
+        for lo, hi in zip([0, *ends], ends):
+            test = order[lo:hi]
+            train = np.concatenate((order[:lo], order[hi:]))
+            features, block = np.concatenate((design[:lo], design[hi:])), design[lo:hi].copy(order="F")
+            models = {}
+            for name in per_fold:
+                learner, target = learners[name]
+                fit = _sorted_fit_ols if learner == "ols_linear" else _sorted_fit_logistic
+                beta, flag = fit(features, np.asarray(np.take(target, train), dtype=float))
+                models[name] = (beta, learner == "logistic")
+                flags.append(flag)
+            if spec.m_learner == "logistic":
+                beta, flag = _sorted_fit_logistic(np.delete(features, 1, axis=1), features[:, 1])
+                flags.append(flag)
+                m1[test] = _sorted_predict(beta, True, np.delete(block, 1, axis=1))
+            for column, z_level in enumerate((1.0, 0.0)):
+                block[:, 1] = z_level
+                for name, (beta, logistic) in models.items():
+                    preds[name][column][test] = _sorted_predict(beta, logistic, block)
+    if spec.m_learner == "logistic":
+        np.clip(m1, spec.clip_eps, 1.0 - spec.clip_eps, out=m1)
+    (g1, g0), (r1, r0) = preds["g"], preds["r"]
+    return dict(g1=g1, g0=g0, r1=r1, r0=r0, m1=m1), flags
+
+
+@pytest.fixture(scope="session")
+def reference_sorted_design():
+    return reference_sorted_design_cross_fit
 
 
 # One replication as it ran before the trust-boundary constructors: every

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -210,11 +212,15 @@ def _cellmean_spec(**kwargs):
 
 
 class TestCrossFit:
-    def test_known_propensity_fills_constant(self):
+    @pytest.mark.parametrize("g, r", [("cell_mean", "cell_mean"), ("ols_linear", "logistic")])
+    def test_known_propensity_fills_constant(self, g, r):
         data = _simple_dataset()
         folds = make_folds(data.n, 5, seed=1)
-        preds = cross_fit(data, _cellmean_spec(), folds)
+        spec = LearnerSpec(g_learner=g, r_learner=r, m_learner="known_constant", m_value=0.5)
+        preds = cross_fit(data, spec, folds)
         assert np.all(preds.m1 == 0.5)
+        # One clipped number, viewed n times over.
+        assert preds.m1.strides == (0,) and not preds.m1.flags.writeable
 
     def test_zero_outcome_gives_zero_g(self):
         n = 20
@@ -555,11 +561,27 @@ def _recorded_cross_fit(monkeypatch, data, spec, folds):
     return vars(preds), flags
 
 
-def _assert_matches_reference(monkeypatch, reference_regression, data, spec, folds):
-    """Same flags as the reference; each prediction vector byte-identical or
-    within the tolerance of its scale.  Returns the flags."""
-    want, want_flags = reference_regression(data, spec, folds)
+def _assert_same_bytes_as_sorted_design(monkeypatch, reference_sorted_design, data, spec, folds):
+    """The five prediction vectors byte for byte and the same fit flags as
+    the sorted-design reference.  Returns the predictions and the flags."""
+    want, want_flags = reference_sorted_design(data, spec, folds)
     got, got_flags = _recorded_cross_fit(monkeypatch, data, spec, folds)
+    assert got_flags == want_flags
+    for name in ("g1", "g0", "r1", "r0", "m1"):
+        assert got[name].tobytes() == want[name].tobytes(), name
+    return got, got_flags
+
+
+def _assert_matches_reference(
+    monkeypatch, reference_regression, reference_sorted_design, data, spec, folds
+):
+    """Same flags as both references; each prediction vector byte-identical to
+    the sorted-design reference's, and byte-identical to the per-fold
+    reference's or within the tolerance of its scale.  Returns the flags."""
+    want, want_flags = reference_regression(data, spec, folds)
+    got, got_flags = _assert_same_bytes_as_sorted_design(
+        monkeypatch, reference_sorted_design, data, spec, folds
+    )
     assert got_flags == want_flags
     for name in ("g1", "g0", "r1", "r0", "m1"):
         if got[name].tobytes() != want[name].tobytes():
@@ -573,47 +595,122 @@ class TestRegressionCrossFitAgainstPerFoldReference:
     @pytest.mark.parametrize("K", [2, 5])
     @pytest.mark.parametrize("m_logistic", [False, True])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_matches(self, monkeypatch, reference_regression, p, K, m_logistic, seed):
+    def test_matches(
+        self, monkeypatch, reference_regression, reference_sorted_design, p, K, m_logistic, seed
+    ):
         data = _regression_data(900 + 37 * seed, p, seed, m_logistic)
         folds = make_folds(data.n, K, seed=seed + 10)
         flags = _assert_matches_reference(
-            monkeypatch, reference_regression, data, _regression_spec(K, m_logistic), folds
+            monkeypatch, reference_regression, reference_sorted_design, data,
+            _regression_spec(K, m_logistic), folds,
         )
         assert len(flags) == K * (3 if m_logistic else 2)
 
     @pytest.mark.parametrize("m_logistic", [False, True])
-    def test_constant_covariate_takes_the_ridge_fallback(self, monkeypatch, reference_regression, m_logistic):
+    def test_constant_covariate_takes_the_ridge_fallback(
+        self, monkeypatch, reference_regression, reference_sorted_design, m_logistic
+    ):
         base = _regression_data(800, 1, 3, m_logistic)
         data = Dataset(y=base.y, a=base.a, z=base.z, x=np.column_stack([base.x, np.full(base.n, 0.3)]))
         flags = _assert_matches_reference(
-            monkeypatch, reference_regression, data, _regression_spec(5, m_logistic),
+            monkeypatch, reference_regression, reference_sorted_design, data,
+            _regression_spec(5, m_logistic),
             make_folds(data.n, 5, seed=4),
         )
         assert all(fallback for kind, fallback in flags if kind == "ols")
 
     @pytest.mark.parametrize("m_logistic", [False, True])
-    def test_pure_label_training_fold_fits_a_constant(self, monkeypatch, reference_regression, m_logistic):
+    def test_pure_label_training_fold_fits_a_constant(
+        self, monkeypatch, reference_regression, reference_sorted_design, m_logistic
+    ):
         base = _regression_data(600, 2, 5, m_logistic)
         folds = make_folds(base.n, 2, seed=6)
         # Fold 1 trains on fold 0, where every unit is untreated.
         a = np.where(folds.fold_of == 0, 0, base.a)
         data = Dataset(y=base.y, a=a, z=base.z, x=base.x)
         flags = _assert_matches_reference(
-            monkeypatch, reference_regression, data, _regression_spec(2, m_logistic), folds
+            monkeypatch, reference_regression, reference_sorted_design, data,
+            _regression_spec(2, m_logistic), folds,
         )
         assert ("logistic", (True, True, False)) in flags
 
     @pytest.mark.parametrize("m_logistic", [False, True])
-    def test_separable_fold_sets_the_warning(self, monkeypatch, reference_regression, m_logistic):
+    def test_separable_fold_sets_the_warning(
+        self, monkeypatch, reference_regression, reference_sorted_design, m_logistic
+    ):
         base = _regression_data(600, 2, 7, m_logistic)
         # The treatment is the sign of x1, so every training fold separates.
         a = (base.x[:, 0] > 0).astype(int)
         data = Dataset(y=base.y, a=a, z=base.z, x=base.x)
         flags = _assert_matches_reference(
-            monkeypatch, reference_regression, data, _regression_spec(5, m_logistic),
+            monkeypatch, reference_regression, reference_sorted_design, data,
+            _regression_spec(5, m_logistic),
             make_folds(data.n, 5, seed=8),
         )
         assert any(kind == "logistic" and state[2] for kind, state in flags)
+
+
+# Every learner triple at each covariate count; cell means need a covariate.
+_TRIPLES_BY_P = [
+    (g, r, m, p)
+    for g in ("ols_linear", "cell_mean")
+    for r in ("logistic", "cell_mean")
+    for m in ("logistic", "known_constant")
+    for p in (0, 1, 3)
+    if p or (g, r) == ("ols_linear", "logistic")
+]
+
+
+class TestRegressionCrossFitAgainstSortedDesign:
+    """Every fit sees the matrix the whole-sample sorted design gave it, in
+    the same layout, so every prediction keeps its bits.  n mod K != 0 gives
+    training complements of two sizes, where a layout that reads the
+    training design as a row slice of one larger array would round apart."""
+
+    @pytest.mark.parametrize("g, r, m, p", _TRIPLES_BY_P)
+    @pytest.mark.parametrize("K", [2, 3, 5])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_same_bytes(self, monkeypatch, reference_sorted_design, g, r, m, p, K, extra):
+        n = 30 * K * (5 + K) + extra * (K - 1)
+        data = _regression_data(n, p, seed=K + p, logistic_z=m == "logistic")
+        spec = LearnerSpec(g_learner=g, r_learner=r, m_learner=m, m_value=0.3, K=K)
+        _assert_same_bytes_as_sorted_design(
+            monkeypatch, reference_sorted_design, data, spec, make_folds(n, K, seed=K * p + extra)
+        )
+
+    @pytest.mark.parametrize("n", [200_000, 200_003])
+    def test_same_bytes_at_benchmark_size(self, monkeypatch, reference_sorted_design, n):
+        data = _regression_data(n, 2, seed=1, logistic_z=True)
+        _assert_same_bytes_as_sorted_design(
+            monkeypatch, reference_sorted_design, data, LearnerSpec(K=5), make_folds(n, 5, seed=2)
+        )
+
+
+class TestCrossFitMemory:
+    """The regression path holds one training design, one label vector and
+    the outputs: no whole-sample sorted design and no per-fold copy of it.
+    At n = 200,000 and p = 2 the sorted design and its per-fold copies
+    peaked at 31.7 MB with a known propensity and 33.0 MB with a logistic one."""
+
+    @staticmethod
+    def _peak(spec):
+        data = _regression_data(200_000, 2, seed=1, logistic_z=True)
+        folds = make_folds(data.n, 5, seed=2)
+        cross_fit(_regression_data(100, 2, seed=1, logistic_z=True), spec, make_folds(100, 5, seed=2))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            cross_fit(data, spec, folds)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_known_propensity_peak_is_at_most_22_mb(self):
+        assert self._peak(_regression_spec(5, m_logistic=False)) <= 22_000_000
+
+    def test_logistic_propensity_peak_is_at_most_24_mb(self):
+        assert self._peak(_regression_spec(5, m_logistic=True)) <= 24_000_000
 
 
 def _overflow_data(big_z):
