@@ -37,7 +37,7 @@ from .inference import (
 from .nuisance import LearnerSpec, cross_fit
 from .scores import compute_scores
 from .simulation import StudySpec, run_study, write_replications_csv, write_summary_csv
-from .weakiv import WeakIVConfig, _limit_blocks
+from .weakiv import _LIMIT_BLOCK, WeakIVConfig, sample_weak_limit
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -263,20 +263,10 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _write_draws(handle, blocks) -> None:
-    handle.write("draw\n")
-    for block in blocks:
-        _write_rows(handle, block)
-
-
-def _replace_with_draws(path: str, samples: int, blocks) -> None:
-    """Write the draws to a file beside ``path``, which replaces it only
-    once complete: a failed run leaves ``path`` as it was."""
-    # The header "draw" and the shortest row, "0.0", each with its newline.
-    least = 5 + 4 * samples
-    free = shutil.disk_usage(os.path.dirname(path)).free
-    if least > free:
-        raise InvalidConfigError(f"{samples} draws need at least {least} bytes; {free} are free")
+@contextlib.contextmanager
+def _replacing(path: str):
+    """A handle on a new file beside ``path``, which replaces it only once
+    the body completes: a failed run leaves ``path`` as it was."""
     fd, temp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=f".{os.path.basename(path)}.")
     try:
         with open(fd, "w", newline="") as handle:
@@ -288,7 +278,7 @@ def _replace_with_draws(path: str, samples: int, blocks) -> None:
                 umask = os.umask(0)
                 os.umask(umask)
                 os.chmod(temp, 0o666 & ~umask)
-            _write_draws(handle, blocks)
+            yield handle
         os.replace(temp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -300,14 +290,23 @@ def cmd_weakiv_limit(args) -> int:
     if args.samples < 1:
         raise InvalidConfigError("--samples must be at least 1")
     cfg = WeakIVConfig(args.ca, args.cb, np.array([[args.s11, args.s12], [args.s12, args.s22]]))
-    blocks = _limit_blocks(cfg, np.random.Generator(np.random.PCG64(args.seed)), args.samples)
+    rng = np.random.Generator(np.random.PCG64(args.seed))
     if os.path.exists(args.out) and not os.path.isfile(args.out):
         # A device or a pipe, such as /dev/stdout, holds no file to keep
         # and must not be replaced: it takes the rows as they come.
-        with open(args.out, "w", newline="") as handle:
-            _write_draws(handle, blocks)
+        out = open(args.out, "w", newline="")
     else:
-        _replace_with_draws(os.path.realpath(args.out), args.samples, blocks)
+        path = os.path.realpath(args.out)
+        # The header "draw" and the shortest row, "0.0", each with its newline.
+        least = 5 + 4 * args.samples
+        free = shutil.disk_usage(os.path.dirname(path)).free
+        if least > free:
+            raise InvalidConfigError(f"{args.samples} draws need at least {least} bytes; {free} are free")
+        out = _replacing(path)
+    with out as handle:
+        handle.write("draw\n")
+        for lo in range(0, args.samples, _LIMIT_BLOCK):
+            _write_rows(handle, sample_weak_limit(cfg, rng, min(_LIMIT_BLOCK, args.samples - lo)))
     print(f"wrote {args.samples} draws to {args.out}")
     return EXIT_OK
 

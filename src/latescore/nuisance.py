@@ -123,9 +123,9 @@ class LinearModel:
 def fit_ols(design: np.ndarray, targets: np.ndarray) -> LinearModel:
     """Fit least squares, intercept in column 0 of ``design``, via the normal equations.
 
-    A rank-deficient Gram matrix is regularized with a trace-scaled ridge
-    penalty (1e-8 * trace/dim) instead of failing, with the fallback flag
-    set, so degenerate folds cannot crash a Monte Carlo run.
+    A rank-deficient Gram matrix gets the ridge 1e-8 * max(trace, 1)/dim and
+    the fallback flag, so degenerate folds cannot crash a Monte Carlo run.
+    The floor of 1 acts only without the intercept's ones, as on a zero design.
     """
     targets = np.asarray(targets, dtype=float)
     design = np.asarray(design, dtype=float)
@@ -136,14 +136,8 @@ def fit_ols(design: np.ndarray, targets: np.ndarray) -> LinearModel:
     d = gram.shape[0]
     fallback = np.linalg.matrix_rank(gram) < d
     if fallback:
-        gram = gram + (1e-8 * np.trace(gram) / d) * np.eye(d)
-    try:
-        coef = np.linalg.solve(gram, moment)
-    except np.linalg.LinAlgError:
-        fallback = True
         gram = gram + (1e-8 * max(np.trace(gram), 1.0) / d) * np.eye(d)
-        coef = np.linalg.solve(gram, moment)
-    return LinearModel(beta=coef, ridge_fallback=fallback)
+    return LinearModel(beta=np.linalg.solve(gram, moment), ridge_fallback=fallback)
 
 
 @dataclass(frozen=True)
@@ -205,7 +199,7 @@ def fit_logistic(design: np.ndarray, labels: np.ndarray) -> LogisticModel:
             hess = hess + (1e-10 * max(np.trace(hess), 1.0) / d) * np.eye(d)
             step = np.linalg.solve(hess, grad)
         beta = beta + step
-    saturated = bool(np.max(np.abs(np.dot(design, beta, out=p))) > 30.0)
+    saturated = bool(np.max(np.abs(np.dot(design, beta, out=p), out=p)) > 30.0)
     return LogisticModel(beta=beta, converged=converged, warning=(not converged) or saturated)
 
 
@@ -347,6 +341,7 @@ def cross_fit(data: Dataset, spec: LearnerSpec, folds: FoldAssignment) -> Nuisan
     preds = {}  # name -> (prediction at z=1, prediction at z=0)
     if cell:
         preds.update(zip(cell, _cell_mean_predictions(folds, key, counts, cell)))
+    del key  # n int64s, which the regression fits below do not read
     per_fold = [name for name in learners if name not in preds]
     for name in per_fold:
         preds[name] = (np.empty(n), np.empty(n))

@@ -118,21 +118,14 @@ def _draw_into(cfg: WeakIVConfig, rng: np.random.Generator, out: np.ndarray) -> 
     return out
 
 
-def _limit_blocks(cfg: WeakIVConfig, rng: np.random.Generator, size: int):
-    """Yield ``size`` limit draws in order, as arrays of at most
-    ``_LIMIT_BLOCK`` draws each, with one block held at a time."""
-    for lo in range(0, size, _LIMIT_BLOCK):
-        yield _draw_into(cfg, rng, np.empty(min(_LIMIT_BLOCK, size - lo)))
-
-
 def sample_weak_limit(cfg: WeakIVConfig, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw ``size`` values of (c_a*N_b - c_b*N_a) / (c_a^2 + c_a*N_a).
 
     An exactly-zero denominator (a probability-zero event) triggers a
     redraw, which leaves the distribution unchanged.  Parameters whose
     draws overflow double precision are rejected.  The pairs are drawn
-    ``_LIMIT_BLOCK`` at a time, each block's redraws following its pairs;
-    the draws are those ``weakiv-limit`` writes.
+    ``_LIMIT_BLOCK`` at a time, each block's redraws following its pairs, so
+    ``weakiv-limit``, which draws a block a call, writes these same draws.
     """
     draws = np.empty(_check_integer(size, "size", least=0))
     for lo in range(0, draws.size, _LIMIT_BLOCK):

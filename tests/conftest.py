@@ -436,6 +436,11 @@ def reference_sorted_design():
     return reference_sorted_design_cross_fit
 
 
+@pytest.fixture(scope="session")
+def reference_ols():
+    return _sorted_fit_ols
+
+
 # One replication as it ran before the trust-boundary constructors: every
 # container through its validating public constructor, the cell-mean fit
 # one fold and target at a time on a generator sum of the other folds'

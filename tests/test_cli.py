@@ -31,6 +31,7 @@ from latescore import (
     load_csv,
     make_folds,
     quad_coefficients,
+    sample_weak_limit,
     write_csv,
 )
 import latescore
@@ -38,7 +39,7 @@ from latescore import simulation
 from latescore.inference import score_statistic, zero_tolerances
 from latescore.cli import _NEGATIVE_NUMBER, SCAN_BLOCK, _membership, main
 from latescore.data import _write_rows
-from latescore.weakiv import WeakIVConfig
+from latescore.weakiv import _LIMIT_BLOCK, WeakIVConfig
 
 
 def _export_dgp(tmp_path, pi, n, seed, name):
@@ -697,6 +698,31 @@ class TestWeakIVLimit:
             write_draws(handle, draws)
         assert out_path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
+    @pytest.mark.parametrize("samples", [1, _LIMIT_BLOCK, _LIMIT_BLOCK + 1, 2 * _LIMIT_BLOCK + 3])
+    def test_samples_each_block_once_and_writes_it_before_the_next(self, tmp_path, monkeypatch, samples):
+        events = []
+
+        def sample(cfg, rng, size):
+            block = sample_weak_limit(cfg, rng, size)
+            events.append(("sample", block))
+            return block
+
+        def write_rows(handle, column):
+            events.append(("write", column))
+            _write_rows(handle, column)
+
+        monkeypatch.setattr("latescore.cli.sample_weak_limit", sample)
+        monkeypatch.setattr("latescore.cli._write_rows", write_rows)
+        out = tmp_path / "d.csv"
+        assert main(["weakiv-limit", *self._FULL_RANK, "--samples", str(samples), "--out", str(out)]) == 0
+        blocks = math.ceil(samples / _LIMIT_BLOCK)
+        assert [kind for kind, _ in events] == ["sample", "write"] * blocks
+        assert [block.size for _, block in events[::2]] == [
+            min(_LIMIT_BLOCK, samples - lo) for lo in range(0, samples, _LIMIT_BLOCK)
+        ]
+        assert all(written is drawn for (_, drawn), (_, written) in zip(events[::2], events[1::2]))
+        assert len(_read_rows(out)) == samples
+
     def test_non_psd_sigma_exits_2(self, tmp_path):
         status = main([
             "weakiv-limit", "--ca", "1", "--cb", "1", "--s11", "1", "--s12", "2",
@@ -722,19 +748,29 @@ class TestWeakIVLimit:
             assert peak <= 4_000_000, samples
 
     @staticmethod
-    def _fail_after_one_block(*args):
-        yield np.ones(5)
-        raise MemoryError("Unable to allocate the next block")
+    def _fail_after_one_block():
+        """A sampler stand-in that hands over one block, then runs out of memory."""
+        calls = []
+
+        def sample(cfg, rng, size):
+            calls.append(size)
+            if len(calls) > 1:
+                raise MemoryError("Unable to allocate the next block")
+            return np.ones(size)
+
+        return sample
 
     @pytest.mark.parametrize("how", ["overflow", "after-a-block"])
     def test_a_failed_run_leaves_an_existing_out_as_it_was(self, tmp_path, capsys, monkeypatch, how):
         out = tmp_path / "d.csv"
         out.write_bytes(b"draw\n1.5\n")
+        samples = 1000
         if how == "after-a-block":
-            monkeypatch.setattr("latescore.cli._limit_blocks", self._fail_after_one_block)
+            monkeypatch.setattr("latescore.cli.sample_weak_limit", self._fail_after_one_block())
+            samples = _LIMIT_BLOCK + 1000
         status = main([
             "weakiv-limit", "--ca", "1e-150", "--cb", "1e200", "--s11", "1", "--s12", "0",
-            "--s22", "1", "--samples", "1000", "--out", str(out),
+            "--s22", "1", "--samples", str(samples), "--out", str(out),
         ])
         assert status == 2
         _assert_one_error_line(capsys)
@@ -861,7 +897,7 @@ class TestEntryPoint:
         def no_memory(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr("latescore.cli._limit_blocks", no_memory)
+        monkeypatch.setattr("latescore.cli.sample_weak_limit", no_memory)
         status = main([
             "weakiv-limit", "--ca", "1", "--cb", "0", "--s11", "1", "--s12", "0", "--s22", "1",
             "--out", str(tmp_path / "d.csv"),

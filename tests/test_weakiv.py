@@ -265,8 +265,15 @@ class TestZeroDenominatorRedraw:
         assert got.tobytes() == want.tobytes()
 
 
+def _blockwise(cfg, rng, size):
+    """``sample_weak_limit`` called once per block of at most ``_B`` draws,
+    as weakiv-limit calls it, yielding each block as it is drawn."""
+    for lo in range(0, size, _B):
+        yield sample_weak_limit(cfg, rng, min(_B, size - lo))
+
+
 class TestLimitBlocks:
-    """The block generator that weakiv-limit writes from."""
+    """The sampler called block by block, as weakiv-limit writes from it."""
 
     cfg = TestZeroDenominatorRedraw.cfg
 
@@ -274,7 +281,7 @@ class TestLimitBlocks:
         script = np.random.Generator(np.random.PCG64(1)).uniform(-0.5, 0.5, (2 * _B + 10, 2))
         script[_B + 5, 0] = -1.0
         rng = _ScriptedNormals(np.concatenate([script[: 2 * _B], [[0.5, 2.0]], script[2 * _B :]]))
-        blocks = weakiv._limit_blocks(self.cfg, rng, 2 * _B + 10)
+        blocks = _blockwise(self.cfg, rng, 2 * _B + 10)
         first = next(blocks)
         assert rng.requests == [(_B, 2)]
         na, nb = script[:_B, 0], script[:_B, 1]
@@ -295,7 +302,7 @@ class TestLimitBlocks:
     def test_blocks_match_the_one_shot_sampler_block_by_block(self, reference_weak_limit, zeros, redraws):
         case = TestZeroDenominatorRedraw()
         script = case._script(zeros, redraws)
-        got = np.concatenate(list(weakiv._limit_blocks(self.cfg, _ScriptedNormals(script), case.size)))
+        got = np.concatenate(list(_blockwise(self.cfg, _ScriptedNormals(script), case.size)))
         want = _per_block(reference_weak_limit, self.cfg, _ScriptedNormals(script), case.size)
         assert got.tobytes() == want.tobytes()
         assert np.all(np.isfinite(got))
