@@ -61,6 +61,7 @@ from .weakiv import (
     WeakIVCalibration,
     WeakIVConfig,
     estimate_weakiv_config,
+    exact_weakiv_config,
     sample_bivariate_normal,
     sample_weak_limit,
 )

@@ -348,10 +348,10 @@ def _write_columns(path: str, header, *columns) -> None:
 
 
 def _write_rows(handle, *columns) -> None:
-    """Write the rows of ``_write_columns``' columns to an open text handle,
-    one write per block of rows."""
+    """Write ``_write_columns``' rows to ``handle``: one filled ``%s`` template a block."""
     for start in range(0, len(columns[0]) if columns else 0, _WRITE_BLOCK):
         blocks = [c[start : start + _WRITE_BLOCK] for c in columns]
-        cells = [map(str, b.tolist() if isinstance(b, np.ndarray) else b) for b in blocks]
-        lines = cells[0] if len(cells) == 1 else map(",".join, zip(*cells))
-        handle.write("\n".join(lines) + "\n")
+        cells = [None] * (len(blocks) * len(blocks[0]))  # the block's cells, row by row
+        for j, block in enumerate(blocks):
+            cells[j :: len(blocks)] = block.tolist() if isinstance(block, np.ndarray) else block
+        handle.write((",".join(["%s"] * len(blocks)) + "\n") * len(blocks[0]) % tuple(cells))

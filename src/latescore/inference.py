@@ -72,6 +72,8 @@ class QuadCoefficients(NamedTuple):
     ``a_scale`` is the magnitude of the two cancelling terms in a and is
     the reference against which a is treated as zero; ``degenerate``
     marks identically-zero score data, for which no set is meaningful.
+    ``ma``/``mb`` are the score means where the coefficients come from
+    scores; a point set is then {mb/ma}, the ratio estimate bit for bit.
     """
 
     a: float
@@ -82,6 +84,8 @@ class QuadCoefficients(NamedTuple):
     z_crit: float
     a_scale: float = 1.0
     degenerate: bool = False
+    ma: float | None = None
+    mb: float | None = None
 
 
 def quad_coefficients(scores: ScoreSample, alpha: float) -> QuadCoefficients:
@@ -104,6 +108,8 @@ def quad_coefficients(scores: ScoreSample, alpha: float) -> QuadCoefficients:
         z_crit=z,
         a_scale=max(n * ma * ma, z2 * maa, 1.0),
         degenerate=(maa == 0.0 and mbb == 0.0),
+        ma=ma,
+        mb=mb,
     )
 
 
@@ -184,7 +190,7 @@ def invert_score_test(coeffs: QuadCoefficients) -> ConfidenceSet:
     - delta < 0, a > 0: empty set
     - delta < 0, a < 0: whole line
     - delta != 0, a = 0: (-inf, -c/b] if b > 0 else [-c/b, inf)
-    - delta = 0, a > 0: the point {-b / (2a)}
+    - delta = 0, a > 0: the point {-b / (2a)}, or {mb / ma} given the means
     - delta = 0, a < 0: whole line
     - delta = 0, a = 0: whole line if c <= 0 else empty set
 
@@ -196,7 +202,8 @@ def invert_score_test(coeffs: QuadCoefficients) -> ConfidenceSet:
     everywhere and only a > 0 pins the set to the vertex.  That branch
     is not a theoretical corner: whenever the instrument moves no
     treatment decision in the realized sample, psi_b can be an exact
-    multiple of psi_a and delta vanishes identically.
+    multiple of psi_a and delta vanishes identically.  The ratio estimate
+    mb/ma satisfies the inequality, so in exact arithmetic it is the vertex.
     """
     if coeffs.degenerate:
         raise DegenerateDataError("both score vectors are identically zero")
@@ -217,7 +224,7 @@ def invert_score_test(coeffs: QuadCoefficients) -> ConfidenceSet:
         return _WHOLE_LINE if c <= 0.0 else _EMPTY
     if delta_zero:
         if a > 0.0:
-            vertex = -b / (2.0 * a)
+            vertex = -b / (2.0 * a) if coeffs.ma is None else coeffs.mb / coeffs.ma
             return ConfidenceSet("point", vertex, vertex)
         return _WHOLE_LINE
     if delta > 0.0:

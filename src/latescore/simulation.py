@@ -149,6 +149,21 @@ def oracle_cell_values(params: DgpParams) -> np.ndarray:
     return np.stack([psi_a, psi_b, r1 - r0, g1 - g0])
 
 
+def cell_probabilities(params: DgpParams) -> np.ndarray:
+    """The probability of each cell under the law, as a (24,) array in the
+    numbering of :func:`oracle_cell_values`.
+
+    z and 1{x > 0} are fair and independent of u, and sign(u) = 0 has
+    probability 0.  Off z = 1, x > 0 the treatment is 1{u > 0}; on it,
+    1{u > -pi}, which puts Phi(pi) - 1/2 on (a = 1, u < 0) for pi > 0 and
+    1/2 - Phi(pi) on (a = 0, u > 0) for pi < 0.
+    """
+    phi = _norm_cdf(params.pi)
+    still = [0.5, 0.0, 0.0, 0.0, 0.0, 0.5]  # (a, sign(u) + 1) = (0, 0), ..., (1, 2)
+    moved = [min(_norm_cdf(-params.pi), 0.5), 0.0, max(0.5 - phi, 0.0), max(phi - 0.5, 0.0), 0.0, min(phi, 0.5)]
+    return 0.25 * np.array(still * 3 + moved)
+
+
 def draw_oracle_cells(params: DgpParams, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw ``size`` units from the law and return their cell numbers as uint8.
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import _check_integer
 from .errors import DecompositionError, InvalidConfigError
-from .simulation import _CELL_BLOCK, N_CELLS, DgpParams, draw_oracle_cells, oracle_cell_values
+from .simulation import _CELL_BLOCK, N_CELLS, DgpParams, cell_probabilities, draw_oracle_cells, oracle_cell_values
 
 # Oracle draws per batch in the calibrator, which bounds its memory.  The
 # batch edges fix the order in which the random stream is read.
@@ -133,6 +133,33 @@ def sample_weak_limit(cfg: WeakIVConfig, rng: np.random.Generator, size: int) ->
     return draws
 
 
+def _cell_terms(params: DgpParams) -> np.ndarray:
+    """The nine terms whose means give the limit parameters, at each cell, as
+    a (24, 9) array: psi_a, psi_b, psi_a^2, psi_b^2, psi_a*psi_b, then r1 - r0
+    and g1 - g0, each followed by its square."""
+    psi_a, psi_b, ca, cb = oracle_cell_values(params)
+    terms = [psi_a, psi_b, psi_a * psi_a, psi_b * psi_b, psi_a * psi_b, ca, ca * ca, cb, cb * cb]
+    return np.stack(terms, axis=1)
+
+
+def _limit_parameters(means: np.ndarray, n: int):
+    """(c_a, c_b, Sigma_ab) from the means of the nine cell terms at size n."""
+    mu_a, mu_b, m_aa, m_bb, m_ab, mean_a, _, mean_b, _ = means
+    cov = np.array(
+        [
+            [m_aa - mu_a * mu_a, m_ab - mu_a * mu_b],
+            [m_ab - mu_a * mu_b, m_bb - mu_b * mu_b],
+        ]
+    )
+    return math.sqrt(n) * mean_a, math.sqrt(n) * mean_b, cov
+
+
+def exact_weakiv_config(params: DgpParams) -> WeakIVConfig:
+    """The limit parameters of a law at its n, exactly: the nine cell terms
+    averaged over :func:`cell_probabilities` rather than over draws."""
+    return WeakIVConfig(*_limit_parameters(cell_probabilities(params) @ _cell_terms(params), params.n))
+
+
 @dataclass(frozen=True)
 class WeakIVCalibration:
     """Monte-Carlo estimates of the limit parameters, with diagnostics.
@@ -180,23 +207,12 @@ def estimate_weakiv_config(
         for lo in range(0, m, _CELL_BLOCK):
             counts += np.bincount(cells[lo : lo + _CELL_BLOCK], minlength=N_CELLS)
         total += m
-    psi_a, psi_b, ca, cb = oracle_cell_values(params)
-    cell_terms = [psi_a, psi_b, psi_a * psi_a, psi_b * psi_b, psi_a * psi_b, ca, ca * ca, cb, cb * cb]
-    sums = counts @ np.stack(cell_terms, axis=1)
-    mu_a, mu_b, m_aa, m_bb, m_ab, mean_a, m_ca2, mean_b, m_cb2 = sums / total
+    means = counts @ _cell_terms(params) / total
+    c_a, c_b, cov = _limit_parameters(means, params.n)
+    *_, mean_a, m_ca2, mean_b, m_cb2 = means
     root_n = math.sqrt(params.n)
-    var_a = max(m_ca2 - mean_a * mean_a, 0.0)
-    var_b = max(m_cb2 - mean_b * mean_b, 0.0)
-    c_a = root_n * mean_a
-    c_b = root_n * mean_b
-    ca_se = root_n * math.sqrt(var_a / total)
-    cb_se = root_n * math.sqrt(var_b / total)
-    cov = np.array(
-        [
-            [m_aa - mu_a * mu_a, m_ab - mu_a * mu_b],
-            [m_ab - mu_a * mu_b, m_bb - mu_b * mu_b],
-        ]
-    )
+    ca_se = root_n * math.sqrt(max(m_ca2 - mean_a * mean_a, 0.0) / total)
+    cb_se = root_n * math.sqrt(max(m_cb2 - mean_b * mean_b, 0.0) / total)
     return WeakIVCalibration(
         c_a=c_a,
         c_b=c_b,

@@ -111,6 +111,22 @@ def reference_writers():
     return reference_write_draws, reference_write_scores, reference_write_csv
 
 
+def reference_write_rows(handle, *columns, block=1 << 14):
+    """The block writer as it was before it filled one ``%s`` template a
+    block: each row's cells through ``str`` and ``",".join``, and the rows
+    through ``"\\n".join``, with a single column written without the join."""
+    for start in range(0, len(columns[0]) if columns else 0, block):
+        blocks = [c[start : start + block] for c in columns]
+        cells = [map(str, b.tolist() if isinstance(b, np.ndarray) else b) for b in blocks]
+        lines = cells[0] if len(cells) == 1 else map(",".join, zip(*cells))
+        handle.write("\n".join(lines) + "\n")
+
+
+@pytest.fixture(scope="session")
+def reference_join_writer():
+    return reference_write_rows
+
+
 def reference_sample_weak_limit(cfg, rng, size):
     """The one-shot limit sampler that the block sampler replaced: all
     pairs at once, then the zero-denominator redraws in index order."""

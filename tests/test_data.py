@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -27,6 +28,7 @@ from latescore import (
     write_csv,
 )
 from latescore import data as data_module
+from latescore.cli import _MEMBERSHIP
 
 
 class TestMakeFolds:
@@ -616,3 +618,80 @@ class TestWriteColumns:
     def test_a_header_alone_for_no_rows(self):
         handle = _written(["draw"], np.array([]))
         assert handle.text == "draw\n" and handle.writes == 1
+
+
+class _Sink:
+    """A text handle that keeps nothing it is given."""
+
+    def write(self, text):
+        return len(text)
+
+
+def _join_written(reference_join_writer, *columns):
+    handle = _Recorder()
+    reference_join_writer(handle, *columns, block=_BLOCK)
+    handle.close()
+    return handle
+
+
+# A cell of any kind the writers are given; text with % signs included.
+_CELLS = _FLOATS | st.sampled_from([np.nan, np.inf, -np.inf]) | st.integers() | st.sampled_from(
+    ["", "weak", "point", "%s", "100%", "%%"]
+)
+
+
+class TestWriteRowsAgainstJoinWriter:
+    """The ``%`` template writer against the join writer it replaced, byte for byte."""
+
+    @pytest.mark.parametrize("rows", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+    def test_same_text_and_writes_at_the_block_edges(self, reference_join_writer, rows):
+        rng = np.random.Generator(np.random.PCG64(rows))
+        values = rng.standard_normal(rows) * 10.0 ** rng.integers(-320, 300, rows)
+        statistic = np.where(rng.random(rows) < 0.3, np.nan, -values)
+        edges = np.resize(np.array(_EDGE_FLOATS), rows)
+        # simulate's tuple columns: str, int and float cells; analyze --out's
+        # endpoint cells, a float or "".
+        tags = tuple(rng.choice(["weak", "strong"], rows).tolist())
+        flags = tuple(rng.integers(0, 2, rows).tolist())
+        ends = [v if keep else "" for v, keep in zip(values.tolist(), rng.random(rows) < 0.5)]
+        cases = [
+            (tags, flags, tuple(values.tolist()), ends, tuple(edges.tolist())),
+            (values, statistic, _MEMBERSHIP[rng.integers(0, 6, rows)]),  # scan's grid, as cmd_scan passes it
+            (edges,),
+            (edges, -edges[::-1]),
+            (edges.tolist(),),
+            tuple([cell] for cell in (rows, 0.05, values[0], "point", values[0], "", 1, edges[-1])),
+        ]
+        for columns in cases:
+            got, want = _written(["h"] * len(columns), *columns), _join_written(reference_join_writer, *columns)
+            assert got.text == ",".join(["h"] * len(columns)) + "\n" + want.text
+            assert got.writes == want.writes + 1
+
+    @given(data=st.data(), rows=st.integers(0, 3 * _BLOCK + 2), width=st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_same_text_on_any_cells(self, reference_join_writer, data, rows, width):
+        columns = [tuple(data.draw(st.lists(_CELLS, min_size=rows, max_size=rows))) for _ in range(width)]
+        handle = _Recorder()
+        with mock.patch.object(data_module, "_WRITE_BLOCK", _BLOCK):
+            data_module._write_rows(handle, *columns)
+        handle.close()
+        assert handle.text == _join_written(reference_join_writer, *columns).text
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_peak_memory_of_a_block_is_at_most_the_join_writers(self, reference_join_writer, width):
+        rng = np.random.Generator(np.random.PCG64(width))
+        rows = data_module._WRITE_BLOCK
+        columns = [rng.standard_normal(rows) for _ in range(min(width, 2))]
+        if width == 3:
+            columns.append(_MEMBERSHIP[rng.integers(0, 6, rows)])
+
+        def peak(write):
+            write(_Sink(), *columns)  # a first call makes any lazy caches
+            tracemalloc.start()
+            try:
+                write(_Sink(), *columns)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(data_module._write_rows) <= peak(reference_join_writer)

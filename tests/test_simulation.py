@@ -17,16 +17,21 @@ from latescore import (
     ReplicationResult,
     StudySpec,
     aggregate,
+    compute_scores,
+    cross_fit,
     dgp_generate,
+    drml_estimate,
+    make_folds,
     oracle_scores,
     replication_seed,
     run_replication,
     run_study,
+    score_confidence_set,
     write_replications_csv,
     write_summary_csv,
 )
 from latescore.simulation import _CELL_BLOCK as _B
-from latescore.simulation import N_CELLS, _draw, draw_oracle_cells
+from latescore.simulation import N_CELLS, _draw, _splitmix64, cell_probabilities, draw_oracle_cells
 
 _PI = st.sampled_from([0.0, -0.0, 0.15 / math.sqrt(5000), 1.0, -1.0, 5.0, -40.0]) | st.floats(-10.0, 10.0)
 _SHIFT = (st.floats(-1e3, 1e3) | st.sampled_from([1.0, -2.5, 1e-300])).filter(lambda v: v != 0.0)
@@ -174,6 +179,21 @@ class TestOracleCellTable:
         assert N_CELLS == 24
 
 
+class TestCellProbabilities:
+    """The closed-form law of the cells against draws from ``draw_oracle_cells``."""
+
+    @pytest.mark.parametrize("pi", [0.15 / math.sqrt(5000), 0.5, 5.0, -3.0])
+    def test_a_million_draws_fall_within_5_binomial_ses_of_every_cell(self, pi):
+        params = DgpParams(pi=pi, n=5000)
+        p = cell_probabilities(params)
+        draws = 10**6
+        cells = draw_oracle_cells(params, np.random.Generator(np.random.PCG64(0)), draws)
+        counts = np.bincount(cells, minlength=N_CELLS)
+        assert p.shape == (N_CELLS,) and math.isclose(p.sum(), 1.0, rel_tol=1e-15)
+        # A cell of probability zero has a zero SE, so it must stay empty.
+        assert np.all(np.abs(counts - draws * p) <= 5.0 * np.sqrt(draws * p * (1.0 - p)))
+
+
 class TestDrawTreatment:
     """_draw's treatment threshold against the law's formula it replaced."""
 
@@ -276,6 +296,26 @@ class TestRunReplication:
         r1 = run_replication(params, spec, rep_id=7)
         r2 = run_replication(params, spec, rep_id=7)
         assert r1 == r2
+
+
+class TestPointSetHoldsTheEstimate:
+    """A point set from scores is {mb/ma}, the ratio estimate, on the
+    zero-complier replications where the vertex -b/(2a) missed it by a few ulps."""
+
+    @pytest.mark.parametrize(
+        "n, rep_id", [(1500, 155), (1500, 164), (1500, 216), (5000, 70), (5000, 132), (5000, 208), (5000, 383)]
+    )
+    def test_phi_hat_is_the_point(self, n, rep_id):
+        spec = StudySpec(setting="weak", seed=0)
+        seed = replication_seed(spec.seed, n, rep_id)
+        data = dgp_generate(DgpParams(pi=spec.pi_for(n), n=n), seed)
+        folds = make_folds(n, spec.learner.K, _splitmix64(seed))
+        scores = compute_scores(data, cross_fit(data, spec.learner, folds))
+        cset = score_confidence_set(scores, spec.alpha)
+        phi_hat = drml_estimate(scores, spec.alpha).phi_hat
+        assert cset.tag == "point"
+        assert cset.contains(phi_hat)
+        assert cset.lo == cset.hi == phi_hat
 
 
 def _bits(outcome):

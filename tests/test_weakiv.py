@@ -13,12 +13,14 @@ from latescore import (
     StudySpec,
     WeakIVConfig,
     estimate_weakiv_config,
+    exact_weakiv_config,
     run_study,
     sample_bivariate_normal,
     sample_weak_limit,
 )
 from latescore import weakiv
 from latescore.cli import main
+from latescore.simulation import cell_probabilities, oracle_cell_values
 
 from conftest import ks_distance
 
@@ -382,6 +384,44 @@ class TestEstimateWeakIVConfig:
         # It would give c_b = nan and a NaN Sigma_ab without an error.
         with pytest.raises(InvalidConfigError, match="treatment_shift must be finite"):
             estimate_weakiv_config(DgpParams(pi=1.0, n=1000, treatment_shift=shift), oracle_draws=20_000)
+
+
+def _covariance_se(params, draws):
+    """The exact standard error of the calibrator's Sigma_ab entries, the
+    sample covariances of ``draws`` oracle score pairs, from the cell
+    probabilities: for the unbiased sample covariance s_jk of N draws,
+    Var(s_jk) = mu22/N - (N-2)/(N(N-1)) sigma_jk^2 + sigma_jj sigma_kk/(N(N-1)),
+    and the calibrator's divisor N scales s_jk by (N-1)/N."""
+    p = cell_probabilities(params)
+    psi = oracle_cell_values(params)[:2]
+    dev = psi - (psi @ p)[:, None]
+    sigma = (dev * p) @ dev.T
+    mu22 = (dev * dev * p) @ (dev * dev).T
+    n = draws
+    var = mu22 / n - (n - 2) / (n * (n - 1)) * sigma**2 + np.outer(np.diag(sigma), np.diag(sigma)) / (n * (n - 1))
+    return (n - 1) / n * np.sqrt(var)
+
+
+class TestExactWeakIVConfig:
+    """The exact limit parameters against the Monte Carlo calibrator."""
+
+    # The four laws, and one with a treatment shift, where c_b is not zero.
+    @pytest.mark.parametrize("pi, shift", [(0.15 / math.sqrt(5000), 0.0), (0.5, 0.0), (5.0, 0.0), (-3.0, 0.0), (0.5, 2.0)])
+    def test_calibrator_within_its_monte_carlo_error(self, pi, shift):
+        params = DgpParams(pi=pi, n=5000, treatment_shift=shift)
+        draws = 10**6
+        exact = exact_weakiv_config(params)
+        cal = estimate_weakiv_config(params, oracle_draws=draws, seed=123)
+        assert abs(cal.c_a - exact.c_a) <= 4.0 * cal.ca_se
+        assert abs(cal.c_b - exact.c_b) <= 4.0 * cal.cb_se
+        assert np.all(np.abs(cal.sigma_ab - exact.sigma_ab) <= 5.0 * _covariance_se(params, draws))
+
+    def test_weak_law_at_n_5000(self):
+        # c_b = 0 and Sigma_bb = 16 exactly: psi_b = +-4 and the outcome is
+        # unaffected by (z, a) at a zero treatment shift.
+        exact = exact_weakiv_config(DgpParams(pi=0.15 / math.sqrt(5000), n=5000))
+        assert exact.c_a == pytest.approx(0.0299206, abs=5e-8) and exact.c_b == 0.0
+        assert exact.sigma_ab == pytest.approx(np.array([[0.999999, 3.998307], [3.998307, 16.0]]), abs=5e-7)
 
 
 def _brute_force_calibration(reference_oracle, params, batches, seed):
