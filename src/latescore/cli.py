@@ -229,8 +229,9 @@ def _membership(by_quad, by_stat, defined) -> np.ndarray:
 
 
 def cmd_scan(args) -> int:
-    if not (math.isfinite(args.theta_min) and math.isfinite(args.theta_max)):
-        raise InvalidConfigError("grid bounds must be finite")
+    # A finite width needs finite bounds, and keeps np.linspace's steps finite.
+    if not math.isfinite(args.theta_max - args.theta_min):
+        raise InvalidConfigError("grid bounds and the grid's width must be finite")
     if args.theta_min >= args.theta_max:
         raise InvalidConfigError("--theta-min must be below --theta-max")
     if args.grid_points < 2:

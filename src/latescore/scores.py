@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, _trusted
-from .errors import InvalidConfigError
+from .errors import DegenerateDataError, InvalidConfigError
 from .nuisance import NuisancePredictions
 
 
@@ -60,16 +60,22 @@ class ScoreSample:
         mean(psi_a), mean(psi_b), mean(psi_a^2), mean(psi_b^2), mean(psi_a*psi_b).
 
         They are taken on the first call and kept, which is safe because
-        the score arrays are read-only.
+        the score arrays are read-only.  Finite scores whose moments
+        overflow raise :class:`DegenerateDataError`.
         """
         if "_moments" not in self.__dict__:
             psi_a, psi_b, n = self.psi_a, self.psi_b, self.n
-            # np.mean's pairwise sum divided by n, with the products in one buffer.
-            product = np.multiply(psi_a, psi_a)
-            sums = [np.add.reduce(psi_a), np.add.reduce(psi_b), np.add.reduce(product)]
-            sums.append(np.add.reduce(np.multiply(psi_b, psi_b, out=product)))
-            sums.append(np.add.reduce(np.multiply(psi_a, psi_b, out=product)))
-            self.__dict__["_moments"] = tuple(float(v) / n for v in sums)
+            # np.mean's pairwise sum divided by n, with the products in one
+            # buffer; an overflow is reported below, not warned of.
+            with np.errstate(over="ignore", invalid="ignore"):
+                product = np.multiply(psi_a, psi_a)
+                sums = [np.add.reduce(psi_a), np.add.reduce(psi_b), np.add.reduce(product)]
+                sums.append(np.add.reduce(np.multiply(psi_b, psi_b, out=product)))
+                sums.append(np.add.reduce(np.multiply(psi_a, psi_b, out=product)))
+            moments = tuple(float(v) / n for v in sums)
+            if not np.isfinite(moments).all():
+                raise DegenerateDataError("score moments overflow double precision")
+            self.__dict__["_moments"] = moments
         return self.__dict__["_moments"]
 
 

@@ -23,11 +23,11 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, _check_integer, _trusted, _write_columns, make_folds
+from .data import Dataset, _check_integer, _read_only, _trusted, _write_columns, make_folds
 from .errors import DegenerateDataError, InvalidConfigError, LatescoreError
 from .inference import _z_crit, drml_estimate, instrument_strength, score_confidence_set
-from .nuisance import LearnerSpec, cross_fit
-from .scores import _score, compute_scores, functional_oracle
+from .nuisance import LearnerSpec, NuisancePredictions, cross_fit
+from .scores import compute_scores, functional_oracle
 
 _MASK64 = (1 << 64) - 1
 
@@ -100,53 +100,41 @@ def _norm_cdf(t: float) -> float:
 
 
 # Every oracle score is a function of the unit's cell (z, 1{x > 0}, a,
-# sign(u)), numbered 12*z + 6*1{x > 0} + 3*a + sign(u) + 1.
+# sign(u)), numbered 12*z + 6*1{x > 0} + 3*a + sign(u) + 1: the mixed-radix
+# number of its four digits, decoded once below with sign(u) stored + 1.
 N_CELLS = 24
+_CELL_Z, _CELL_POS, _CELL_A, _CELL_SIGN = map(_read_only, np.unravel_index(np.arange(N_CELLS), (2, 2, 2, 3)))
 
 # Units per block in draw_oracle_cells, which bounds its float temporaries
 # to a block's worth.  Blocks read the random stream in order, so the cells
 # do not depend on the block size.
 _CELL_BLOCK = 65_536
 
-
-def _cell_of_code(code: int) -> int:
-    """The cell of the code 12*z + 6*1{x > 0} + 3*1{pi + u > 0} + sign(u) + 1.
-
-    The code has the cell's layout with 1{pi + u > 0} in place of a, which
-    equals it where z = 1 and x > 0 and is 1{u > 0} elsewhere.
-    """
-    z, pos, shifted, sign = code // 12, code // 6 % 2, code // 3 % 2, code % 3
-    a = shifted if z == 1 and pos == 1 else int(sign == 2)
-    return 12 * z + 6 * pos + 3 * a + sign
-
-
-_CELL_OF_CODE = np.array([_cell_of_code(code) for code in range(N_CELLS)], dtype=np.uint8)
+# The cell of each code, the cell's number with 1{pi + u > 0} in place of a:
+# a equals it where z = 1 and x > 0 and is 1{u > 0} elsewhere.
+_CELL_OF_CODE = np.ravel_multi_index(
+    (_CELL_Z, _CELL_POS, np.where(_CELL_Z & _CELL_POS, _CELL_A, _CELL_SIGN == 2), _CELL_SIGN), (2, 2, 2, 3)
+).astype(np.uint8)
 
 
 def oracle_cell_values(params: DgpParams) -> np.ndarray:
     """The oracle's (psi_a, psi_b, r1 - r0, g1 - g0) at each cell, as a (4, 24) array.
 
-    The true nuisances are r(1, x) = Phi(pi) for x > 0 and 0.5 otherwise,
-    r(0, x) = 0.5, g(z, x) = treatment_shift * r(z, x) and m = 0.5.  The
-    contrasts r(1,X)-r(0,X) and g(1,X)-g(0,X) have sample means that are
-    exact (Rao-Blackwellized) estimates of E[psi_a] and E[psi_b].
+    Each cell's representative unit, with no covariate columns, goes
+    through :func:`compute_scores` with the true nuisances: r(1, x) =
+    Phi(pi) for x > 0 and 0.5 otherwise, r(0, x) = 0.5, g(z, x) =
+    treatment_shift * r(z, x) and m = 0.5.  The contrasts r(1,X)-r(0,X)
+    and g(1,X)-g(0,X) have sample means that are exact (Rao-Blackwellized)
+    estimates of E[psi_a] and E[psi_b].  A shift whose scores overflow
+    raises :class:`InvalidConfigError`.
     """
-    cell = np.arange(N_CELLS)
-    z = cell // 12
-    pos = cell // 6 % 2 == 1
-    a = (cell // 3 % 2).astype(float)
-    y = 2.0 * (cell % 3 - 1.0) + params.treatment_shift * a
-    phi_pi = _norm_cdf(params.pi)
-    r1 = np.where(pos, phi_pi, 0.5)
-    r0 = 0.5
-    g1 = params.treatment_shift * r1
-    g0 = params.treatment_shift * r0
-    # compute_scores' weight (2z - 1) / m(z | x) at m = 0.5.
-    treated = z == 1
-    weight = (2.0 * z - 1.0) / np.where(treated, 0.5, 1.0 - 0.5)
-    psi_a = _score(weight, a, r1, r0, treated)
-    psi_b = _score(weight, y, g1, g0, treated)
-    return np.stack([psi_a, psi_b, r1 - r0, g1 - g0])
+    shift = params.treatment_shift
+    y = 2.0 * (_CELL_SIGN - 1.0) + shift * _CELL_A
+    r1 = np.where(_CELL_POS == 1, _norm_cdf(params.pi), 0.5)
+    r0 = np.full(N_CELLS, 0.5)
+    preds = NuisancePredictions(g1=shift * r1, g0=shift * r0, r1=r1, r0=r0, m1=r0)
+    scores = compute_scores(Dataset(y=y, a=_CELL_A, z=_CELL_Z, x=np.empty((N_CELLS, 0))), preds)
+    return np.stack([scores.psi_a, scores.psi_b, r1 - r0, preds.g1 - preds.g0])
 
 
 def cell_probabilities(params: DgpParams) -> np.ndarray:

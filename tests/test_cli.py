@@ -64,6 +64,19 @@ def _assert_no_files(directory):
     assert not directory.exists() or list(directory.iterdir()) == []
 
 
+def _huge_outcome_csv(tmp_path):
+    """400 rows with y of order 1e300: finite scores whose squares overflow."""
+    rng = np.random.Generator(np.random.PCG64(44))
+    n = 400
+    data = Dataset(
+        y=1e300 * rng.standard_normal(n), a=rng.integers(0, 2, n), z=rng.integers(0, 2, n),
+        x=rng.standard_normal((n, 1)),
+    )
+    path = str(tmp_path / "huge.csv")
+    write_csv(data, path)
+    return path
+
+
 class TestAnalyze:
     def test_strong_export_covers_truth(self, tmp_path, capsys):
         data_path = _export_dgp(tmp_path, pi=5.0, n=4500, seed=31, name="strong.csv")
@@ -117,6 +130,14 @@ class TestAnalyze:
         ])
         assert status == 3
         assert "identically zero" in capsys.readouterr().err
+
+    def test_score_moments_that_overflow_exit_3_writing_nothing(self, tmp_path, capsys):
+        out_path = tmp_path / "out" / "h.csv"
+        out_path.parent.mkdir()
+        status = main(["analyze", "--data", _huge_outcome_csv(tmp_path), "--out", str(out_path)])
+        assert status == 3
+        _assert_one_error_line(capsys)
+        _assert_no_files(out_path.parent)
 
     def test_bad_propensity_flag_exits_2(self, tmp_path):
         data_path = _export_dgp(tmp_path, pi=5.0, n=100, seed=34, name="flag.csv")
@@ -597,6 +618,14 @@ class TestScan:
         _assert_one_error_line(capsys)
         _assert_no_files(out_path.parent)
 
+    def test_score_moments_that_overflow_exit_3_writing_nothing(self, tmp_path, capsys):
+        out_path = tmp_path / "out" / "s.csv"
+        out_path.parent.mkdir()
+        status = main(_scan_argv(_huge_outcome_csv(tmp_path), -1.0, 1.0, 5, str(out_path)))
+        assert status == 3
+        _assert_one_error_line(capsys)
+        _assert_no_files(out_path.parent)
+
     def test_bad_grid_exits_2(self, tmp_path):
         data_path = _export_dgp(tmp_path, pi=5.0, n=100, seed=38, name="scan4.csv")
         status = main([
@@ -604,6 +633,17 @@ class TestScan:
             "--out", str(tmp_path / "o.csv"),
         ])
         assert status == 2
+
+    def test_grid_width_beyond_double_range_exits_2_before_fitting(self, tmp_path, capsys, monkeypatch):
+        def no_fit(args):
+            raise AssertionError("fitted a grid that cannot be scanned")
+
+        monkeypatch.setattr("latescore.cli._fit_scores", no_fit)
+        out_path = tmp_path / "out" / "s.csv"
+        out_path.parent.mkdir()
+        assert main(_scan_argv(str(tmp_path / "unread.csv"), -1e308, 1e308, 5, str(out_path))) == 2
+        _assert_one_error_line(capsys)
+        _assert_no_files(out_path.parent)
 
 
 class TestWeakIVLimit:
@@ -736,7 +776,9 @@ class TestWeakIVLimit:
         out = str(tmp_path / "d.csv")
         # A first run makes the lazy imports and caches, which later runs keep.
         assert main(["weakiv-limit", *self._FULL_RANK, "--samples", "10", "--out", out]) == 0
-        for samples in (10**6, 2 * 10**6):
+        # Four and eight blocks: a writer that holds the draws at once peaks
+        # above the bound at eight, a streaming one stays flat.
+        for samples in (4 * _LIMIT_BLOCK, 8 * _LIMIT_BLOCK):
             tracemalloc.start()
             try:
                 tracemalloc.reset_peak()

@@ -5,6 +5,7 @@ import pytest
 
 from latescore import (
     Dataset,
+    DegenerateDataError,
     InvalidConfigError,
     NuisancePredictions,
     ScoreSample,
@@ -194,3 +195,13 @@ class TestScoreSample:
         assert scores.moments() == want
         assert scores.psi_a.tolist() == [1.0, 2.0, 4.0]
         assert scores.psi_b.tolist() == [0.5, -1.0, 3.0]
+
+    @pytest.mark.parametrize("psi_a, psi_b", [
+        ([1e200, -1e200], [0.0, 1.0]),  # mean(psi_a^2) overflows
+        ([0.0, 1.0], [1.7e308, 1.7e308]),  # the sum of psi_b overflows
+    ])
+    def test_moments_that_overflow_raise_degenerate_data(self, psi_a, psi_b):
+        scores = ScoreSample(psi_a=np.array(psi_a), psi_b=np.array(psi_b))
+        for _ in range(2):  # a failed call caches nothing
+            with pytest.raises(DegenerateDataError, match="overflow"):
+                scores.moments()

@@ -31,10 +31,17 @@ from latescore import (
     write_summary_csv,
 )
 from latescore.simulation import _CELL_BLOCK as _B
-from latescore.simulation import N_CELLS, _draw, _splitmix64, cell_probabilities, draw_oracle_cells
+from latescore.simulation import (
+    N_CELLS,
+    _draw,
+    _splitmix64,
+    cell_probabilities,
+    draw_oracle_cells,
+    oracle_cell_values,
+)
 
 _PI = st.sampled_from([0.0, -0.0, 0.15 / math.sqrt(5000), 1.0, -1.0, 5.0, -40.0]) | st.floats(-10.0, 10.0)
-_SHIFT = (st.floats(-1e3, 1e3) | st.sampled_from([1.0, -2.5, 1e-300])).filter(lambda v: v != 0.0)
+_SHIFT = (st.floats(-1e3, 1e3) | st.sampled_from([1.0, -2.5, 1e-300, 1e300, -1e300])).filter(lambda v: v != 0.0)
 
 
 class TestDgpParams:
@@ -177,6 +184,12 @@ class TestOracleCellTable:
         assert cells.dtype == np.uint8
         assert cells.tolist() == expected.tolist()
         assert N_CELLS == 24
+
+    def test_a_shift_whose_scores_overflow_is_refused(self):
+        # At pi = 1 a unit with z = 1, x > 0 and a = 0 has psi_b of about
+        # -2 * Phi(1) * shift + (Phi(1) - 0.5) * shift, beyond double range.
+        with np.errstate(over="ignore"), pytest.raises(InvalidConfigError, match="scores must be finite"):
+            oracle_cell_values(DgpParams(pi=1.0, n=2, treatment_shift=1.7e308))
 
 
 class TestCellProbabilities:
