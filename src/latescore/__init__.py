@@ -23,7 +23,6 @@ from .inference import (
     ConfidenceSet,
     DrmlResult,
     QuadCoefficients,
-    dn_statistic,
     drml_estimate,
     instrument_is_weak,
     invert_score_test,
@@ -41,28 +40,19 @@ from .nuisance import (
     fit_logistic,
     fit_ols,
 )
-from .scores import ScoreSample, compute_scores, functional_oracle
+from .scores import ScoreSample, compute_scores
 from .simulation import (
-    CellSummary,
     DgpParams,
     ReplicationResult,
     StudyCell,
     StudySpec,
-    aggregate,
     dgp_generate,
-    oracle_scores,
-    replication_seed,
     run_replication,
     run_study,
-    write_replications_csv,
-    write_summary_csv,
 )
 from .weakiv import (
-    WeakIVCalibration,
     WeakIVConfig,
-    estimate_weakiv_config,
     exact_weakiv_config,
-    sample_bivariate_normal,
     sample_weak_limit,
 )
 

@@ -250,9 +250,7 @@ def cmd_scan(args) -> int:
             by_stat = np.abs(s) <= coeffs.z_crit
             by_quad = cset.contains(theta)
             quad = coeffs.a * theta * theta + coeffs.b * theta + coeffs.c
-            band = 1e-6 * (
-                abs(coeffs.a) * theta * theta + abs(coeffs.b) * np.abs(theta) + abs(coeffs.c) + 1.0
-            )
+            band = 1e-6 * (abs(coeffs.a) * theta * theta + abs(coeffs.b) * np.abs(theta) + abs(coeffs.c))
             mismatches += int(np.count_nonzero(defined & (by_quad != by_stat) & (np.abs(quad) > band)))
             _write_rows(handle, theta, s, _membership(by_quad, by_stat, defined))
     print(f"score set: {cset.tag} {cset}")
@@ -370,14 +368,15 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except DegenerateDataError as exc:
+        # Caught first: NonFiniteResultError is an InvalidConfigError too.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DEGENERATE
     except (InvalidConfigError, CsvParseError, OSError) as exc:
         # load_csv reports unreadable input as CsvParseError, so an OSError
         # here comes from an output file or directory.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DegenerateDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
     except MemoryError as exc:
         # Typically numpy refusing an array that a size flag asks for.
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

@@ -25,6 +25,15 @@ class DegenerateFoldError(DegenerateDataError):
     """A cross-fitting training set contains only one instrument level."""
 
 
+class NonFiniteResultError(DegenerateDataError, InvalidConfigError):
+    """Predictions or scores computed from finite data are not finite.
+
+    It is degenerate data, which the CLI reports with status 3; it is an
+    :class:`InvalidConfigError` too, the class the constructors raise for
+    non-finite arrays that a caller passes them.
+    """
+
+
 class WeakDenominatorError(DegenerateDataError):
     """The ratio estimator's denominator is numerically zero.
 

@@ -18,6 +18,7 @@ second moment; both choices are deliberate and load-bearing.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import NamedTuple
@@ -32,6 +33,10 @@ from .scores import ScoreSample
 #: matching absolute tolerances of the quadratic are exposed through
 #: :func:`zero_tolerances` for auditing.
 ZERO_TOL = 1e-12
+
+#: delta is also treated as zero within this many times its rounding
+#: scale (``QuadCoefficients.delta_scale``): 64 ulps.
+DELTA_ROUNDING = 64 * sys.float_info.epsilon
 
 
 def _z_crit(alpha: float) -> float:
@@ -70,8 +75,12 @@ class QuadCoefficients(NamedTuple):
     """Coefficients of the membership inequality a*t^2 + b*t + c <= 0.
 
     ``a_scale`` is the magnitude of the two cancelling terms in a and is
-    the reference against which a is treated as zero; ``degenerate``
-    marks identically-zero score data, for which no set is meaningful.
+    the reference against which a is treated as zero.  ``delta_scale`` is
+    the scale of delta's rounding error: the larger of |b| times b's
+    cancelling terms, and 4|a| and 4|c| times c's and a's.  Where a, b or c
+    cancels, as a does when D_n(0) is near z^2, it exceeds b^2 and 4|ac|
+    by the same factor.  ``degenerate`` marks identically-zero score data,
+    for which no set is meaningful.
     ``ma``/``mb`` are the score means where the coefficients come from
     scores; a point set is then {mb/ma}, the ratio estimate bit for bit.
     """
@@ -83,13 +92,19 @@ class QuadCoefficients(NamedTuple):
     n: int
     z_crit: float
     a_scale: float = 1.0
+    delta_scale: float = 0.0
     degenerate: bool = False
     ma: float | None = None
     mb: float | None = None
 
 
 def quad_coefficients(scores: ScoreSample, alpha: float) -> QuadCoefficients:
-    """Assemble the quadratic from the empirical score moments."""
+    """Assemble the quadratic from the empirical score moments.
+
+    Moments whose products leave double precision, as in scores of order
+    1e-160 or 1e160, give no reliable quadratic and raise
+    :class:`DegenerateDataError`.
+    """
     z = _z_crit(alpha)
     n = scores.n
     if n < 2:
@@ -99,14 +114,35 @@ def quad_coefficients(scores: ScoreSample, alpha: float) -> QuadCoefficients:
     a = n * ma * ma - z2 * maa
     b = -2.0 * n * ma * mb + 2.0 * z2 * mab
     c = n * mb * mb - z2 * mbb
+    delta = b * b - 4.0 * a * c
+    # Each of a, b and c is a difference of two products, and its scale the
+    # larger one; delta rounds to within some ulps of delta_scale.
+    a_scale = max(n * ma * ma, z2 * maa)
+    b_scale = 2.0 * max(abs(n * ma * mb), abs(z2 * mab))
+    c_scale = max(n * mb * mb, z2 * mbb)
+    delta_scale = max(abs(b) * b_scale, 4.0 * abs(a) * c_scale, 4.0 * abs(c) * a_scale)
+    if not (math.isfinite(delta) and math.isfinite(delta_scale)):  # a, b and c are then finite too
+        raise DegenerateDataError("the quadratic's coefficients overflow double precision")
+    # A difference has lost its precision when its larger product falls
+    # below the smallest normal double although the factors of one product
+    # are all nonzero.
+    products = (
+        (a_scale, ma != 0.0 or maa != 0.0),
+        (b_scale, (ma != 0.0 and mb != 0.0) or mab != 0.0),
+        (c_scale, mb != 0.0 or mbb != 0.0),
+        (max(b * b, 4.0 * abs(a * c)), b != 0.0 or (a != 0.0 and c != 0.0)),
+    )
+    if any(nonzero and larger < sys.float_info.min for larger, nonzero in products):
+        raise DegenerateDataError("the quadratic's coefficients underflow double precision")
     return QuadCoefficients(
         a=a,
         b=b,
         c=c,
-        delta=b * b - 4.0 * a * c,
+        delta=delta,
         n=n,
         z_crit=z,
-        a_scale=max(n * ma * ma, z2 * maa, 1.0),
+        a_scale=a_scale,
+        delta_scale=delta_scale,
         degenerate=(maa == 0.0 and mbb == 0.0),
         ma=ma,
         mb=mb,
@@ -173,9 +209,18 @@ _WHOLE_LINE = ConfidenceSet("whole_line")
 
 
 def zero_tolerances(coeffs: QuadCoefficients) -> tuple[float, float]:
-    """Absolute thresholds below which a and delta are classified as zero."""
+    """Absolute thresholds below which a and delta are classified as zero.
+
+    Each is ZERO_TOL times the larger of the terms that cancel in it, with
+    no absolute floor, so the classification does not depend on the units
+    of the outcome or the treatment.  delta's is at least DELTA_ROUNDING
+    times its rounding scale, which binds only where a, b or c cancel.
+    """
     tol_a = ZERO_TOL * coeffs.a_scale
-    tol_delta = ZERO_TOL * max(coeffs.b * coeffs.b, 4.0 * abs(coeffs.a * coeffs.c), 1.0)
+    tol_delta = max(
+        ZERO_TOL * max(coeffs.b * coeffs.b, 4.0 * abs(coeffs.a * coeffs.c)),
+        DELTA_ROUNDING * coeffs.delta_scale,
+    )
     return tol_a, tol_delta
 
 
@@ -307,24 +352,17 @@ def _dn_ratio(n: int, m: float, second: float, theta: float) -> float:
     return n * m * m / second
 
 
-def instrument_strength(scores: ScoreSample) -> float:
-    """D_n(0), read from the score moments.
-
-    At theta = 0, mean(psi_a) - theta and mean((psi_a - theta)^2) are
-    mean(psi_a) and mean(psi_a^2) bit for bit, so this equals
-    ``dn_statistic(scores.psi_a, 0.0)`` exactly, errors included.
-    """
-    ma, _, maa, _, _ = scores.moments()
-    return _dn_ratio(scores.n, ma, maa, 0.0)
-
-
 def instrument_is_weak(scores: ScoreSample, alpha: float) -> tuple[float, bool]:
     """D_n(0), read from the score moments, and the flag D_n(0) <= z^2,
     marking an uninformative instrument.
 
-    The score confidence set has infinite diameter exactly when the flag
-    is set (apart from the degenerate all-zero-coefficient corner).
+    At theta = 0, mean(psi_a) - theta and mean((psi_a - theta)^2) are
+    mean(psi_a) and mean(psi_a^2) bit for bit, so D_n(0) equals
+    ``dn_statistic(scores.psi_a, 0.0)`` exactly, errors included.  The
+    score confidence set has infinite diameter exactly when the flag is
+    set (apart from the degenerate all-zero-coefficient corner).
     """
     z = _z_crit(alpha)
-    dn0 = instrument_strength(scores)
+    ma, _, maa, _, _ = scores.moments()
+    dn0 = _dn_ratio(scores.n, ma, maa, 0.0)
     return dn0, dn0 <= z * z

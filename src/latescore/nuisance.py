@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, FoldAssignment, _check_integer, _read_only, _trusted
-from .errors import DegenerateFoldError, InvalidConfigError
+from .errors import DegenerateFoldError, InvalidConfigError, NonFiniteResultError
 
 G_LEARNERS = ("ols_linear", "cell_mean")
 R_LEARNERS = ("logistic", "cell_mean")
@@ -245,8 +245,8 @@ def _cell_mean_predictions(folds, key, counts, targets):
     fitted on the sum of the other folds' tables, added in fold order: the
     total minus fold k could cancel in a small cell.  The fitted means are
     checked in the cells that hold units, at z=1 then z=0 for each target,
-    with NuisancePredictions' message.  Returns one (pred at z=1, pred at z=0)
-    pair per target.
+    with NuisancePredictions' message, as :class:`NonFiniteResultError`.
+    Returns one (pred at z=1, pred at z=0) pair per target.
     """
     K, T = folds.K, len(targets)
     sums = [np.bincount(key, weights=w, minlength=4 * K) for w in targets.values()]
@@ -267,7 +267,7 @@ def _cell_mean_predictions(folds, key, counts, targets):
     for t, name in enumerate(targets):
         for z_level in (1, 0):
             if not finite[2 * t + z_level]:
-                raise InvalidConfigError(f"{name}{z_level} contains non-finite predictions")
+                raise NonFiniteResultError(f"{name}{z_level} contains non-finite predictions")
     preds = [row.take(key) for row in means]
     return [(preds[2 * t + 1], preds[2 * t]) for t in range(T)]
 
@@ -297,6 +297,8 @@ def _design(buffer, parts, x, z=None):
     return design
 
 
+# Fits that overflow are reported once, as non-finite predictions, not warned of.
+@np.errstate(over="ignore", invalid="ignore")
 def cross_fit(data: Dataset, spec: LearnerSpec, folds: FoldAssignment) -> NuisancePredictions:
     """Produce out-of-fold nuisance predictions for every unit.
 
@@ -308,7 +310,9 @@ def cross_fit(data: Dataset, spec: LearnerSpec, folds: FoldAssignment) -> Nuisan
     clipped value, with no fitting.  All propensities are clipped to
     [clip_eps, 1 - clip_eps].  Predictions from cell means and a known
     propensity are checked on the fitted tables; the others are checked
-    by the NuisancePredictions constructor.
+    by the NuisancePredictions constructor.  Non-finite predictions,
+    which finite data gives only by overflow, raise
+    :class:`NonFiniteResultError`.
     """
     if folds.n != data.n:
         raise InvalidConfigError(f"folds cover {folds.n} units but the data has {data.n}")
@@ -386,4 +390,9 @@ def cross_fit(data: Dataset, spec: LearnerSpec, folds: FoldAssignment) -> Nuisan
         # Cell means were checked where units read them, those of a 0/1
         # treatment lie in [0, 1], and a known m1 clipped so lies in (0, 1).
         return _trusted(NuisancePredictions, g1=g1, g0=g0, r1=r1, r0=r0, m1=m1)
-    return NuisancePredictions(g1=g1, g0=g0, r1=r1, r0=r0, m1=m1)
+    try:
+        return NuisancePredictions(g1=g1, g0=g0, r1=r1, r0=r0, m1=m1)
+    except InvalidConfigError as exc:
+        # Every prediction is in range but may be non-finite; that is the
+        # one check computed predictions can fail.
+        raise NonFiniteResultError(str(exc)) from None

@@ -18,13 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, _trusted
-from .errors import DegenerateDataError, InvalidConfigError
+from .errors import DegenerateDataError, InvalidConfigError, NonFiniteResultError
 from .nuisance import NuisancePredictions
 
 
-def _check_finite(psi_a: np.ndarray, psi_b: np.ndarray) -> None:
+def _check_finite(psi_a: np.ndarray, psi_b: np.ndarray, error=InvalidConfigError) -> None:
     if not (np.isfinite(psi_a).all() and np.isfinite(psi_b).all()):
-        raise InvalidConfigError("scores must be finite")
+        raise error("scores must be finite")
 
 
 @dataclass(frozen=True)
@@ -80,18 +80,23 @@ class ScoreSample:
 
 
 def compute_scores(data: Dataset, preds: NuisancePredictions) -> ScoreSample:
-    """Plug nuisance predictions into the score formulas, unit by unit."""
+    """Plug nuisance predictions into the score formulas, unit by unit.
+
+    Scores that overflow raise :class:`NonFiniteResultError`, with no
+    numpy warning.
+    """
     if preds.n != data.n:
         raise InvalidConfigError(f"predictions cover {preds.n} units but the data has {data.n}")
     treated = data.z == 1
     # (2z - 1) / m(z | x), with m(0 | x) = 1 - m1.
     weight = np.where(treated, preds.m1, 1.0 - preds.m1)
     np.divide(2.0 * data.z - 1.0, weight, out=weight)
-    psi_b = _score(weight, data.y, preds.g1, preds.g0, treated)
-    psi_a = _score(weight, data.a, preds.r1, preds.r0, treated)
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi_b = _score(weight, data.y, preds.g1, preds.g0, treated)
+        psi_a = _score(weight, data.a, preds.r1, preds.r0, treated)
     # Both arrays are new and equal in length; no caller holds them, so
     # they are frozen in place rather than copied.
-    _check_finite(psi_a, psi_b)
+    _check_finite(psi_a, psi_b, NonFiniteResultError)
     return _trusted(ScoreSample, psi_a=psi_a, psi_b=psi_b)
 
 

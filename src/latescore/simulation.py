@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import Dataset, _check_integer, _read_only, _trusted, _write_columns, make_folds
 from .errors import DegenerateDataError, InvalidConfigError, LatescoreError
-from .inference import _z_crit, drml_estimate, instrument_strength, score_confidence_set
+from .inference import _z_crit, drml_estimate, instrument_is_weak, score_confidence_set
 from .nuisance import LearnerSpec, NuisancePredictions, cross_fit
 from .scores import compute_scores, functional_oracle
 
@@ -255,7 +255,6 @@ def run_replication(params: DgpParams, spec: StudySpec, rep_id: int) -> Replicat
     truth = functional_oracle(params.pi, params.treatment_shift)
     cset = score_confidence_set(scores, spec.alpha)
     drml = drml_estimate(scores, spec.alpha)
-    dn0 = instrument_strength(scores)
     return ReplicationResult(
         rep_id=rep_id,
         covered_score=cset.contains(truth),
@@ -263,7 +262,7 @@ def run_replication(params: DgpParams, spec: StudySpec, rep_id: int) -> Replicat
         diam_score=cset.diameter(),
         diam_wald=drml.diameter(),
         set_tag=cset.tag,
-        dn0=dn0,
+        dn0=instrument_is_weak(scores, spec.alpha)[0],
         phi_hat=drml.phi_hat,
     )
 

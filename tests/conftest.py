@@ -1,5 +1,6 @@
 import csv
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -13,14 +14,21 @@ from latescore import (
     ReplicationResult,
     ScoreSample,
     drml_estimate,
-    functional_oracle,
-    replication_seed,
-    sample_bivariate_normal,
+    instrument_is_weak,
     score_confidence_set,
 )
-from latescore.inference import instrument_strength
+from latescore.errors import NonFiniteResultError
 from latescore.nuisance import _cell_mean_predictions, _sigmoid_inplace
-from latescore.simulation import REPLICATION_COLUMNS, SUMMARY_COLUMNS, _draw, _splitmix64, aggregate
+from latescore.scores import functional_oracle
+from latescore.simulation import (
+    REPLICATION_COLUMNS,
+    SUMMARY_COLUMNS,
+    _draw,
+    _splitmix64,
+    aggregate,
+    replication_seed,
+)
+from latescore.weakiv import sample_bivariate_normal
 
 
 def reference_draw(params, rng, size):
@@ -222,6 +230,19 @@ def ks_distance(sample1, sample2):
     cdf1 = np.searchsorted(s1, merged, side="right") / s1.size
     cdf2 = np.searchsorted(s2, merged, side="right") / s2.size
     return float(np.max(np.abs(cdf1 - cdf2)))
+
+
+def iv_data(n, seed):
+    """n rows with an endogenous treatment and two covariates, as the
+    benchmark draws them: x1, x2, u, e ~ N(0, 1) and z ~ Bernoulli(0.5),
+    a = 1{-0.2 + z + 0.5*x1 + u > 0} and y = a + 0.5*x1 - 0.25*x2 + u + e."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x = rng.standard_normal((n, 2))
+    z = (rng.random(n) < 0.5).astype(int)
+    u = rng.standard_normal(n)
+    a = (-0.2 + z + 0.5 * x[:, 0] + u > 0).astype(int)
+    y = a + 0.5 * x[:, 0] - 0.25 * x[:, 1] + u + rng.standard_normal(n)
+    return Dataset(y=y, a=a, z=z, x=x)
 
 
 # The regression half of cross_fit as it was before the fitters shared one
@@ -486,6 +507,17 @@ def reference_make_folds(n, K, seed):
     return FoldAssignment(fold_of=fold_of, K=K)
 
 
+@contextmanager
+def _computed():
+    """Report the constructors' InvalidConfigError, which predictions or
+    scores computed from finite data fail only by being non-finite, as the
+    package's cross_fit and compute_scores do."""
+    try:
+        yield
+    except InvalidConfigError as exc:
+        raise NonFiniteResultError(str(exc)) from None
+
+
 def reference_cell_mean_cross_fit(data, spec, folds):
     """cross_fit with cell-mean g and r and a known propensity."""
     K = folds.K
@@ -509,7 +541,8 @@ def reference_cell_mean_cross_fit(data, spec, folds):
             means[t, :, k] = reference_fit_cell_mean(train[t + 1], train[0])
     preds = np.take(means.reshape(4, 2 * K), folds.fold_of * 2 + pos, axis=1)
     m1 = np.clip(np.full(data.n, spec.m_value), spec.clip_eps, 1.0 - spec.clip_eps)
-    return NuisancePredictions(g1=preds[1], g0=preds[0], r1=preds[3], r0=preds[2], m1=m1)
+    with _computed():
+        return NuisancePredictions(g1=preds[1], g0=preds[0], r1=preds[3], r0=preds[2], m1=m1)
 
 
 def reference_compute_scores(data, preds):
@@ -522,7 +555,8 @@ def reference_compute_scores(data, preds):
     r_z = np.where(z == 1, preds.r1, preds.r0)
     psi_b = sign / m_z * (data.y - g_z) + preds.g1 - preds.g0
     psi_a = sign / m_z * (data.a - r_z) + preds.r1 - preds.r0
-    return ScoreSample(psi_a=psi_a, psi_b=psi_b)
+    with _computed():
+        return ScoreSample(psi_a=psi_a, psi_b=psi_b)
 
 
 def reference_replication(params, spec, rep_id):
@@ -542,7 +576,7 @@ def reference_replication(params, spec, rep_id):
         diam_score=cset.diameter(),
         diam_wald=drml.diameter(),
         set_tag=cset.tag,
-        dn0=instrument_strength(scores),
+        dn0=instrument_is_weak(scores, spec.alpha)[0],
         phi_hat=drml.phi_hat,
     )
 

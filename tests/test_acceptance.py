@@ -20,16 +20,26 @@ from latescore import (
     ScoreSample,
     StudySpec,
     WeakIVConfig,
-    aggregate,
+    compute_scores,
+    cross_fit,
+    dgp_generate,
     drml_estimate,
-    estimate_weakiv_config,
     invert_score_test,
+    make_folds,
     quad_coefficients,
     run_study,
     sample_weak_limit,
     score_confidence_set,
 )
 from latescore.cli import main as cli_main
+from latescore.simulation import (
+    _splitmix64,
+    aggregate,
+    cell_probabilities,
+    oracle_cell_values,
+    replication_seed,
+)
+from latescore.weakiv import estimate_weakiv_config
 
 from conftest import ks_distance
 
@@ -341,3 +351,48 @@ def test_criterion_9_determinism(tmp_path):
     report("9 (determinism)", ok, f"byte-identical={identical}, order-invariant={order_invariant}")
     assert identical
     assert order_invariant
+
+
+def test_criterion_10_score_set_approaches_the_wald_interval_at_rate_1_over_n():
+    """The paper's central claim at its rate.  On the strong law, the score
+    set is a finite interval whose midpoint lies -z^2*C/a from the ratio
+    estimate (C = mean(psi_a*psi_b) - phi_hat*mean(psi_a^2), a = n*mean(psi_a)^2
+    - z^2*mean(psi_a^2)), so n*(midpoint - phi_hat) tends to
+    -z^2*E[psi_a*psi_b]/E[psi_a]^2 at the law's effect 0, and the half-widths
+    of the score set and the Wald interval agree up to O(1/n)."""
+    t0 = time.monotonic()
+    spec = StudySpec(setting="strong", n_grid=(1500, 6000, 24_000), reps=100, seed=5)
+    z2 = NormalDist().inv_cdf(1.0 - spec.alpha / 2.0) ** 2
+    tags, shifts, gaps = set(), [], []
+    for n in spec.n_grid:
+        params = DgpParams(pi=spec.pi_for(n), n=n)
+        shift, gap = [], []
+        for rep_id in range(spec.reps):
+            # run_replication's data, folds and scores for this replication
+            rep_seed = replication_seed(spec.seed, n, rep_id)
+            data = dgp_generate(params, rep_seed)
+            folds = make_folds(n, spec.learner.K, _splitmix64(rep_seed))
+            scores = compute_scores(data, cross_fit(data, spec.learner, folds))
+            cset, wald = score_confidence_set(scores, spec.alpha), drml_estimate(scores, spec.alpha)
+            tags.add(cset.tag)
+            shift.append(n * ((cset.lo + cset.hi) / 2.0 - wald.phi_hat))
+            gap.append(abs(cset.diameter() / wald.diameter() - 1.0))
+        shifts.append(float(np.median(shift)))
+        gaps.append(float(np.median(gap)))
+    law = DgpParams(pi=spec.pi_for(spec.n_grid[-1]), n=spec.n_grid[-1])
+    p, (psi_a, psi_b, _, _) = cell_probabilities(law), oracle_cell_values(law)
+    exact = -z2 * float(p @ (psi_a * psi_b)) / float(p @ psi_a) ** 2
+    slope = float(np.polyfit(np.log(spec.n_grid), np.log(gaps), 1)[0])
+    elapsed = time.monotonic() - t0
+    off = abs(shifts[-1] / exact - 1.0)
+    ok = tags == {"finite_interval"} and off <= 0.03 and -1.25 <= slope <= -0.75 and elapsed < 5.0
+    report(
+        "10 (score set vs Wald at rate 1/n)", ok,
+        f"tags={sorted(tags)}, median n*(midpoint - phi_hat)={[round(v, 2) for v in shifts]} "
+        f"vs exact {exact:.4f} ({off:.2%} off at n={spec.n_grid[-1]}), "
+        f"median |half-width ratio - 1| slope {slope:.3f}, {elapsed:.2f}s",
+    )
+    assert tags == {"finite_interval"}
+    assert off <= 0.03
+    assert -1.25 <= slope <= -0.75
+    assert elapsed < 5.0

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,6 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latescore import (
+    ConfidenceSet,
+    CsvSchema,
     Dataset,
     DegenerateDataError,
     DgpParams,
@@ -40,6 +43,8 @@ from latescore.inference import score_statistic, zero_tolerances
 from latescore.cli import _NEGATIVE_NUMBER, SCAN_BLOCK, _membership, main
 from latescore.data import _write_rows
 from latescore.weakiv import _LIMIT_BLOCK, WeakIVConfig
+
+from conftest import iv_data
 
 
 def _export_dgp(tmp_path, pi, n, seed, name):
@@ -75,6 +80,33 @@ def _huge_outcome_csv(tmp_path):
     path = str(tmp_path / "huge.csv")
     write_csv(data, path)
     return path
+
+
+def _double_range_csv(tmp_path):
+    """400 rows with 0/1 a and z, normal x1 and y = +-1.7e308: every value
+    parses, but the nuisance fits' sums overflow."""
+    rng = np.random.Generator(np.random.PCG64(45))
+    n = 400
+    data = Dataset(
+        y=np.where(rng.random(n) < 0.5, 1.7e308, -1.7e308), a=rng.integers(0, 2, n),
+        z=rng.integers(0, 2, n), x=rng.standard_normal((n, 1)),
+    )
+    path = str(tmp_path / "edge.csv")
+    write_csv(data, path)
+    return path
+
+
+def _exits_3_warning_nothing(capsys, argv, out_dir):
+    """Run argv: status 3, one error line, no numpy warning and no file."""
+    out_dir.mkdir()
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status = main(argv)
+    assert status == 3
+    assert [str(w.message) for w in caught] == []
+    _assert_one_error_line(capsys)
+    _assert_no_files(out_dir)
 
 
 class TestAnalyze:
@@ -138,6 +170,14 @@ class TestAnalyze:
         assert status == 3
         _assert_one_error_line(capsys)
         _assert_no_files(out_path.parent)
+
+    @pytest.mark.parametrize("g, r", [("ols", "logit"), ("ols", "cellmean"), ("cellmean", "logit"),
+                                      ("cellmean", "cellmean")])
+    def test_outcomes_near_the_double_range_exit_3(self, tmp_path, capsys, g, r):
+        out_path = tmp_path / "out" / "a.csv"
+        argv = ["analyze", "--data", _double_range_csv(tmp_path), "--propensity", "known:0.5",
+                "--g", g, "--r", r, "--out", str(out_path)]
+        _exits_3_warning_nothing(capsys, argv, out_path.parent)
 
     def test_bad_propensity_flag_exits_2(self, tmp_path):
         data_path = _export_dgp(tmp_path, pi=5.0, n=100, seed=34, name="flag.csv")
@@ -433,9 +473,7 @@ def _reference_scan(data_path, thetas):
     for theta in (float(t) for t in thetas):
         second = mbb - 2.0 * theta * mab + theta * theta * maa
         quad = coeffs.a * theta * theta + coeffs.b * theta + coeffs.c
-        band = 1e-6 * (
-            abs(coeffs.a) * theta * theta + abs(coeffs.b) * abs(theta) + abs(coeffs.c) + 1.0
-        )
+        band = 1e-6 * (abs(coeffs.a) * theta * theta + abs(coeffs.b) * abs(theta) + abs(coeffs.c))
         by_quad = cset.contains(theta)
         if second > 0.0:
             s = math.sqrt(n) * (mb - theta * ma) / math.sqrt(second)
@@ -625,6 +663,34 @@ class TestScan:
         assert status == 3
         _assert_one_error_line(capsys)
         _assert_no_files(out_path.parent)
+
+    def test_outcomes_near_the_double_range_exit_3(self, tmp_path, capsys):
+        out_path = tmp_path / "out" / "s.csv"
+        argv = _scan_argv(_double_range_csv(tmp_path), -1.0, 1.0, 5, str(out_path))
+        _exits_3_warning_nothing(capsys, argv, out_path.parent)
+
+    def test_a_planted_point_set_is_caught_in_any_outcome_units(self, tmp_path, capsys, monkeypatch):
+        # The point {phi_hat} where the set is an interval: the grid points
+        # inside the interval lie outside the boundary band, in the
+        # outcome's units or in units of 1e-9.
+        def point(coeffs):
+            return ConfidenceSet("point", coeffs.mb / coeffs.ma, coeffs.mb / coeffs.ma)
+
+        monkeypatch.setattr(latescore.cli, "invert_score_test", point)
+        data, schema = iv_data(2000, 3), CsvSchema(covariates=("x1", "x2"))
+        counts = []
+        for s in (1.0, 1e-9):
+            path = str(tmp_path / f"y{s}.csv")
+            write_csv(Dataset(y=data.y * s, a=data.a, z=data.z, x=data.x), path, schema)
+            assert main([
+                "scan", "--data", path, "--covariates", "x1,x2", "--propensity", "known:0.5", "--seed", "1",
+                "--theta-min", repr(-10 * s), "--theta-max", repr(10 * s), "--out", str(tmp_path / "s.csv"),
+            ]) == 0
+            last = capsys.readouterr().out.splitlines()[1]
+            assert last.startswith("mismatches outside boundary band: ")
+            counts.append(int(last.rsplit(" ", 1)[1]))
+        assert counts[0] > 0
+        assert counts[1] == counts[0]
 
     def test_bad_grid_exits_2(self, tmp_path):
         data_path = _export_dgp(tmp_path, pi=5.0, n=100, seed=38, name="scan4.csv")

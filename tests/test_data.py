@@ -20,15 +20,14 @@ from latescore import (
     ScoreSample,
     StudySpec,
     WeakIVConfig,
-    estimate_weakiv_config,
     load_csv,
     make_folds,
-    sample_bivariate_normal,
     sample_weak_limit,
     write_csv,
 )
 from latescore import data as data_module
 from latescore.cli import _MEMBERSHIP
+from latescore.weakiv import estimate_weakiv_config, sample_bivariate_normal
 
 
 class TestMakeFolds:

@@ -11,20 +11,26 @@ from hypothesis import strategies as st
 
 from latescore import (
     ConfidenceSet,
+    Dataset,
     DegenerateDataError,
     InvalidConfigError,
+    LearnerSpec,
     QuadCoefficients,
     ScoreSample,
     WeakDenominatorError,
-    dn_statistic,
+    compute_scores,
+    cross_fit,
     drml_estimate,
     instrument_is_weak,
     invert_score_test,
+    make_folds,
     quad_coefficients,
     score_confidence_set,
     score_statistic,
 )
-from latescore.inference import instrument_strength
+from latescore.inference import dn_statistic
+
+from conftest import iv_data
 
 Z975 = 1.959963984540054
 EMPTY = ConfidenceSet("empty", math.inf, -math.inf)
@@ -410,9 +416,9 @@ class TestDnStatistic:
             expected = dn_statistic(psi_a, 0.0)
         except DegenerateDataError as exc:
             with pytest.raises(DegenerateDataError, match=re.escape(str(exc))):
-                instrument_strength(s)
+                instrument_is_weak(s, 0.05)
         else:
-            got = instrument_strength(s)
+            got = instrument_is_weak(s, 0.05)[0]
             assert type(got) is type(expected)
             assert struct.pack("<d", got) == struct.pack("<d", expected)
 
@@ -422,7 +428,7 @@ class TestDnStatistic:
         with pytest.raises(DegenerateDataError):
             dn_statistic(psi_a, 0.0)
         with pytest.raises(DegenerateDataError):
-            instrument_strength(ScoreSample(psi_a=psi_a, psi_b=psi_a))
+            instrument_is_weak(ScoreSample(psi_a=psi_a, psi_b=psi_a), 0.05)
 
 
 class TestScoreSampleMoments:
@@ -472,6 +478,90 @@ class TestEquivariance:
         d2 = drml_estimate(scaled, 0.05)
         assert d2.phi_hat == pytest.approx(lam * d1.phi_hat, rel=1e-10)
         assert d2.sigma2_hat == pytest.approx(lam * lam * d1.sigma2_hat, rel=1e-10)
+
+    # 2**-60 scales every value exactly; the others round each y.
+    OUTCOME_UNITS = (1e-12, 1e-9, 1e-6, 1e3, 1e12, 1e100, 2.0**-60)
+
+    @pytest.mark.parametrize("n", [2000, 300, 50])
+    @pytest.mark.parametrize("m_learner", ["known_constant", "logistic"])
+    def test_set_scales_with_the_outcome(self, n, m_learner):
+        """The whole pipeline on y * s: the set of y, scaled by s, with its
+        shape, however small or large the outcome's units are."""
+        spec = LearnerSpec(m_learner=m_learner, m_value=0.5)
+        for seed in range(6):
+            data = iv_data(n, seed)
+            folds = make_folds(n, spec.K, seed=1)
+
+            def score_set(s):
+                scaled = Dataset(y=data.y * s, a=data.a, z=data.z, x=data.x)
+                return score_confidence_set(compute_scores(scaled, cross_fit(scaled, spec, folds)), 0.05)
+
+            unit = score_set(1.0)
+            for s in self.OUTCOME_UNITS:
+                cset = score_set(s)
+                assert cset.tag == unit.tag, (seed, s)
+                got, want = np.array(cset.endpoints()) / s, np.array(unit.endpoints())
+                assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), (seed, s)
+
+
+@st.composite
+def _score_samples(draw):
+    """ScoreSamples of 2 to 11 pairs, psi_a and psi_b each in units of
+    10**u with |u| <= 150; psi_b is k*psi_a, the point atom, in a third of them."""
+    n = draw(st.integers(2, 11))
+    units = st.integers(-150, 150).map(lambda u: 10.0**u)
+    values = st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n).map(np.array)
+    psi_a = (draw(values) + draw(st.sampled_from([0.0, 0.5, 2.0]))) * draw(units)
+    if draw(st.integers(0, 2)) == 0:
+        psi_b = psi_a * draw(st.floats(-10.0, 10.0)) * draw(units)
+    else:
+        psi_b = draw(values) * draw(units)
+    assume(np.isfinite(psi_a).all() and np.isfinite(psi_b).all())
+    return ScoreSample(psi_a=psi_a, psi_b=psi_b)
+
+
+class TestRatioEstimateInSet:
+    """mb/ma always satisfies the membership inequality (its value there
+    is -z^2 * mean((psi_b - phi*psi_a)^2) <= 0), so wherever the ratio
+    estimate is defined the set holds it, and so is not empty."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scores=_score_samples(), alpha=st.sampled_from([0.01, 0.05, 0.2]))
+    def test_phi_hat_is_in_a_non_empty_set(self, scores, alpha):
+        try:
+            phi_hat = drml_estimate(scores, alpha).phi_hat
+        except DegenerateDataError:  # a weak denominator, or moments that overflow
+            assume(False)
+        try:
+            coeffs = quad_coefficients(scores, alpha)
+        except DegenerateDataError as exc:
+            assert "the quadratic's coefficients" in str(exc)
+            assume(False)
+        cset = invert_score_test(coeffs)
+        assert cset.tag != "empty"
+        assert cset.contains(phi_hat)
+
+    def test_the_point_atom_near_the_weak_boundary(self):
+        # psi_b = k*psi_a with D_n(0) within 1e-9 to 1e-1 of z^2: a nearly
+        # cancels, which multiplies delta's rounding error by
+        # a_scale/|a|.  Exactly, delta = 0, and the set is the point {k}
+        # (a > 0) or the whole line (a < 0).
+        rng = np.random.Generator(np.random.PCG64(17))
+        z2 = Z975 * Z975
+        for _ in range(3000):
+            n = int(rng.choice([3, 8, 30, 200, 2000]))
+            x = rng.standard_normal(n)
+            x -= x.mean()
+            target = z2 * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9.0, -1.0))
+            if n <= target:
+                continue
+            # n*m^2 / (m^2 + mean(x^2)) = target at the mean m
+            psi_a = x + math.sqrt(target * np.mean(x * x) / (n - target))
+            k = float(rng.choice([-2.5, 7.0, 0.3, 1.0, 4.0, -1e3]))
+            scores = ScoreSample(psi_a=psi_a, psi_b=k * psi_a)
+            cset = score_confidence_set(scores, 0.05)
+            assert cset.tag in ("point", "whole_line"), (n, k, cset)
+            assert cset.contains(drml_estimate(scores, 0.05).phi_hat), (n, k, cset)
 
 
 class TestStrongSampleSizeAgreement:

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from latescore import (
     Dataset,
+    DegenerateDataError,
     DgpParams,
     DegenerateFoldError,
     FoldAssignment,
@@ -20,6 +22,7 @@ from latescore import (
     fit_ols,
     make_folds,
 )
+from latescore.errors import NonFiniteResultError
 from latescore.nuisance import _predict
 
 
@@ -789,6 +792,22 @@ class TestCellMeanPredictionChecks:
         data, folds = _overflow_data([0])
         spec = LearnerSpec(g_learner="cell_mean", r_learner="logistic", m_learner="logistic", K=2)
         assert _message(lambda: cross_fit(data, spec, folds)) == "g0 contains non-finite predictions"
+
+    @pytest.mark.parametrize("g_learner", ["cell_mean", "ols_linear"])
+    @pytest.mark.parametrize("m_learner", ["known_constant", "logistic"])
+    def test_overflow_is_degenerate_data_without_a_warning(self, g_learner, m_learner):
+        data, folds = _overflow_data([1])
+        spec = LearnerSpec(g_learner=g_learner, r_learner="cell_mean", m_learner=m_learner, K=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResultError, match="g1 contains non-finite predictions") as caught:
+                cross_fit(data, spec, folds)
+        assert isinstance(caught.value, DegenerateDataError)
+
+    def test_non_finite_predictions_from_a_caller_are_a_config_error(self):
+        with pytest.raises(InvalidConfigError, match="g0 contains non-finite predictions") as caught:
+            NuisancePredictions(g1=[0.0], g0=[np.inf], r1=[0.5], r0=[0.5], m1=[0.5])
+        assert not isinstance(caught.value, DegenerateDataError)
 
     def test_a_cell_no_unit_reads_may_overflow(self, reference_cell_means):
         # Fold 0 has no unit with x1 > 0, so its x1 > 0 cells, fitted on

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from latescore import (
     NuisancePredictions,
     ScoreSample,
     compute_scores,
-    functional_oracle,
 )
+from latescore.errors import NonFiniteResultError
+from latescore.scores import functional_oracle
 
 
 def _preds(n, g1, g0, r1, r0, m1):
@@ -129,6 +131,19 @@ class TestComputeScores:
         data = Dataset(y=[1e308, 0.0], a=[0, 1], z=[1, 0], x=[[0.0], [0.0]])
         with np.errstate(over="ignore"), pytest.raises(InvalidConfigError, match="scores must be finite"):
             compute_scores(data, _preds(2, -1e308, 0.0, 0.5, 0.5, 0.5))
+
+    def test_scores_that_overflow_are_degenerate_data_without_a_warning(self):
+        data = Dataset(y=[1e308, 0.0], a=[0, 1], z=[1, 0], x=[[0.0], [0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResultError, match="scores must be finite") as caught:
+                compute_scores(data, _preds(2, -1e308, 0.0, 0.5, 0.5, 0.5))
+        assert isinstance(caught.value, DegenerateDataError)
+
+    def test_non_finite_scores_from_a_caller_are_a_config_error(self):
+        with pytest.raises(InvalidConfigError, match="scores must be finite") as caught:
+            ScoreSample(psi_a=[1.0, math.inf], psi_b=[0.0, 0.0])
+        assert not isinstance(caught.value, DegenerateDataError)
 
 
 def _mc_itt_ratio(draw_fn, draws, seed):

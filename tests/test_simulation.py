@@ -16,28 +16,28 @@ from latescore import (
     LearnerSpec,
     ReplicationResult,
     StudySpec,
-    aggregate,
     compute_scores,
     cross_fit,
     dgp_generate,
     drml_estimate,
     make_folds,
-    oracle_scores,
-    replication_seed,
     run_replication,
     run_study,
     score_confidence_set,
-    write_replications_csv,
-    write_summary_csv,
 )
 from latescore.simulation import _CELL_BLOCK as _B
 from latescore.simulation import (
     N_CELLS,
     _draw,
     _splitmix64,
+    aggregate,
     cell_probabilities,
     draw_oracle_cells,
     oracle_cell_values,
+    oracle_scores,
+    replication_seed,
+    write_replications_csv,
+    write_summary_csv,
 )
 
 _PI = st.sampled_from([0.0, -0.0, 0.15 / math.sqrt(5000), 1.0, -1.0, 5.0, -40.0]) | st.floats(-10.0, 10.0)

@@ -12,15 +12,14 @@ from latescore import (
     InvalidConfigError,
     StudySpec,
     WeakIVConfig,
-    estimate_weakiv_config,
     exact_weakiv_config,
     run_study,
-    sample_bivariate_normal,
     sample_weak_limit,
 )
 from latescore import weakiv
 from latescore.cli import main
 from latescore.simulation import cell_probabilities, oracle_cell_values
+from latescore.weakiv import estimate_weakiv_config, sample_bivariate_normal
 
 from conftest import ks_distance
 
