@@ -369,7 +369,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except DegenerateDataError as exc:
-        # Caught first: NonFiniteResultError is an InvalidConfigError too.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except (InvalidConfigError, CsvParseError, OSError) as exc:

@@ -2,6 +2,7 @@
 
 The CLI maps these onto stable exit codes: configuration and parsing
 problems exit with status 2, degenerate-data conditions with status 3.
+Every class belongs to exactly one of the two families.
 """
 
 
@@ -18,20 +19,11 @@ class CsvParseError(LatescoreError):
 
 
 class DegenerateDataError(LatescoreError):
-    """A statistic is undefined because a second moment is exactly zero."""
+    """A statistic is undefined: a second moment is zero or a computed value non-finite."""
 
 
 class DegenerateFoldError(DegenerateDataError):
     """A cross-fitting training set contains only one instrument level."""
-
-
-class NonFiniteResultError(DegenerateDataError, InvalidConfigError):
-    """Predictions or scores computed from finite data are not finite.
-
-    It is degenerate data, which the CLI reports with status 3; it is an
-    :class:`InvalidConfigError` too, the class the constructors raise for
-    non-finite arrays that a caller passes them.
-    """
 
 
 class WeakDenominatorError(DegenerateDataError):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, FoldAssignment, _check_integer, _read_only, _trusted
-from .errors import DegenerateFoldError, InvalidConfigError, NonFiniteResultError
+from .errors import DegenerateDataError, DegenerateFoldError, InvalidConfigError
 
 G_LEARNERS = ("ols_linear", "cell_mean")
 R_LEARNERS = ("logistic", "cell_mean")
@@ -126,6 +126,8 @@ def fit_ols(design: np.ndarray, targets: np.ndarray) -> LinearModel:
     A rank-deficient Gram matrix gets the ridge 1e-8 * max(trace, 1)/dim and
     the fallback flag, so degenerate folds cannot crash a Monte Carlo run.
     The floor of 1 acts only without the intercept's ones, as on a zero design.
+    A Gram matrix that overflows gives NaN coefficients: LAPACK, asked for
+    its rank, would print to standard output.
     """
     targets = np.asarray(targets, dtype=float)
     design = np.asarray(design, dtype=float)
@@ -134,6 +136,8 @@ def fit_ols(design: np.ndarray, targets: np.ndarray) -> LinearModel:
     gram = design.T @ design
     moment = design.T @ targets
     d = gram.shape[0]
+    if not np.isfinite(gram).all():
+        return LinearModel(beta=np.full(d, math.nan))
     fallback = np.linalg.matrix_rank(gram) < d
     if fallback:
         gram = gram + (1e-8 * max(np.trace(gram), 1.0) / d) * np.eye(d)
@@ -245,7 +249,7 @@ def _cell_mean_predictions(folds, key, counts, targets):
     fitted on the sum of the other folds' tables, added in fold order: the
     total minus fold k could cancel in a small cell.  The fitted means are
     checked in the cells that hold units, at z=1 then z=0 for each target,
-    with NuisancePredictions' message, as :class:`NonFiniteResultError`.
+    with NuisancePredictions' message, as :class:`DegenerateDataError`.
     Returns one (pred at z=1, pred at z=0) pair per target.
     """
     K, T = folds.K, len(targets)
@@ -267,7 +271,7 @@ def _cell_mean_predictions(folds, key, counts, targets):
     for t, name in enumerate(targets):
         for z_level in (1, 0):
             if not finite[2 * t + z_level]:
-                raise NonFiniteResultError(f"{name}{z_level} contains non-finite predictions")
+                raise DegenerateDataError(f"{name}{z_level} contains non-finite predictions")
     preds = [row.take(key) for row in means]
     return [(preds[2 * t + 1], preds[2 * t]) for t in range(T)]
 
@@ -308,11 +312,10 @@ def cross_fit(data: Dataset, spec: LearnerSpec, folds: FoldAssignment) -> Nuisan
     per-fold sums; OLS and logistic fits visit the folds one by one.  In
     the known-propensity mode m1 is a read-only stride-0 view of the one
     clipped value, with no fitting.  All propensities are clipped to
-    [clip_eps, 1 - clip_eps].  Predictions from cell means and a known
-    propensity are checked on the fitted tables; the others are checked
-    by the NuisancePredictions constructor.  Non-finite predictions,
-    which finite data gives only by overflow, raise
-    :class:`NonFiniteResultError`.
+    [clip_eps, 1 - clip_eps].  Cell-mean predictions are checked on the
+    fitted tables, those of models fitted fold by fold once every fold is
+    done, in the order g1, g0, r1, r0, m1.  Non-finite predictions, which
+    finite data gives only by overflow, raise :class:`DegenerateDataError`.
     """
     if folds.n != data.n:
         raise InvalidConfigError(f"folds cover {folds.n} units but the data has {data.n}")
@@ -386,13 +389,11 @@ def cross_fit(data: Dataset, spec: LearnerSpec, folds: FoldAssignment) -> Nuisan
     (g1, g0), (r1, r0) = preds["g"], preds["r"]
     if spec.m_learner == "logistic":
         np.clip(m1, spec.clip_eps, 1.0 - spec.clip_eps, out=m1)
-    if spec.m_learner == "known_constant" and not per_fold:
-        # Cell means were checked where units read them, those of a 0/1
-        # treatment lie in [0, 1], and a known m1 clipped so lies in (0, 1).
-        return _trusted(NuisancePredictions, g1=g1, g0=g0, r1=r1, r0=r0, m1=m1)
-    try:
-        return NuisancePredictions(g1=g1, g0=g0, r1=r1, r0=r0, m1=m1)
-    except InvalidConfigError as exc:
-        # Every prediction is in range but may be non-finite; that is the
-        # one check computed predictions can fail.
-        raise NonFiniteResultError(str(exc)) from None
+        per_fold.append("m")
+    # Every prediction is in range: cell means of a 0/1 treatment lie in
+    # [0, 1], and logistic fits and every m1 are clipped.  Only a model
+    # fitted per fold can still give non-finite ones unchecked.
+    for name, pred in zip(("g1", "g0", "r1", "r0", "m1"), (g1, g0, r1, r0, m1)):
+        if name[0] in per_fold and not np.isfinite(pred).all():
+            raise DegenerateDataError(f"{name} contains non-finite predictions")
+    return _trusted(NuisancePredictions, g1=g1, g0=g0, r1=r1, r0=r0, m1=m1)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, _trusted
-from .errors import DegenerateDataError, InvalidConfigError, NonFiniteResultError
+from .errors import DegenerateDataError, InvalidConfigError
 from .nuisance import NuisancePredictions
 
 
@@ -82,7 +82,7 @@ class ScoreSample:
 def compute_scores(data: Dataset, preds: NuisancePredictions) -> ScoreSample:
     """Plug nuisance predictions into the score formulas, unit by unit.
 
-    Scores that overflow raise :class:`NonFiniteResultError`, with no
+    Scores that overflow raise :class:`DegenerateDataError`, with no
     numpy warning.
     """
     if preds.n != data.n:
@@ -96,7 +96,7 @@ def compute_scores(data: Dataset, preds: NuisancePredictions) -> ScoreSample:
         psi_a = _score(weight, data.a, preds.r1, preds.r0, treated)
     # Both arrays are new and equal in length; no caller holds them, so
     # they are frozen in place rather than copied.
-    _check_finite(psi_a, psi_b, NonFiniteResultError)
+    _check_finite(psi_a, psi_b, DegenerateDataError)
     return _trusted(ScoreSample, psi_a=psi_a, psi_b=psi_b)
 
 

@@ -126,7 +126,7 @@ def oracle_cell_values(params: DgpParams) -> np.ndarray:
     treatment_shift * r(z, x) and m = 0.5.  The contrasts r(1,X)-r(0,X)
     and g(1,X)-g(0,X) have sample means that are exact (Rao-Blackwellized)
     estimates of E[psi_a] and E[psi_b].  A shift whose scores overflow
-    raises :class:`InvalidConfigError`.
+    raises :class:`DegenerateDataError`.
     """
     shift = params.treatment_shift
     y = 2.0 * (_CELL_SIGN - 1.0) + shift * _CELL_A

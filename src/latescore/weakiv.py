@@ -43,7 +43,9 @@ def _cholesky_2x2(sigma: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(sigma)):
         raise DecompositionError("covariance contains non-finite entries")
     s11, s12, s21, s22 = sigma[0, 0], sigma[0, 1], sigma[1, 0], sigma[1, 1]
-    scale = max(abs(s11), abs(s22), abs(s12), 1.0)
+    # Both tolerances are relative to the largest entry, so the verdict does
+    # not depend on the units; a zero matrix keeps scale 1.
+    scale = max(abs(s11), abs(s22), abs(s12), abs(s21)) or 1.0
     if abs(s12 - s21) > 1e-12 * scale:
         raise DecompositionError(f"covariance is not symmetric: {s12} vs {s21}")
     # The determinant test runs on entries divided by scale: on the raw

@@ -7,6 +7,7 @@ import pytest
 
 from latescore import (
     Dataset,
+    DegenerateDataError,
     DegenerateFoldError,
     FoldAssignment,
     InvalidConfigError,
@@ -17,7 +18,6 @@ from latescore import (
     instrument_is_weak,
     score_confidence_set,
 )
-from latescore.errors import NonFiniteResultError
 from latescore.nuisance import _cell_mean_predictions, _sigmoid_inplace
 from latescore.scores import functional_oracle
 from latescore.simulation import (
@@ -515,7 +515,7 @@ def _computed():
     try:
         yield
     except InvalidConfigError as exc:
-        raise NonFiniteResultError(str(exc)) from None
+        raise DegenerateDataError(str(exc)) from None
 
 
 def reference_cell_mean_cross_fit(data, spec, folds):

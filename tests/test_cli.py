@@ -38,7 +38,7 @@ from latescore import (
     write_csv,
 )
 import latescore
-from latescore import simulation
+from latescore import errors, simulation
 from latescore.inference import score_statistic, zero_tolerances
 from latescore.cli import _NEGATIVE_NUMBER, SCAN_BLOCK, _membership, main
 from latescore.data import _write_rows
@@ -1040,6 +1040,28 @@ class TestEntryPoint:
         assert run.stderr == "error: the limit parameters give draws beyond double range\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command, flags", [
+        ("analyze", ["--propensity", "known:0.5"]),
+        ("analyze", ["--propensity", "logit"]),
+        ("scan", ["--propensity", "known:0.5", "--theta-min", "-1", "--theta-max", "1"]),
+    ])
+    def test_covariates_near_the_double_range_exit_3_with_nothing_on_stdout(self, tmp_path, command, flags):
+        # An OLS Gram matrix of such covariates overflows.  LAPACK prints its
+        # own argument checks to file descriptor 1, which only the output of
+        # a child process is sure to show.
+        rng = np.random.default_rng(0)
+        n = 400
+        a, z = (rng.random(n) < 0.5).astype(int), (rng.random(n) < 0.5).astype(int)
+        data = Dataset(y=rng.standard_normal(n), a=a, z=z, x=1e307 * rng.standard_normal((n, 1)))
+        data_path = str(tmp_path / "wide.csv")
+        write_csv(data, data_path, CsvSchema(covariates=("x1",)))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        run = self._python_m(command, "--data", data_path, "--g", "ols", *flags, "--out", str(out_dir / "o.csv"))
+        assert (run.returncode, run.stdout) == (3, "")
+        assert run.stderr == "error: g1 contains non-finite predictions\n"
+        assert list(out_dir.iterdir()) == []
+
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "--help"])
@@ -1101,6 +1123,39 @@ def _argv(draw, root):
             "--grid-points", draw(st.sampled_from(["1", "2", "11"])), "--out", out,
         ]
     return argv + ["--out", draw(st.sampled_from([out, ""]))]
+
+
+def _error_classes(base):
+    """The subclasses of ``base`` in latescore.errors, recursively, once each."""
+    found = [cls for cls in base.__subclasses__() if cls.__module__ == errors.__name__]
+    return list(dict.fromkeys(each for cls in found for each in (cls, *_error_classes(cls))))
+
+
+_ERROR_CLASSES = _error_classes(errors.LatescoreError)
+
+
+class TestErrorClasses:
+    """Each error class belongs to one family, whose exit status main returns."""
+
+    def test_the_walk_finds_every_class_the_module_defines(self):
+        defined = {v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, errors.LatescoreError)}
+        assert set(_ERROR_CLASSES) == defined - {errors.LatescoreError}
+
+    @pytest.mark.parametrize("cls", _ERROR_CLASSES, ids=lambda cls: cls.__name__)
+    def test_each_class_has_exactly_one_exit_status(self, tmp_path, capsys, monkeypatch, cls):
+        degenerate = issubclass(cls, errors.DegenerateDataError)
+        assert degenerate != issubclass(cls, (errors.InvalidConfigError, errors.CsvParseError))
+
+        def fail(*args, **kwargs):
+            raise cls("planted")
+
+        monkeypatch.setattr("latescore.cli.sample_weak_limit", fail)
+        status = main([
+            "weakiv-limit", "--ca", "1", "--cb", "0", "--s11", "1", "--s12", "0", "--s22", "1",
+            "--samples", "10", "--out", str(tmp_path / "d.csv"),
+        ])
+        assert status == (3 if degenerate else 2)
+        assert capsys.readouterr().err == "error: planted\n"
 
 
 class TestExitContract:

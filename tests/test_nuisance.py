@@ -22,7 +22,6 @@ from latescore import (
     fit_ols,
     make_folds,
 )
-from latescore.errors import NonFiniteResultError
 from latescore.nuisance import _predict
 
 
@@ -768,7 +767,8 @@ def _overflow_data(big_z):
 def _message(fit):
     try:
         fit()
-    except InvalidConfigError as exc:
+    except DegenerateDataError as exc:
+        assert type(exc) is DegenerateDataError
         return str(exc)
     return None
 
@@ -800,9 +800,9 @@ class TestCellMeanPredictionChecks:
         spec = LearnerSpec(g_learner=g_learner, r_learner="cell_mean", m_learner=m_learner, K=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonFiniteResultError, match="g1 contains non-finite predictions") as caught:
+            with pytest.raises(DegenerateDataError, match="g1 contains non-finite predictions") as caught:
                 cross_fit(data, spec, folds)
-        assert isinstance(caught.value, DegenerateDataError)
+        assert type(caught.value) is DegenerateDataError
 
     def test_non_finite_predictions_from_a_caller_are_a_config_error(self):
         with pytest.raises(InvalidConfigError, match="g0 contains non-finite predictions") as caught:

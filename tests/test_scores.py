@@ -12,7 +12,6 @@ from latescore import (
     ScoreSample,
     compute_scores,
 )
-from latescore.errors import NonFiniteResultError
 from latescore.scores import functional_oracle
 
 
@@ -129,16 +128,17 @@ class TestComputeScores:
     def test_non_finite_scores_rejected(self):
         # y - g(z) overflows to +inf for the treated unit.
         data = Dataset(y=[1e308, 0.0], a=[0, 1], z=[1, 0], x=[[0.0], [0.0]])
-        with np.errstate(over="ignore"), pytest.raises(InvalidConfigError, match="scores must be finite"):
+        with np.errstate(over="ignore"), pytest.raises(DegenerateDataError, match="scores must be finite") as caught:
             compute_scores(data, _preds(2, -1e308, 0.0, 0.5, 0.5, 0.5))
+        assert type(caught.value) is DegenerateDataError
 
     def test_scores_that_overflow_are_degenerate_data_without_a_warning(self):
         data = Dataset(y=[1e308, 0.0], a=[0, 1], z=[1, 0], x=[[0.0], [0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonFiniteResultError, match="scores must be finite") as caught:
+            with pytest.raises(DegenerateDataError, match="scores must be finite") as caught:
                 compute_scores(data, _preds(2, -1e308, 0.0, 0.5, 0.5, 0.5))
-        assert isinstance(caught.value, DegenerateDataError)
+        assert type(caught.value) is DegenerateDataError
 
     def test_non_finite_scores_from_a_caller_are_a_config_error(self):
         with pytest.raises(InvalidConfigError, match="scores must be finite") as caught:

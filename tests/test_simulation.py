@@ -188,8 +188,9 @@ class TestOracleCellTable:
     def test_a_shift_whose_scores_overflow_is_refused(self):
         # At pi = 1 a unit with z = 1, x > 0 and a = 0 has psi_b of about
         # -2 * Phi(1) * shift + (Phi(1) - 0.5) * shift, beyond double range.
-        with np.errstate(over="ignore"), pytest.raises(InvalidConfigError, match="scores must be finite"):
+        with np.errstate(over="ignore"), pytest.raises(DegenerateDataError, match="scores must be finite") as caught:
             oracle_cell_values(DgpParams(pi=1.0, n=2, treatment_shift=1.7e308))
+        assert type(caught.value) is DegenerateDataError
 
 
 class TestCellProbabilities:

@@ -55,6 +55,7 @@ class TestBivariateNormal:
         np.array([[1.0, 2.0], [2.0, 1.0]]),           # indefinite
         np.array([[0.0, 0.5], [0.5, 1.0]]),           # zero variance, nonzero cov
         np.array([[1e200, 2e200], [2e200, 1e200]]),   # indefinite, determinant overflows
+        np.array([[1e-20, 0.0], [5e-13, 1e-20]]),     # asymmetric, far above its variances
     ])
     def test_rejects_non_psd(self, sigma):
         rng = np.random.Generator(np.random.PCG64(4))
@@ -119,6 +120,41 @@ class TestHugeCovarianceCli:
             draws = [float(row["draw"]) for row in csv.DictReader(handle)]
         assert len(draws) == 1000
         assert all(math.isfinite(v) for v in draws)
+
+
+class TestCovarianceUnits:
+    """Symmetry and PSD are judged relative to the largest entry, so a
+    covariance is accepted or refused alike in any units."""
+
+    SIGMAS = {
+        "psd": [[2.0, 0.5], [0.5, 1.0]],
+        "singular_psd": [[1.0, 2.0], [2.0, 4.0]],
+        "indefinite": [[1.0, 2.0], [2.0, 1.0]],
+        "asymmetric": [[1.0, 0.0], [0.3, 1.0]],
+    }
+
+    @staticmethod
+    def _accepted(sigma):
+        try:
+            WeakIVConfig(c_a=1.0, c_b=0.0, sigma_ab=sigma)
+        except DecompositionError:
+            return False
+        return True
+
+    @pytest.mark.parametrize("kind", SIGMAS)
+    @pytest.mark.parametrize("scale", [1e-300, 1e-20, 1.0, 1e20, 1e300])
+    def test_the_verdict_does_not_depend_on_the_scale(self, kind, scale):
+        assert self._accepted(scale * np.array(self.SIGMAS[kind])) == kind.endswith("psd")
+
+    def test_a_tiny_indefinite_covariance_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "w.csv"
+        status = main([
+            "weakiv-limit", "--ca", "1", "--cb", "0", "--s11", "1e-20", "--s12", "1e-19",
+            "--s22", "1e-20", "--samples", "5", "--out", str(out),
+        ])
+        assert status == 2
+        assert capsys.readouterr().err == "error: covariance is not positive semidefinite\n"
+        assert not out.exists()
 
 
 class TestWeakIVConfig:
