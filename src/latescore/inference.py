@@ -125,11 +125,12 @@ def quad_coefficients(scores: ScoreSample, alpha: float) -> QuadCoefficients:
         raise DegenerateDataError("the quadratic's coefficients overflow double precision")
     # A difference has lost its precision when its larger product falls
     # below the smallest normal double although the factors of one product
-    # are all nonzero.
+    # are all nonzero (a nonzero score vector whose moments are both zero
+    # has underflowed).
     products = (
-        (a_scale, ma != 0.0 or maa != 0.0),
+        (a_scale, ma != 0.0 or maa != 0.0 or scores.psi_a.any()),
         (b_scale, (ma != 0.0 and mb != 0.0) or mab != 0.0),
-        (c_scale, mb != 0.0 or mbb != 0.0),
+        (c_scale, mb != 0.0 or mbb != 0.0 or scores.psi_b.any()),
         (max(b * b, 4.0 * abs(a * c)), b != 0.0 or (a != 0.0 and c != 0.0)),
     )
     if any(nonzero and larger < sys.float_info.min for larger, nonzero in products):
@@ -227,19 +228,20 @@ def zero_tolerances(coeffs: QuadCoefficients) -> tuple[float, float]:
 def invert_score_test(coeffs: QuadCoefficients) -> ConfidenceSet:
     """Solve a*theta^2 + b*theta + c <= 0 exactly, by case analysis.
 
-    Classification of the signs of a and delta uses the banded zero
-    tests from :func:`zero_tolerances`.  Every input maps to a set:
+    a and delta count as zero within the bands of :func:`zero_tolerances`.
+    Each verdict is reached once, in this order:
 
-    - delta > 0, a > 0: [r1, r2]
-    - delta > 0, a < 0: (-inf, r2] U [r1, inf)   (r2 <= r1 here)
-    - delta < 0, a > 0: empty set
-    - delta < 0, a < 0: whole line
-    - delta != 0, a = 0: (-inf, -c/b] if b > 0 else [-c/b, inf)
-    - delta = 0, a > 0: the point {-b / (2a)}, or {mb / ma} given the means
-    - delta = 0, a < 0: whole line
-    - delta = 0, a = 0: whole line if c <= 0 else empty set
+    - a = 0, delta != 0, b != 0: (-inf, -c/b] if b > 0 else [-c/b, inf)
+    - a = 0 otherwise, c <= 0: whole line
+    - a != 0, delta > 0: [r1, r2] if a > 0 else (-inf, r2] U [r1, inf)
+    - a < 0, delta <= 0: whole line
+    - a > 0, delta = 0: the point {-b / (2a)}, or {mb / ma} given the means
+    - otherwise the quadratic is positive everywhere: the empty set
 
     with r1 = (-b - sqrt(delta)) / (2a) and r2 = (-b + sqrt(delta)) / (2a).
+    The ratio estimate mb/ma satisfies the inequality wherever ma != 0, so
+    from scores "positive everywhere" is rounding, and the set is {mb/ma}:
+    a set from scores is empty only when psi_a is identically zero.
     Identically-zero score data (``coeffs.degenerate``) has no set and
     raises :class:`DegenerateDataError`.
     At delta = 0 the quadratic is a*(theta + b/(2a))^2; for a < 0 this
@@ -254,32 +256,25 @@ def invert_score_test(coeffs: QuadCoefficients) -> ConfidenceSet:
         raise DegenerateDataError("both score vectors are identically zero")
     a, b, c, delta = coeffs.a, coeffs.b, coeffs.c, coeffs.delta
     tol_a, tol_delta = zero_tolerances(coeffs)
-    a_zero = abs(a) <= tol_a
-    delta_zero = abs(delta) <= tol_delta
-
-    if a_zero and delta_zero:
-        return _WHOLE_LINE if c <= 0.0 else _EMPTY
-    if a_zero:
-        if b > 0.0:
-            return ConfidenceSet("left_ray", hi=-c / b)
-        if b < 0.0:
+    if abs(a) <= tol_a:
+        if b != 0.0 and abs(delta) > tol_delta:
+            if b > 0.0:
+                return ConfidenceSet("left_ray", hi=-c / b)
             return ConfidenceSet("right_ray", lo=-c / b)
-        # b is exactly zero yet delta escaped the band: a and b are both
-        # negligible, so the inequality reduces to c <= 0.
-        return _WHOLE_LINE if c <= 0.0 else _EMPTY
-    if delta_zero:
-        if a > 0.0:
-            vertex = -b / (2.0 * a) if coeffs.ma is None else coeffs.mb / coeffs.ma
-            return ConfidenceSet("point", vertex, vertex)
-        return _WHOLE_LINE
-    if delta > 0.0:
+        if c <= 0.0:
+            return _WHOLE_LINE
+    elif delta > tol_delta:
         root = math.sqrt(delta)
-        r1 = (-b - root) / (2.0 * a)
-        r2 = (-b + root) / (2.0 * a)
-        if a > 0.0:
-            return ConfidenceSet("finite_interval", r1, r2)
-        return ConfidenceSet("two_rays", r2, r1)
-    return _EMPTY if a > 0.0 else _WHOLE_LINE
+        lo, hi = sorted(((-b - root) / (2.0 * a), (-b + root) / (2.0 * a)))
+        return ConfidenceSet("finite_interval" if a > 0.0 else "two_rays", lo, hi)
+    elif a < 0.0:
+        return _WHOLE_LINE
+    elif delta >= -tol_delta:
+        vertex = -b / (2.0 * a) if coeffs.ma is None else coeffs.mb / coeffs.ma
+        return ConfidenceSet("point", vertex, vertex)
+    if coeffs.ma:
+        return ConfidenceSet("point", coeffs.mb / coeffs.ma, coeffs.mb / coeffs.ma)
+    return _EMPTY
 
 
 def score_confidence_set(scores: ScoreSample, alpha: float) -> ConfidenceSet:
@@ -308,11 +303,14 @@ def drml_estimate(scores: ScoreSample, alpha: float) -> DrmlResult:
 
     The variance estimate is mean((psi_b - phi_hat*psi_a)^2) divided by
     mean(psi_a)^2; the interval is phi_hat -/+ z * sigma_hat / sqrt(n).
+    The denominator is weak, and :class:`WeakDenominatorError` raised, when
+    |mean(psi_a)| <= ZERO_TOL * sqrt(mean(psi_a^2)), a rule free of units,
+    or when mean(psi_a)^2 underflows double precision.
     """
     z = _z_crit(alpha)
     n = scores.n
     ma, mb, maa, _, _ = scores.moments()
-    if abs(ma) <= ZERO_TOL * max(math.sqrt(maa), 1.0):
+    if abs(ma) <= ZERO_TOL * math.sqrt(maa) or ma * ma < sys.float_info.min:
         raise WeakDenominatorError(
             "mean(psi_a) is numerically zero; the ratio estimator is undefined "
             "and the score confidence set should be used instead"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from latescore import (
+    ConfidenceSet,
     Dataset,
     DegenerateDataError,
     DegenerateFoldError,
@@ -18,6 +19,7 @@ from latescore import (
     instrument_is_weak,
     score_confidence_set,
 )
+from latescore.inference import zero_tolerances
 from latescore.nuisance import _cell_mean_predictions, _sigmoid_inplace
 from latescore.scores import functional_oracle
 from latescore.simulation import (
@@ -243,6 +245,52 @@ def iv_data(n, seed):
     a = (-0.2 + z + 0.5 * x[:, 0] + u > 0).astype(int)
     y = a + 0.5 * x[:, 0] - 0.25 * x[:, 1] + u + rng.standard_normal(n)
     return Dataset(y=y, a=a, z=z, x=x)
+
+
+# invert_score_test as it was before each verdict had one exit: two
+# `c <= 0` rules and two ways to the empty set, one of which gives an
+# empty set from scores that the ratio estimate mb/ma satisfies.
+# Kept as the reference the current case analysis is compared against.
+_REFERENCE_EMPTY = ConfidenceSet("empty", math.inf, -math.inf)
+_REFERENCE_WHOLE_LINE = ConfidenceSet("whole_line")
+
+
+def reference_invert_score_test(coeffs):
+    if coeffs.degenerate:
+        raise DegenerateDataError("both score vectors are identically zero")
+    a, b, c, delta = coeffs.a, coeffs.b, coeffs.c, coeffs.delta
+    tol_a, tol_delta = zero_tolerances(coeffs)
+    a_zero = abs(a) <= tol_a
+    delta_zero = abs(delta) <= tol_delta
+
+    if a_zero and delta_zero:
+        return _REFERENCE_WHOLE_LINE if c <= 0.0 else _REFERENCE_EMPTY
+    if a_zero:
+        if b > 0.0:
+            return ConfidenceSet("left_ray", hi=-c / b)
+        if b < 0.0:
+            return ConfidenceSet("right_ray", lo=-c / b)
+        # b is exactly zero yet delta escaped the band: a and b are both
+        # negligible, so the inequality reduces to c <= 0.
+        return _REFERENCE_WHOLE_LINE if c <= 0.0 else _REFERENCE_EMPTY
+    if delta_zero:
+        if a > 0.0:
+            vertex = -b / (2.0 * a) if coeffs.ma is None else coeffs.mb / coeffs.ma
+            return ConfidenceSet("point", vertex, vertex)
+        return _REFERENCE_WHOLE_LINE
+    if delta > 0.0:
+        root = math.sqrt(delta)
+        r1 = (-b - root) / (2.0 * a)
+        r2 = (-b + root) / (2.0 * a)
+        if a > 0.0:
+            return ConfidenceSet("finite_interval", r1, r2)
+        return ConfidenceSet("two_rays", r2, r1)
+    return _REFERENCE_EMPTY if a > 0.0 else _REFERENCE_WHOLE_LINE
+
+
+@pytest.fixture(scope="session")
+def reference_inversion():
+    return reference_invert_score_test
 
 
 # The regression half of cross_fit as it was before the fitters shared one

@@ -143,6 +143,16 @@ class TestQuadCoefficients:
         with pytest.raises(DegenerateDataError):
             score_confidence_set(s, 0.05)
 
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_a_nonzero_score_vector_whose_moments_underflow_raises(self, swap):
+        # The mean is 0 and every square underflows, so a (or c) reads 0;
+        # exactly it is -z^2 * 1e-340, and with tiny psi_a the set is two
+        # rays, not the empty set that a = b = 0, c > 0 gave.
+        tiny, ones = np.array([1e-170, -1e-170] * 2), np.ones(4)
+        psi_a, psi_b = (ones, tiny) if swap else (tiny, ones)
+        with pytest.raises(DegenerateDataError, match="underflow"):
+            quad_coefficients(ScoreSample(psi_a=psi_a, psi_b=psi_b), 0.05)
+
     def test_grid_membership_agrees_with_statistic(self):
         rng = np.random.Generator(np.random.PCG64(8))
         s = random_scores(rng, n=100, strong=True)
@@ -368,6 +378,24 @@ class TestDrmlEstimate:
         with pytest.raises(WeakDenominatorError, match="score confidence set"):
             drml_estimate(s, 0.05)
 
+    def test_the_interval_is_free_of_units(self):
+        psi_a, psi_b = np.array([1.0, 3.0, 2.0]), np.array([2.0, 5.0, 1.0])
+        unit = drml_estimate(ScoreSample(psi_a=psi_a, psi_b=psi_b), 0.05)
+        assert unit.phi_hat == pytest.approx(4.0 / 3.0, rel=1e-15)
+        for u in range(-150, 151, 10):
+            s = 10.0**u
+            got = drml_estimate(ScoreSample(psi_a=psi_a * s, psi_b=psi_b * s), 0.05)
+            assert math.isfinite(got.wald_lo) and math.isfinite(got.wald_hi), u
+            assert abs(got.phi_hat - unit.phi_hat) <= 1e-14 * unit.phi_hat, u
+            assert abs(got.sigma2_hat - unit.sigma2_hat) <= 1e-14 * unit.sigma2_hat, u
+
+    def test_a_mean_whose_square_underflows_is_weak(self):
+        # mean(psi_a^2) underflows to 0, so the relative rule alone passes it.
+        s = ScoreSample(psi_a=np.array([0.0, 6.36e-171]), psi_b=np.zeros(2))
+        assert s.moments()[2] == 0.0
+        with pytest.raises(WeakDenominatorError, match="score confidence set"):
+            drml_estimate(s, 0.05)
+
     def test_wald_symmetric_with_exact_diameter(self):
         rng = np.random.Generator(np.random.PCG64(12))
         for _ in range(50):
@@ -562,6 +590,95 @@ class TestRatioEstimateInSet:
             cset = score_confidence_set(scores, 0.05)
             assert cset.tag in ("point", "whole_line"), (n, k, cset)
             assert cset.contains(drml_estimate(scores, 0.05).phi_hat), (n, k, cset)
+
+    @pytest.mark.parametrize("gap", [1e-14, 1e-13, 3.2e-13, 1e-12])
+    def test_the_point_atom_just_above_the_weak_boundary(self, gap):
+        # psi_b = k*psi_a with D_n(0) = z^2 * (1 + gap): a and c both fall
+        # in a's zero band with c > 0, yet exactly the set is the point {k}.
+        rng = np.random.Generator(np.random.PCG64(23))
+        t = Z975 * Z975 * (1.0 + gap)
+        for _ in range(1000):
+            n = int(rng.integers(4, 12))
+            x = rng.standard_normal(n)
+            m = x.mean()
+            # the larger root s of n*(m + s)^2 = t*(mean(x^2) + 2*s*m + s^2)
+            psi_a = x + (-m + math.sqrt(t * (np.mean(x * x) - m * m) / (n - t)))
+            k = float(rng.choice([4.0, -2.0, 0.5, 3.7, 1e-3]))
+            scores = ScoreSample(psi_a=psi_a, psi_b=k * psi_a)
+            cset = score_confidence_set(scores, 0.05)
+            assert cset.contains(drml_estimate(scores, 0.05).phi_hat), (n, k, cset)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scores=_score_samples(),
+        alpha=st.sampled_from([0.01, 0.05, 0.2]),
+        zero_a=st.booleans(),
+    )
+    def test_a_set_from_scores_is_empty_only_when_psi_a_is_zero(self, scores, alpha, zero_a):
+        if zero_a:
+            scores = ScoreSample(psi_a=np.zeros(scores.n), psi_b=scores.psi_b)
+        try:
+            cset = score_confidence_set(scores, alpha)
+        except DegenerateDataError as exc:  # moments outside double precision, or all zero
+            assert re.search("double precision|identically zero", str(exc))
+            assume(False)
+        assert cset.tag != "empty" or not scores.psi_a.any()
+
+
+def _bits(cset):
+    return cset.tag, struct.pack("<2d", cset.lo, cset.hi)
+
+
+class TestInversionAgainstReference:
+    """The case analysis gives the tag and endpoint bits of the reference,
+    which tested `c <= 0` twice and reached the empty set two ways.  The
+    one difference: an empty set from scores with mean(psi_a) != 0 is now
+    the point {mb/ma}, which the exact set holds."""
+
+    def test_hand_built_coefficients(self, reference_inversion):
+        # Built as acceptance criterion 2 builds its fuzz, on another seed.
+        rng = np.random.Generator(np.random.PCG64(2525))
+        count = 200_000
+        abc = rng.standard_normal((count, 3)) * 10.0 ** rng.uniform(-6, 6, size=(count, 1))
+        for j in range(3):
+            abc[rng.random(count) < 0.15, j] = 0.0
+        tangent = (rng.random(count) < 0.10) & (abc[:, 0] != 0.0)
+        abc[tangent, 2] = abc[tangent, 1] ** 2 / (4.0 * abc[tangent, 0])
+        tags = set()
+        for a, b, c in abc.tolist():
+            co = QuadCoefficients(a, b, c, b * b - 4.0 * a * c, 2, Z975, max(abs(a), 1.0))
+            got = invert_score_test(co)
+            assert _bits(got) == _bits(reference_inversion(co)), (a, b, c)
+            tags.add(got.tag)
+        assert len(tags) == 7
+
+    def test_coefficients_from_scores(self, reference_inversion):
+        rng = np.random.Generator(np.random.PCG64(2526))
+        z2 = Z975 * Z975
+        tags, mended = set(), 0
+        for i in range(20_000):
+            n = int(rng.integers(2, 60))
+            psi_a = rng.standard_normal(n)
+            if i % 3 == 0:
+                psi_a += 2.0
+            elif i % 3 == 1 and n >= 4:
+                # D_n(0) within 1e-14 to 1e-2 of z^2, on either side
+                m = psi_a.mean()
+                t = z2 * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-14.0, -2.0))
+                psi_a += -m + math.sqrt(t * (np.mean(psi_a * psi_a) - m * m) / (n - t))
+            if i % 5 == 0:
+                psi_b = float(rng.choice([4.0, -2.0, 0.5, 3.7, 1e-3])) * psi_a
+            else:
+                psi_b = rng.standard_normal(n) + rng.uniform(-1.0, 1.0) * psi_a
+            co = quad_coefficients(ScoreSample(psi_a=psi_a, psi_b=psi_b), 0.05)
+            got, want = invert_score_test(co), reference_inversion(co)
+            if want.tag == "empty" and co.ma:
+                want = ConfidenceSet("point", co.mb / co.ma, co.mb / co.ma)
+                mended += 1
+            assert _bits(got) == _bits(want), (i, co)
+            tags.add(got.tag)
+        assert tags >= {"finite_interval", "two_rays", "whole_line", "point"}
+        assert mended > 0
 
 
 class TestStrongSampleSizeAgreement:
