@@ -24,7 +24,6 @@ from .inference import (
     DrmlResult,
     QuadCoefficients,
     drml_estimate,
-    instrument_is_weak,
     invert_score_test,
     quad_coefficients,
     score_confidence_set,

@@ -28,7 +28,6 @@ from .data import CsvSchema, _write_columns, _write_rows, load_csv, make_folds
 from .errors import CsvParseError, DegenerateDataError, InvalidConfigError
 from .inference import (
     drml_estimate,
-    instrument_is_weak,
     invert_score_test,
     quad_coefficients,
     score_statistic,
@@ -132,8 +131,8 @@ def cmd_analyze(args) -> int:
     cset = invert_score_test(coeffs)
     tol_a, tol_delta = zero_tolerances(coeffs)
     drml = drml_estimate(scores, args.alpha)
-    dn0, weak = instrument_is_weak(scores, args.alpha)
     z = coeffs.z_crit
+    dn0, weak = coeffs.dn0, coeffs.dn0 <= z * z
     diam_s = cset.diameter()
     diam_w = drml.diameter()
     ratio = diam_s / diam_w if math.isfinite(diam_s) and math.isfinite(diam_w) and diam_w > 0 else float("nan")
@@ -175,6 +174,8 @@ def _missing_dirs(path: str) -> list[str]:
 
 
 def cmd_simulate(args) -> int:
+    if args.pi is not None and args.setting != "custom":
+        raise InvalidConfigError(f"--pi applies to --setting custom only, not {args.setting}")
     try:
         n_grid = tuple(int(v) for v in args.n.split(","))
     except ValueError:
@@ -336,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--n", default="1500,4500,7500,10500,12000", help="comma-separated sample sizes")
     simulate.add_argument("--reps", type=int, default=1000)
     simulate.add_argument("--alpha", type=float, default=0.05)
-    simulate.add_argument("--seed", type=int, default=0)
+    simulate.add_argument("--seed", type=_seed, default=0)
     simulate.add_argument("--g", default="cellmean", choices=sorted(_G_NAMES))
     simulate.add_argument("--r", default="cellmean", choices=sorted(_R_NAMES))
     simulate.add_argument("--out-dir", required=True, dest="out_dir")

@@ -173,6 +173,12 @@ class CsvSchema:
     instrument: str = "z"
     covariates: tuple[str, ...] = ("x1",)
 
+    def __post_init__(self) -> None:
+        names = [self.outcome, self.treatment, self.instrument, *self.covariates]
+        for name in names:
+            if names.count(name) > 1:
+                raise InvalidConfigError(f"column {name!r} is named more than once")
+
 
 def _parse_float(text: str, row: int, col: str) -> float:
     text = text.strip()

@@ -83,6 +83,8 @@ class QuadCoefficients(NamedTuple):
     for which no set is meaningful.
     ``ma``/``mb`` are the score means where the coefficients come from
     scores; a point set is then {mb/ma}, the ratio estimate bit for bit.
+    ``dn0`` is then D_n(0), ``dn_statistic(psi_a, 0.0)`` bit for bit: as a =
+    mean(psi_a^2) * (D_n(0) - z^2), the set is unbounded exactly when D_n(0) <= z^2.
     """
 
     a: float
@@ -96,6 +98,7 @@ class QuadCoefficients(NamedTuple):
     degenerate: bool = False
     ma: float | None = None
     mb: float | None = None
+    dn0: float | None = None
 
 
 def quad_coefficients(scores: ScoreSample, alpha: float) -> QuadCoefficients:
@@ -147,6 +150,8 @@ def quad_coefficients(scores: ScoreSample, alpha: float) -> QuadCoefficients:
         degenerate=(maa == 0.0 and mbb == 0.0),
         ma=ma,
         mb=mb,
+        # Where ma != 0, maa > 0: a zero maa there was refused as underflow above.
+        dn0=n * ma * ma / maa if ma != 0.0 else 0.0,
     )
 
 
@@ -339,28 +344,9 @@ def dn_statistic(psi_a: np.ndarray, theta: float) -> float:
     """
     psi_a = np.asarray(psi_a, dtype=float)
     d = psi_a - theta
-    return _dn_ratio(psi_a.shape[0], float(np.mean(psi_a)) - theta, float(np.mean(d * d)), theta)
-
-
-def _dn_ratio(n: int, m: float, second: float, theta: float) -> float:
+    m, second = float(np.mean(psi_a)) - theta, float(np.mean(d * d))
     if m == 0.0:
         return 0.0
     if second <= 0.0:
         raise DegenerateDataError(f"second moment of psi_a - theta is zero at theta={theta}")
-    return n * m * m / second
-
-
-def instrument_is_weak(scores: ScoreSample, alpha: float) -> tuple[float, bool]:
-    """D_n(0), read from the score moments, and the flag D_n(0) <= z^2,
-    marking an uninformative instrument.
-
-    At theta = 0, mean(psi_a) - theta and mean((psi_a - theta)^2) are
-    mean(psi_a) and mean(psi_a^2) bit for bit, so D_n(0) equals
-    ``dn_statistic(scores.psi_a, 0.0)`` exactly, errors included.  The
-    score confidence set has infinite diameter exactly when the flag is
-    set (apart from the degenerate all-zero-coefficient corner).
-    """
-    z = _z_crit(alpha)
-    ma, _, maa, _, _ = scores.moments()
-    dn0 = _dn_ratio(scores.n, ma, maa, 0.0)
-    return dn0, dn0 <= z * z
+    return psi_a.shape[0] * m * m / second

@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import Dataset, _check_integer, _read_only, _trusted, _write_columns, make_folds
 from .errors import DegenerateDataError, InvalidConfigError, LatescoreError
-from .inference import _z_crit, drml_estimate, instrument_is_weak, score_confidence_set
+from .inference import _z_crit, drml_estimate, invert_score_test, quad_coefficients
 from .nuisance import LearnerSpec, NuisancePredictions, cross_fit
 from .scores import compute_scores, functional_oracle
 
@@ -226,7 +226,9 @@ class StudySpec:
         if self.setting == "custom" and not math.isfinite(self.pi):
             raise InvalidConfigError(f"setting='custom' needs a finite pi, got {self.pi}")
         # Sizes and the seed are kept as Python ints: a numpy integer overflows the seed mixer.
-        object.__setattr__(self, "seed", _check_integer(self.seed, "seed"))
+        object.__setattr__(self, "seed", _check_integer(self.seed, "seed", least=0))
+        if self.seed > _MASK64:  # replication_seed reads the seed modulo 2**64
+            raise InvalidConfigError(f"seed must be below 2**64, got {self.seed}")
         object.__setattr__(self, "reps", _check_integer(self.reps, "replication count", least=1))
         _z_crit(self.alpha)  # refuses an alpha whose normal quantile is not finite
         object.__setattr__(self, "n_grid", tuple(_check_integer(n, "sample size", least=2) for n in self.n_grid))
@@ -253,7 +255,8 @@ def run_replication(params: DgpParams, spec: StudySpec, rep_id: int) -> Replicat
     preds = cross_fit(data, spec.learner, folds)
     scores = compute_scores(data, preds)
     truth = functional_oracle(params.pi, params.treatment_shift)
-    cset = score_confidence_set(scores, spec.alpha)
+    coeffs = quad_coefficients(scores, spec.alpha)
+    cset = invert_score_test(coeffs)
     drml = drml_estimate(scores, spec.alpha)
     return ReplicationResult(
         rep_id=rep_id,
@@ -262,7 +265,7 @@ def run_replication(params: DgpParams, spec: StudySpec, rep_id: int) -> Replicat
         diam_score=cset.diameter(),
         diam_wald=drml.diameter(),
         set_tag=cset.tag,
-        dn0=instrument_is_weak(scores, spec.alpha)[0],
+        dn0=coeffs.dn0,
         phi_hat=drml.phi_hat,
     )
 

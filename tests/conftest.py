@@ -16,10 +16,9 @@ from latescore import (
     ReplicationResult,
     ScoreSample,
     drml_estimate,
-    instrument_is_weak,
     score_confidence_set,
 )
-from latescore.inference import zero_tolerances
+from latescore.inference import _z_crit, zero_tolerances
 from latescore.nuisance import _cell_mean_predictions, _sigmoid_inplace
 from latescore.scores import functional_oracle
 from latescore.simulation import (
@@ -605,6 +604,31 @@ def reference_compute_scores(data, preds):
     psi_a = sign / m_z * (data.a - r_z) + preds.r1 - preds.r0
     with _computed():
         return ScoreSample(psi_a=psi_a, psi_b=psi_b)
+
+
+# The package's D_n(0) before quad_coefficients returned it as QuadCoefficients.dn0.
+def _dn_ratio(n: int, m: float, second: float, theta: float) -> float:
+    if m == 0.0:
+        return 0.0
+    if second <= 0.0:
+        raise DegenerateDataError(f"second moment of psi_a - theta is zero at theta={theta}")
+    return n * m * m / second
+
+
+def instrument_is_weak(scores: ScoreSample, alpha: float) -> tuple[float, bool]:
+    """D_n(0), read from the score moments, and the flag D_n(0) <= z^2,
+    marking an uninformative instrument.
+
+    At theta = 0, mean(psi_a) - theta and mean((psi_a - theta)^2) are
+    mean(psi_a) and mean(psi_a^2) bit for bit, so D_n(0) equals
+    ``dn_statistic(scores.psi_a, 0.0)`` exactly, errors included.  The
+    score confidence set has infinite diameter exactly when the flag is
+    set (apart from the degenerate all-zero-coefficient corner).
+    """
+    z = _z_crit(alpha)
+    ma, _, maa, _, _ = scores.moments()
+    dn0 = _dn_ratio(scores.n, ma, maa, 0.0)
+    return dn0, dn0 <= z * z
 
 
 def reference_replication(params, spec, rep_id):

@@ -29,7 +29,6 @@ from latescore import (
     cross_fit,
     dgp_generate,
     drml_estimate,
-    instrument_is_weak,
     invert_score_test,
     load_csv,
     make_folds,
@@ -44,7 +43,7 @@ from latescore.cli import _NEGATIVE_NUMBER, SCAN_BLOCK, _membership, main
 from latescore.data import _write_rows
 from latescore.weakiv import _LIMIT_BLOCK, WeakIVConfig
 
-from conftest import iv_data
+from conftest import instrument_is_weak, iv_data
 
 
 def _export_dgp(tmp_path, pi, n, seed, name):
@@ -434,6 +433,29 @@ class TestSimulate:
         assert main(["simulate", "--n", "100", "--reps", "2", "--out-dir", str(out_dir / "a" / "b")]) == status
         _assert_one_error_line(capsys)
         assert out_dir.is_dir() and list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("setting", ["weak", "strong"])
+    def test_pi_outside_the_custom_setting_exits_2_leaving_no_directory(self, tmp_path, capsys, setting):
+        out_dir = tmp_path / "c"
+        status = main([
+            "simulate", "--setting", setting, "--pi", "0.1", "--n", "100", "--reps", "2",
+            "--out-dir", str(out_dir),
+        ])
+        assert status == 2
+        _assert_one_error_line(capsys)
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("seed", [str(2**64), str(2**64 + 5), "-1"])
+    def test_seed_outside_64_bits_exits_2_leaving_no_directory(self, tmp_path, capsys, seed):
+        # replication_seed reads the seed modulo 2**64: 2**64 would alias 0.
+        out_dir = tmp_path / "s"
+        status = main([
+            "simulate", "--setting", "weak", "--n", "50", "--reps", "3", f"--seed={seed}",
+            "--out-dir", str(out_dir),
+        ])
+        assert status == 2
+        _assert_one_error_line(capsys)
+        assert not out_dir.exists()
 
     def test_custom_minus_inf_pi_as_its_own_argument_exits_2(self, tmp_path, capsys):
         out_dir = tmp_path / "c"
@@ -1001,6 +1023,25 @@ class TestEntryPoint:
         _assert_one_error_line(capsys)
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("command", ["analyze", "scan"])
+    @pytest.mark.parametrize("roles", [
+        ["--outcome", "x1", "--covariates", "x1,x2"],
+        ["--covariates", "x1,x1"],
+        ["--instrument", "a"],
+    ], ids=["outcome-and-covariate", "covariate-twice", "treatment-and-instrument"])
+    def test_a_column_named_twice_exits_2_before_reading_data(self, tmp_path, capsys, monkeypatch, command, roles):
+        def no_load(*args):
+            raise AssertionError("load_csv was called")
+
+        monkeypatch.setattr("latescore.cli.load_csv", no_load)
+        out_path = tmp_path / "out.csv"
+        argv = [command, "--data", str(tmp_path / "d.csv"), *roles, "--out", str(out_path)]
+        if command == "scan":
+            argv += ["--theta-min", "-1", "--theta-max", "1"]
+        assert main(argv) == 2
+        _assert_one_error_line(capsys)
+        assert not out_path.exists()
+
     def test_a_memory_error_without_a_message_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch):
         def no_memory(*args, **kwargs):
             raise MemoryError
@@ -1102,8 +1143,10 @@ def _argv(draw, root):
     if command == "simulate":
         setting = draw(st.sampled_from(["weak", "strong", "custom"]))
         out_dir = str(root / draw(st.sampled_from(["study", "file/study"])))
+        # --pi is refused outside the custom setting, so it is drawn mostly there.
+        pi = [f"--pi={draw(_NUMBERS)}"] if setting == "custom" or draw(st.booleans()) else []
         return [
-            command, "--setting", setting, f"--pi={draw(_NUMBERS)}",
+            command, "--setting", setting, *pi,
             "--n", draw(st.sampled_from(["1", "60", "60,80", "abc"])),
             "--reps", draw(st.sampled_from(["0", "1", "2"])), f"--alpha={alpha}", "--out-dir", out_dir,
         ]

@@ -89,6 +89,7 @@ class TestIntegerLowerBounds:
         "DgpParams.n": (lambda v: DgpParams(pi=1.0, n=v), "sample size", 2),
         "StudySpec.reps": (lambda v: StudySpec(reps=v, n_grid=(100,)), "replication count", 1),
         "StudySpec.n_grid": (lambda v: StudySpec(n_grid=(v,), learner=_CELL_MEANS), "sample size", 2),
+        "StudySpec.seed": (lambda v: StudySpec(seed=v, n_grid=(100,)), "seed", 0),
         "LearnerSpec.K": (lambda v: LearnerSpec(K=v), "fold count", 2),
         "sample_weak_limit": (
             lambda v: sample_weak_limit(_LIMIT, np.random.Generator(np.random.PCG64(0)), v), "size", 0,
@@ -213,6 +214,18 @@ def _write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+class TestCsvSchema:
+    @pytest.mark.parametrize("kwargs", [
+        dict(outcome="x1", covariates=("x1", "x2")),
+        dict(covariates=("x1", "x1")),
+        dict(treatment="z"),
+        dict(instrument="y", covariates=()),
+    ])
+    def test_a_column_named_twice_is_refused(self, kwargs):
+        with pytest.raises(InvalidConfigError, match="is named more than once"):
+            CsvSchema(**kwargs)
 
 
 class TestLoadCsv:

@@ -21,7 +21,6 @@ from latescore import (
     compute_scores,
     cross_fit,
     drml_estimate,
-    instrument_is_weak,
     invert_score_test,
     make_folds,
     quad_coefficients,
@@ -71,8 +70,6 @@ class TestNormalQuantile:
             quad_coefficients(self.SCORES, alpha)
         with pytest.raises(InvalidConfigError):
             drml_estimate(self.SCORES, alpha)
-        with pytest.raises(InvalidConfigError):
-            instrument_is_weak(self.SCORES, alpha)
 
 
 class TestScoreStatistic:
@@ -424,9 +421,10 @@ class TestDnStatistic:
         assert dn_statistic(np.array([3.0, 3.0, 3.0]), 0.0) == pytest.approx(3.0)
 
     def test_weak_flag_threshold(self):
-        dn0, weak = instrument_is_weak(ScoreSample(psi_a=np.array([2.0, 0.0]), psi_b=np.zeros(2)), 0.05)
-        assert dn0 == pytest.approx(1.0)
-        assert weak  # 1.0 <= z^2
+        coeffs = quad_coefficients(ScoreSample(psi_a=np.array([2.0, 0.0]), psi_b=np.zeros(2)), 0.05)
+        assert coeffs.dn0 == pytest.approx(1.0)
+        assert coeffs.dn0 <= coeffs.z_crit**2  # weak, so the set is unbounded
+        assert invert_score_test(coeffs).diameter() == math.inf
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -442,13 +440,16 @@ class TestDnStatistic:
         s = ScoreSample(psi_a=psi_a, psi_b=rng.standard_normal(n))
         try:
             expected = dn_statistic(psi_a, 0.0)
-        except DegenerateDataError as exc:
-            with pytest.raises(DegenerateDataError, match=re.escape(str(exc))):
-                instrument_is_weak(s, 0.05)
-        else:
-            got = instrument_is_weak(s, 0.05)[0]
-            assert type(got) is type(expected)
-            assert struct.pack("<d", got) == struct.pack("<d", expected)
+        except DegenerateDataError:
+            with pytest.raises(DegenerateDataError):
+                quad_coefficients(s, 0.05)
+            return
+        try:
+            got = quad_coefficients(s, 0.05).dn0
+        except DegenerateDataError:
+            return  # psi_b, or the quadratic, leaves double precision
+        assert type(got) is type(expected)
+        assert struct.pack("<d", got) == struct.pack("<d", expected)
 
     def test_tiny_scores_are_degenerate_in_both_forms(self):
         # mean(psi_a) is nonzero but every square underflows to zero
@@ -456,7 +457,7 @@ class TestDnStatistic:
         with pytest.raises(DegenerateDataError):
             dn_statistic(psi_a, 0.0)
         with pytest.raises(DegenerateDataError):
-            instrument_is_weak(ScoreSample(psi_a=psi_a, psi_b=psi_a), 0.05)
+            quad_coefficients(ScoreSample(psi_a=psi_a, psi_b=psi_a), 0.05)
 
 
 class TestScoreSampleMoments:
