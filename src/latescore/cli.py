@@ -51,12 +51,6 @@ SCAN_BLOCK = 4096
 _D = r"\d(_?\d)*"  # digits, single underscores between them
 _NEGATIVE_NUMBER = re.compile(rf"(?i)-(({_D}\.?|({_D})?\.{_D})(e[-+]?{_D})?|inf(inity)?|nan)\s*$")
 
-ANALYZE_COLUMNS = (
-    "n,alpha,phi_hat,sigma2_hat,wald_lo,wald_hi,set_tag,set_e1,set_e2,"
-    "dn0,weak_instrument,a,b,c,delta,zero_tol_a,zero_tol_delta,"
-    "diam_score,diam_wald,diam_ratio"
-)
-
 _G_NAMES = {"ols": "ols_linear", "cellmean": "cell_mean"}
 _R_NAMES = {"logit": "logistic", "cellmean": "cell_mean"}
 
@@ -138,13 +132,14 @@ def cmd_analyze(args) -> int:
     ratio = diam_s / diam_w if math.isfinite(diam_s) and math.isfinite(diam_w) and diam_w > 0 else float("nan")
 
     if args.out:
-        ends = [*cset.endpoints(), "", ""][:2]
-        row = (
-            data.n, args.alpha, drml.phi_hat, drml.sigma2_hat, drml.wald_lo, drml.wald_hi, cset.tag,
-            *ends, dn0, int(weak), coeffs.a, coeffs.b, coeffs.c, coeffs.delta, tol_a, tol_delta,
-            diam_s, diam_w, ratio,
+        e1, e2 = [*cset.endpoints(), "", ""][:2]
+        row = dict(
+            n=data.n, alpha=args.alpha, phi_hat=drml.phi_hat, sigma2_hat=drml.sigma2_hat, wald_lo=drml.wald_lo,
+            wald_hi=drml.wald_hi, set_tag=cset.tag, set_e1=e1, set_e2=e2, dn0=dn0, weak_instrument=int(weak),
+            a=coeffs.a, b=coeffs.b, c=coeffs.c, delta=coeffs.delta, zero_tol_a=tol_a, zero_tol_delta=tol_delta,
+            diam_score=diam_s, diam_wald=diam_w, diam_ratio=ratio,
         )
-        _write_columns(args.out, ANALYZE_COLUMNS.split(","), *([v] for v in row))
+        _write_columns(args.out, row, *([v] for v in row.values()))
 
     print(f"n = {data.n}, covariates = {data.p}, alpha = {args.alpha}")
     print(f"point estimate   : {drml.phi_hat:.6g}")
@@ -250,8 +245,9 @@ def cmd_scan(args) -> int:
             defined = ~np.isnan(s)
             by_stat = np.abs(s) <= coeffs.z_crit
             by_quad = cset.contains(theta)
-            quad = coeffs.a * theta * theta + coeffs.b * theta + coeffs.c
-            band = 1e-6 * (abs(coeffs.a) * theta * theta + abs(coeffs.b) * np.abs(theta) + abs(coeffs.c))
+            with np.errstate(over="ignore", invalid="ignore"):  # where these overflow, S_n is undefined
+                quad = coeffs.a * theta * theta + coeffs.b * theta + coeffs.c
+                band = 1e-6 * (abs(coeffs.a) * theta * theta + abs(coeffs.b) * np.abs(theta) + abs(coeffs.c))
             mismatches += int(np.count_nonzero(defined & (by_quad != by_stat) & (np.abs(quad) > band)))
             _write_rows(handle, theta, s, _membership(by_quad, by_stat, defined))
     print(f"score set: {cset.tag} {cset}")

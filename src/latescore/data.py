@@ -227,7 +227,7 @@ def _load_columns(path: str, schema: CsvSchema):
     try:
         with open(path, "rb") as handle:
             head = handle.readline()
-            header = [h.strip() for h in head.decode("utf-8").split(",")]
+            header = [h.strip() for h in head.decode("utf-8-sig").split(",")]
             if _refused(head) or not set(needed) <= set(header):
                 return None
             # Every data line needs a cell per header name, so this many
@@ -281,7 +281,7 @@ def _csv_rows(handle, path: str):
 def _load_cells(path: str, schema: CsvSchema) -> Dataset:
     """Parse cell by cell: the reference grammar and the source of every error."""
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise CsvParseError(f"cannot open {path}: {exc}") from None
     with handle:
@@ -315,7 +315,7 @@ def _load_cells(path: str, schema: CsvSchema) -> Dataset:
 
 
 def load_csv(path: str, schema: CsvSchema = CsvSchema()) -> Dataset:
-    """Load a dataset from a headered, UTF-8 CSV file.
+    """Load a dataset from a headered, UTF-8 CSV file; a leading byte-order mark is skipped.
 
     Rows are kept in file order.  Row numbers in error messages are
     1-based and count data rows (the header is row 0).  Missing values

@@ -58,16 +58,19 @@ def score_statistic(scores: ScoreSample, theta: float | np.ndarray) -> float | n
 
     theta is a float or a numpy array.  The second moment
     mean((psi_b - theta*psi_a)^2) = mbb - 2*theta*mab + theta^2*maa must
-    be positive: where it is not, an array gets NaN and a float raises
-    :class:`DegenerateDataError`.  Both forms give the same bits.
+    be positive and finite.  Where it is not (it rounds to zero, or it
+    overflows, as theta*theta does once |theta| exceeds about 1.3e154), an
+    array gets NaN and a float raises :class:`DegenerateDataError`, with no
+    numpy warning.  Both forms give the same bits.
     """
     ma, mb, maa, mbb, mab = scores.moments()
     t = np.asarray(theta, dtype=float)
-    second = mbb - 2.0 * t * mab + t * t * maa
-    positive = second > 0.0
-    if t.ndim == 0 and not positive:
-        raise DegenerateDataError(f"second moment of psi_b - theta*psi_a is zero at theta={theta}")
-    s = math.sqrt(scores.n) * (mb - t * ma) / np.sqrt(np.where(positive, second, np.nan))
+    with np.errstate(over="ignore", invalid="ignore"):
+        second = mbb - 2.0 * t * mab + t * t * maa
+        usable = (second > 0.0) & (second < math.inf)
+        if t.ndim == 0 and not usable:
+            raise DegenerateDataError(f"second moment of psi_b - theta*psi_a is {float(second)} at theta={theta}")
+        s = math.sqrt(scores.n) * (mb - t * ma) / np.sqrt(np.where(usable, second, np.nan))
     return float(s) if t.ndim == 0 else s
 
 

@@ -18,7 +18,8 @@ through a splitmix64 mixer, so results do not depend on execution order.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -316,7 +317,6 @@ def run_study(spec: StudySpec, order: Optional[Sequence[int]] = None) -> list[St
 class CellSummary:
     """Coverage and diameter metrics aggregated over one grid point."""
 
-    n_reps: int
     coverage_score: float
     coverage_wald: float
     se_score: float
@@ -344,7 +344,6 @@ def aggregate(results: Sequence[ReplicationResult]) -> CellSummary:
     both_finite = np.isfinite(diam_s) & np.isfinite(diam_w) & (diam_w > 0)
     ratios = diam_s[both_finite] / diam_w[both_finite]
     return CellSummary(
-        n_reps=reps,
         coverage_score=float(cov_s.mean()),
         coverage_wald=float(cov_w.mean()),
         se_score=float(np.sqrt(cov_s.mean() * (1.0 - cov_s.mean()) / reps)),
@@ -356,26 +355,22 @@ def aggregate(results: Sequence[ReplicationResult]) -> CellSummary:
     )
 
 
-REPLICATION_COLUMNS = (
-    "setting,n,rep_id,covered_score,covered_wald,diam_score,diam_wald,set_tag,dn0,phi_hat"
-)
-SUMMARY_COLUMNS = (
-    "setting,n,coverage_score,coverage_wald,se_score,se_wald,"
-    "median_diam_score,median_diam_wald,frac_infinite,median_ratio"
-)
+def _write_records(path: str, record_type, rows: Iterable) -> None:
+    """Write ``rows``, pairs of a StudyCell and a ``record_type`` record, as
+    a CSV table: the cell's setting and n, then the record's fields in the
+    order ``record_type`` declares them, under their names.  Bools are 0/1."""
+    names = [f.name for f in fields(record_type)]
+    get = attrgetter(*names)
+    table = [
+        (cell.setting, cell.n, *(int(v) if isinstance(v, (bool, np.bool_)) else v for v in get(record)))
+        for cell, record in rows
+    ]
+    _write_columns(path, ["setting", "n", *names], *zip(*table))
 
 
 def write_replications_csv(cells: Iterable[StudyCell], path: str) -> None:
-    rows = [
-        (cell.setting, cell.n, r.rep_id, int(r.covered_score), int(r.covered_wald),
-         r.diam_score, r.diam_wald, r.set_tag, r.dn0, r.phi_hat)
-        for cell in cells
-        for r in cell.results
-    ]
-    _write_columns(path, REPLICATION_COLUMNS.split(","), *zip(*rows))
+    _write_records(path, ReplicationResult, ((cell, r) for cell in cells for r in cell.results))
 
 
 def write_summary_csv(cells: Iterable[StudyCell], path: str) -> None:
-    # A summary row is the cell's setting and n, then every CellSummary field after n_reps.
-    rows = [(cell.setting, cell.n, *astuple(aggregate(cell.results))[1:]) for cell in cells]
-    _write_columns(path, SUMMARY_COLUMNS.split(","), *zip(*rows))
+    _write_records(path, CellSummary, ((cell, aggregate(cell.results)) for cell in cells))

@@ -21,14 +21,7 @@ from latescore import (
 from latescore.inference import _z_crit, zero_tolerances
 from latescore.nuisance import _cell_mean_predictions, _sigmoid_inplace
 from latescore.scores import functional_oracle
-from latescore.simulation import (
-    REPLICATION_COLUMNS,
-    SUMMARY_COLUMNS,
-    _draw,
-    _splitmix64,
-    aggregate,
-    replication_seed,
-)
+from latescore.simulation import _draw, _splitmix64, aggregate, replication_seed
 from latescore.weakiv import sample_bivariate_normal
 
 
@@ -162,7 +155,7 @@ def reference_weak_limit():
 
 def reference_write_replications_csv(cells, path):
     with open(path, "w", newline="") as handle:
-        handle.write(REPLICATION_COLUMNS + "\n")
+        handle.write("setting,n,rep_id,covered_score,covered_wald,diam_score,diam_wald,set_tag,dn0,phi_hat\n")
         for cell in cells:
             for r in cell.results:
                 handle.write(
@@ -174,7 +167,10 @@ def reference_write_replications_csv(cells, path):
 
 def reference_write_summary_csv(cells, path):
     with open(path, "w", newline="") as handle:
-        handle.write(SUMMARY_COLUMNS + "\n")
+        handle.write(
+            "setting,n,coverage_score,coverage_wald,se_score,se_wald,"
+            "median_diam_score,median_diam_wald,frac_infinite,median_ratio\n"
+        )
         for cell in cells:
             s = aggregate(cell.results)
             handle.write(

@@ -585,6 +585,31 @@ class TestScan:
         with open(out_path, newline="") as handle:
             assert handle.read() == "theta,s_n,member_by_quadratic,member_by_statistic\n" + rows
 
+    # theta*theta, and with it the statistic's second moment, overflows
+    # once |theta| passes about 1.3e154: S_n is undefined there.
+    @pytest.mark.parametrize("theta_max, points", [(1e200, 2001), (2e154, 4001)])
+    def test_a_grid_where_the_second_moment_overflows_warns_nothing_and_claims_nothing(
+        self, tmp_path, capsys, theta_max, points
+    ):
+        data_path = _export_dgp(tmp_path, pi=5.0, n=400, seed=41, name="d.csv")
+        out_path = str(tmp_path / "s.csv")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(_scan_argv(data_path, -theta_max, theta_max, points, out_path)) == 0
+        assert "mismatches outside boundary band: 0\n" in capsys.readouterr().out
+        with open(out_path, newline="") as handle:
+            lines = handle.read().splitlines()
+        expected = _reference_scan(data_path, np.linspace(-theta_max, theta_max, points))[0].splitlines()
+        assert lines[0] == expected[0] and len(lines) == len(expected) == points + 1
+        thetas = [abs(float(line.split(",")[0])) for line in lines[1:]]
+        assert any(t > 1.35e154 for t in thetas)
+        for theta, line, want in zip(thetas, lines[1:], expected[1:]):
+            if theta > 1.35e154:
+                assert line.split(",")[1::2] == ["nan", ""]
+            elif theta < 1e150:
+                assert line == want
+
     def test_zero_mismatches_and_grid_size(self, tmp_path, capsys):
         data_path = _export_dgp(tmp_path, pi=5.0, n=500, seed=35, name="scan.csv")
         out_path = str(tmp_path / "scan_out.csv")

@@ -405,6 +405,44 @@ class TestLoadCsv:
             assert getattr(loaded, name).tobytes() == getattr(data, name).tobytes()
 
 
+def _bom_files(tmp_path, quoted):
+    """A data file and the same bytes behind a UTF-8 byte-order mark, as
+    Excel's "CSV UTF-8" export writes it; ``quoted`` quotes one cell."""
+    rng = np.random.Generator(np.random.PCG64(14))
+    n = 50
+    y, x = rng.standard_normal(n).tolist(), rng.standard_normal(n).tolist()
+    a, z = rng.integers(0, 2, n).tolist(), rng.integers(0, 2, n).tolist()
+    lines = ["y,a,z,x1"] + [f"{y[i]!r},{a[i]},{z[i]},{x[i]!r}" for i in range(n)]
+    if quoted:
+        lines[1] = f'"{y[0]!r}",{a[0]},{z[0]},{x[0]!r}'
+    text = ("\n".join(lines) + "\n").encode()
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_bytes(text)
+    bom.write_bytes(b"\xef\xbb\xbf" + text)
+    return str(plain), str(bom)
+
+
+class TestByteOrderMark:
+    def test_a_plain_file_takes_the_column_path_to_the_same_arrays(self, tmp_path, monkeypatch):
+        plain, bom = _bom_files(tmp_path, quoted=False)
+        want = _outcome(load_csv, plain)
+        assert isinstance(want, list)
+        assert _outcome(data_module._load_cells, bom) == want
+
+        def refuse(*args):
+            raise AssertionError("a file behind a byte-order mark reached the per-cell parser")
+
+        monkeypatch.setattr(data_module, "_load_cells", refuse)
+        assert _outcome(load_csv, bom) == want
+
+    def test_a_quoted_cell_takes_the_per_cell_parser_to_the_same_arrays(self, tmp_path):
+        plain, bom = _bom_files(tmp_path, quoted=True)
+        want = _outcome(load_csv, plain)
+        assert isinstance(want, list)
+        assert data_module._load_columns(bom, CsvSchema()) is None
+        assert _outcome(load_csv, bom) == want
+
+
 # Cells and lines on which a column parser and a per-cell parser can part:
 # padding, quotes, comment marks, digit separators, non-finite and
 # out-of-range numbers, binary columns written as floats, non-ASCII text.
@@ -479,6 +517,8 @@ class TestParsersAgree:
     @example(_H)
     @example(b"")
     @example(b"y,a,z,x1\r\n1,0,1,2\r\n3,1,0,4\r\n")
+    @example(b"\xef\xbb\xbfy,a,z,x1\n1,0,1,2\n3,1,0,4\n")
+    @example(b'\xef\xbb\xbf"y",a,z,x1\n1,0,1,2\n3,1,0,4\n')
     @example(b"y,a\r,z,x1\n1,0,1,2\n3,1,0,4\n")
     @example(b'"y,a",z,x1,y,a\n5,1,0,2,0,1\n6,0,1,4,1,0\n')
     @example(b"id,y,a,z,x1\nu1,1,0,1,2\nu2,3,1,0,4\n")

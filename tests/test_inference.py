@@ -1,6 +1,7 @@
 import math
 import re
 import struct
+import warnings
 from fractions import Fraction
 from statistics import NormalDist
 
@@ -94,6 +95,17 @@ class TestScoreStatistic:
         s = ScoreSample(psi_a=np.array([1.0, 1.0]), psi_b=np.array([2.0, 2.0]))
         with pytest.raises(DegenerateDataError):
             score_statistic(s, 2.0)
+
+    def test_an_overflowing_second_moment_is_undefined_without_a_warning(self):
+        # theta*theta overflows once |theta| passes about 1.3e154.
+        s = random_scores(np.random.Generator(np.random.PCG64(5)))
+        thetas = np.array([-1e200, -2e154, 1e155, 1.7e308, math.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(score_statistic(s, thetas)).all()
+            for theta in thetas.tolist():
+                with pytest.raises(DegenerateDataError, match=re.escape(f"at theta={theta}")):
+                    score_statistic(s, theta)
 
     # ratio makes psi_b = ratio * psi_a, so the second moment vanishes (or
     # nearly) at theta = ratio; ratio 0 leaves psi_b identically zero.
