@@ -24,7 +24,7 @@ import tempfile
 
 import numpy as np
 
-from .data import CsvSchema, _write_columns, _write_rows, load_csv, make_folds
+from .data import SCAN_BLOCK, CsvSchema, _write_columns, _write_rows, load_csv, make_folds
 from .errors import CsvParseError, DegenerateDataError, InvalidConfigError
 from .inference import (
     drml_estimate,
@@ -41,10 +41,6 @@ from .weakiv import _LIMIT_BLOCK, WeakIVConfig, sample_weak_limit
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
-
-# scan evaluates its theta grid this many points at a time, which bounds
-# the memory its temporaries take on a long grid.
-SCAN_BLOCK = 4096
 
 # argparse takes an argument that starts with '-' for a value only if it looks like -1 or
 # -1.5; the parsers here take any negative number float() parses, such as -1e-3 or -inf.
@@ -224,30 +220,67 @@ def _membership(by_quad, by_stat, defined) -> np.ndarray:
     return _MEMBERSHIP[by_quad + 2 * defined + 2 * (defined & by_stat)]
 
 
+def _is_file_path(out: str) -> bool:
+    """Whether ``out`` names a file, new or existing, rather than a device
+    or a pipe such as /dev/stdout, which takes rows as they come."""
+    return os.path.isfile(out) or not os.path.exists(out)
+
+
+def _check_free_space(out: str, least: int, what: str) -> None:
+    """Refuse an output of at least ``least`` bytes that the disk beside the
+    file ``out`` cannot hold, before any work is done."""
+    if _is_file_path(out):
+        free = shutil.disk_usage(os.path.dirname(os.path.realpath(out))).free
+        if least > free:
+            raise InvalidConfigError(f"{what} need at least {least} bytes; {free} are free")
+
+
+def _grid(theta_min: float, theta_max: float, points: int):
+    """``np.linspace(theta_min, theta_max, points)`` bit for bit, in blocks
+    of ``SCAN_BLOCK`` points, with no array of the whole grid."""
+    width, div = theta_max - theta_min, points - 1
+    step = width / div
+    for lo in range(0, points, SCAN_BLOCK):
+        theta = np.arange(lo, min(lo + SCAN_BLOCK, points), dtype=float)
+        # linspace's own arithmetic, which divides first where the step underflows to 0.
+        theta = theta * step if step else theta / div * width
+        theta += theta_min
+        if lo + SCAN_BLOCK >= points:
+            theta[-1] = theta_max
+        yield theta
+
+
+_SCAN_HEADER = "theta,s_n,member_by_quadratic,member_by_statistic\n"
+
+
 def cmd_scan(args) -> int:
-    # A finite width needs finite bounds, and keeps np.linspace's steps finite.
+    # A finite width needs finite bounds, and keeps the grid's steps finite.
     if not math.isfinite(args.theta_max - args.theta_min):
         raise InvalidConfigError("grid bounds and the grid's width must be finite")
     if args.theta_min >= args.theta_max:
         raise InvalidConfigError("--theta-min must be below --theta-max")
     if args.grid_points < 2:
         raise InvalidConfigError("--grid-points must be at least 2")
+    # The header and the shortest row, "0.0,nan,0,", each with its newline.
+    _check_free_space(args.out, len(_SCAN_HEADER) + 11 * args.grid_points, f"{args.grid_points} grid points")
     data, scores = _fit_scores(args)
     coeffs = quad_coefficients(scores, args.alpha)
     cset = invert_score_test(coeffs)
-    thetas = np.linspace(args.theta_min, args.theta_max, args.grid_points)
     mismatches = 0
     with open(args.out, "w", newline="") as handle:
-        handle.write("theta,s_n,member_by_quadratic,member_by_statistic\n")
-        for start in range(0, thetas.size, SCAN_BLOCK):
-            theta = thetas[start : start + SCAN_BLOCK]
+        handle.write(_SCAN_HEADER)
+        for theta in _grid(args.theta_min, args.theta_max, args.grid_points):
             s = score_statistic(scores, theta)
             defined = ~np.isnan(s)
             by_stat = np.abs(s) <= coeffs.z_crit
             by_quad = cset.contains(theta)
-            with np.errstate(over="ignore", invalid="ignore"):  # where these overflow, S_n is undefined
-                quad = coeffs.a * theta * theta + coeffs.b * theta + coeffs.c
-                band = 1e-6 * (abs(coeffs.a) * theta * theta + abs(coeffs.b) * np.abs(theta) + abs(coeffs.c))
+            # The quadratic and its band over theta**2 where |theta| > 1, as
+            # a*t*t + b*t*w + c*w*w with w = 1/|theta| and t = theta*w: finite
+            # wherever S_n is defined, and unscaled where |theta| <= 1.
+            w = 1.0 / np.maximum(1.0, np.abs(theta))
+            t = theta * w
+            quad = coeffs.a * t * t + coeffs.b * t * w + coeffs.c * w * w
+            band = 1e-6 * (abs(coeffs.a) * t * t + abs(coeffs.b) * np.abs(t) * w + abs(coeffs.c) * w * w)
             mismatches += int(np.count_nonzero(defined & (by_quad != by_stat) & (np.abs(quad) > band)))
             _write_rows(handle, theta, s, _membership(by_quad, by_stat, defined))
     print(f"score set: {cset.tag} {cset}")
@@ -287,18 +320,10 @@ def cmd_weakiv_limit(args) -> int:
         raise InvalidConfigError("--samples must be at least 1")
     cfg = WeakIVConfig(args.ca, args.cb, np.array([[args.s11, args.s12], [args.s12, args.s22]]))
     rng = np.random.Generator(np.random.PCG64(args.seed))
-    if os.path.exists(args.out) and not os.path.isfile(args.out):
-        # A device or a pipe, such as /dev/stdout, holds no file to keep
-        # and must not be replaced: it takes the rows as they come.
-        out = open(args.out, "w", newline="")
-    else:
-        path = os.path.realpath(args.out)
-        # The header "draw" and the shortest row, "0.0", each with its newline.
-        least = 5 + 4 * args.samples
-        free = shutil.disk_usage(os.path.dirname(path)).free
-        if least > free:
-            raise InvalidConfigError(f"{args.samples} draws need at least {least} bytes; {free} are free")
-        out = _replacing(path)
+    # The header "draw" and the shortest row, "0.0", each with its newline.
+    _check_free_space(args.out, 5 + 4 * args.samples, f"{args.samples} draws")
+    # A device or a pipe holds no file to keep and must not be replaced.
+    out = _replacing(os.path.realpath(args.out)) if _is_file_path(args.out) else open(args.out, "w", newline="")
     with out as handle:
         handle.write("draw\n")
         for lo in range(0, args.samples, _LIMIT_BLOCK):

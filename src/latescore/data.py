@@ -339,8 +339,10 @@ def write_csv(data: Dataset, path: str, schema: CsvSchema = CsvSchema()) -> None
     _write_columns(path, header, data.y, data.a, data.z, *data.x.T)
 
 
-# _write_rows formats and writes this many rows at a time, which bounds the text it holds.
-_WRITE_BLOCK = 1 << 14
+# The package's one block of rows: _write_rows formats and writes this many
+# rows at a time, and scan evaluates its grid this many points at a time,
+# which bounds the text and the temporaries each holds.
+SCAN_BLOCK = 4096
 
 
 def _write_columns(path: str, header, *columns) -> None:
@@ -355,8 +357,8 @@ def _write_columns(path: str, header, *columns) -> None:
 
 def _write_rows(handle, *columns) -> None:
     """Write ``_write_columns``' rows to ``handle``: one filled ``%s`` template a block."""
-    for start in range(0, len(columns[0]) if columns else 0, _WRITE_BLOCK):
-        blocks = [c[start : start + _WRITE_BLOCK] for c in columns]
+    for start in range(0, len(columns[0]) if columns else 0, SCAN_BLOCK):
+        blocks = [c[start : start + SCAN_BLOCK] for c in columns]
         cells = [None] * (len(blocks) * len(blocks[0]))  # the block's cells, row by row
         for j, block in enumerate(blocks):
             cells[j :: len(blocks)] = block.tolist() if isinstance(block, np.ndarray) else block

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latescore import (
@@ -39,7 +39,7 @@ from latescore import (
 import latescore
 from latescore import errors, simulation
 from latescore.inference import score_statistic, zero_tolerances
-from latescore.cli import _NEGATIVE_NUMBER, SCAN_BLOCK, _membership, main
+from latescore.cli import _NEGATIVE_NUMBER, SCAN_BLOCK, _grid, _membership, main
 from latescore.data import _write_rows
 from latescore.weakiv import _LIMIT_BLOCK, WeakIVConfig
 
@@ -692,8 +692,8 @@ class TestScan:
         _assert_one_error_line(capsys)
 
     def test_grid_too_large_to_allocate_exits_2_leaving_no_file(self, tmp_path, capsys):
-        # 10^14 float64s are 728 TiB, more than a 47-bit address space maps,
-        # so numpy refuses the array before anything is allocated.
+        # 10^14 grid points need at least 1.1 PB of text, more than the
+        # disk holds, so the grid is refused before anything is allocated.
         data_path = _export_dgp(tmp_path, pi=5.0, n=100, seed=38, name="scan6.csv")
         out_path = tmp_path / "out" / "s.csv"
         out_path.parent.mkdir()
@@ -738,6 +738,97 @@ class TestScan:
             counts.append(int(last.rsplit(" ", 1)[1]))
         assert counts[0] > 0
         assert counts[1] == counts[0]
+
+    def test_a_planted_whole_line_is_caught_where_the_quadratic_would_overflow(self, tmp_path, capsys, monkeypatch):
+        # a*theta**2 overflows beyond |theta| of about 2.5e153 on these
+        # data, while S_n stays defined up to about 1.3e154: every grid
+        # point is a defined non-member that the planted set claims.
+        monkeypatch.setattr(latescore.cli, "invert_score_test", lambda coeffs: ConfidenceSet("whole_line"))
+        data_path = _export_dgp(tmp_path, pi=5.0, n=400, seed=41, name="d.csv")
+        for theta_min, theta_max in ((1e150, 1.3e154), (-1.3e154, -1e150)):
+            out_path = str(tmp_path / "s.csv")
+            capsys.readouterr()
+            assert main(_scan_argv(data_path, theta_min, theta_max, 101, out_path)) == 0
+            assert "mismatches outside boundary band: 101\n" in capsys.readouterr().out
+            assert all(line.endswith(",1,0") for line in Path(out_path).read_text().splitlines()[1:])
+
+    @given(
+        bounds=st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=2, unique=True),
+        points=st.sampled_from([2, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 3 * SCAN_BLOCK + 1])
+        | st.integers(2, 3 * SCAN_BLOCK + 1),
+    )
+    # A width of two subnormal steps over 4,096 intervals: the step
+    # underflows to 0, where linspace divides by them first.
+    @example(bounds=[-5e-324, 5e-324], points=SCAN_BLOCK + 1)
+    @example(bounds=[1.0, 1.0 + 2**-52], points=2)
+    @settings(max_examples=150, deadline=None)
+    def test_the_grid_is_linspace_bit_for_bit_in_blocks(self, bounds, points):
+        theta_min, theta_max = sorted(bounds)
+        assume(theta_min != theta_max)
+        blocks = list(_grid(theta_min, theta_max, points))
+        assert [b.size for b in blocks[:-1]] == [SCAN_BLOCK] * (len(blocks) - 1)
+        assert 0 < blocks[-1].size <= SCAN_BLOCK
+        expected = np.linspace(theta_min, theta_max, points)
+        assert np.concatenate(blocks).view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+    def test_peak_memory_does_not_grow_with_grid_points(self, tmp_path):
+        data_path = _export_dgp(tmp_path, pi=5.0, n=400, seed=41, name="d.csv")
+        out = str(tmp_path / "s.csv")
+        # A first run makes the lazy imports and caches, which later runs keep.
+        assert main(_scan_argv(data_path, -10.0, 10.0, 11, out)) == 0
+        peaks = []
+        # Whole-grid arrays of these sizes differ by 720 KB.
+        for points in (2 * SCAN_BLOCK + 1, 24 * SCAN_BLOCK + 1):
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                assert main(_scan_argv(data_path, -10.0, 10.0, points, out)) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 256_000, peaks
+
+    def test_a_grid_whose_text_exceeds_the_free_space_exits_2_before_reading_data(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_fit(args):
+            raise AssertionError("fitted a grid that cannot be written")
+
+        monkeypatch.setattr("latescore.cli._fit_scores", no_fit)
+        out_path = tmp_path / "out" / "s.csv"
+        out_path.parent.mkdir()
+        # 11 bytes a row at the least: about twice the free space.
+        points = shutil.disk_usage(out_path.parent).free // 5
+        capsys.readouterr()
+        assert main(_scan_argv(str(tmp_path / "unread.csv"), -1.0, 1.0, points, str(out_path))) == 2
+        _assert_one_error_line(capsys)
+        _assert_no_files(out_path.parent)
+
+    @pytest.mark.parametrize("points,status", [(5, 0), (6, 2)])
+    def test_refused_when_the_shortest_grid_file_exceeds_the_free_space(
+        self, tmp_path, capsys, monkeypatch, points, status
+    ):
+        # A 50-byte header and 11 bytes of each shortest row: 105 bytes for 5 points.
+        asked = []
+
+        def disk_usage(path):
+            asked.append(path)
+            return SimpleNamespace(free=105)
+
+        monkeypatch.setattr(shutil, "disk_usage", disk_usage)
+        data_path = _export_dgp(tmp_path, pi=5.0, n=100, seed=38, name="d.csv")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "s.csv"
+        capsys.readouterr()
+        assert main(_scan_argv(data_path, -1.0, 1.0, points, str(out))) == status
+        assert asked == [os.path.realpath(out_dir)]
+        if status == 0:
+            assert len(_read_rows(out)) == points
+        else:
+            _assert_one_error_line(capsys)
+            _assert_no_files(out_dir)
 
     def test_bad_grid_exits_2(self, tmp_path):
         data_path = _export_dgp(tmp_path, pi=5.0, n=100, seed=38, name="scan4.csv")

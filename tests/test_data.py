@@ -594,7 +594,7 @@ class _Recorder(io.StringIO):
 
 def _written(header, *columns):
     handle = _Recorder()
-    with mock.patch.object(data_module, "_WRITE_BLOCK", _BLOCK), \
+    with mock.patch.object(data_module, "SCAN_BLOCK", _BLOCK), \
             mock.patch.object(data_module, "open", lambda *args, **kwargs: handle, create=True):
         data_module._write_columns("unused.csv", header, *columns)
     return handle
@@ -639,7 +639,7 @@ class TestWriteColumns:
         )
         schema = CsvSchema(covariates=tuple(f"x{j}" for j in range(data.p)))
         reference_write_csv(data, str(written_path / "reference.csv"), schema)
-        with mock.patch.object(data_module, "_WRITE_BLOCK", _BLOCK):
+        with mock.patch.object(data_module, "SCAN_BLOCK", _BLOCK):
             write_csv(data, str(written_path / "written.csv"), schema)
         assert (written_path / "written.csv").read_bytes() == (written_path / "reference.csv").read_bytes()
 
@@ -663,7 +663,7 @@ class TestWriteColumns:
             data = Dataset(y=values, a=binary, z=1 - binary, x=np.column_stack([values[::-1], -values]))
             schema = CsvSchema(covariates=("x,1", 'x"2'))
             reference_write_csv(data, str(tmp_path / "reference.csv"), schema)
-            with mock.patch.object(data_module, "_WRITE_BLOCK", _BLOCK):
+            with mock.patch.object(data_module, "SCAN_BLOCK", _BLOCK):
                 write_csv(data, str(tmp_path / "written.csv"), schema)
             assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
@@ -724,7 +724,7 @@ class TestWriteRowsAgainstJoinWriter:
     def test_same_text_on_any_cells(self, reference_join_writer, data, rows, width):
         columns = [tuple(data.draw(st.lists(_CELLS, min_size=rows, max_size=rows))) for _ in range(width)]
         handle = _Recorder()
-        with mock.patch.object(data_module, "_WRITE_BLOCK", _BLOCK):
+        with mock.patch.object(data_module, "SCAN_BLOCK", _BLOCK):
             data_module._write_rows(handle, *columns)
         handle.close()
         assert handle.text == _join_written(reference_join_writer, *columns).text
@@ -732,7 +732,7 @@ class TestWriteRowsAgainstJoinWriter:
     @pytest.mark.parametrize("width", [1, 2, 3])
     def test_peak_memory_of_a_block_is_at_most_the_join_writers(self, reference_join_writer, width):
         rng = np.random.Generator(np.random.PCG64(width))
-        rows = data_module._WRITE_BLOCK
+        rows = data_module.SCAN_BLOCK
         columns = [rng.standard_normal(rows) for _ in range(min(width, 2))]
         if width == 3:
             columns.append(_MEMBERSHIP[rng.integers(0, 6, rows)])
