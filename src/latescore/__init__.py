@@ -26,7 +26,6 @@ from .inference import (
     drml_estimate,
     invert_score_test,
     quad_coefficients,
-    score_confidence_set,
     score_statistic,
 )
 from .nuisance import (

@@ -20,11 +20,10 @@ import os
 import re
 import shutil
 import sys
-import tempfile
 
 import numpy as np
 
-from .data import SCAN_BLOCK, CsvSchema, _write_columns, _write_rows, load_csv, make_folds
+from .data import SCAN_BLOCK, CsvSchema, _is_file_path, _output, _write_columns, _write_rows, load_csv, make_folds
 from .errors import CsvParseError, DegenerateDataError, InvalidConfigError
 from .inference import (
     drml_estimate,
@@ -178,33 +177,29 @@ def cmd_simulate(args) -> int:
         reps=args.reps,
         alpha=args.alpha,
         seed=args.seed,
-        learner=LearnerSpec(
-            g_learner=_G_NAMES[args.g],
-            r_learner=_R_NAMES[args.r],
-            m_learner="known_constant",
-            m_value=0.5,
-        ),
+        learner=_learner_spec(args),
     )
+    rep_path = os.path.join(args.out_dir, "replications.csv")
+    sum_path = os.path.join(args.out_dir, "summary.csv")
     # Made before the study, so that a directory that cannot be made fails
-    # fast; if the study fails, the directories made here are removed.
+    # fast; if the study or a write fails, the directories made here that
+    # are still empty are removed.
     made = _missing_dirs(args.out_dir)
     os.makedirs(args.out_dir, exist_ok=True)
     try:
         cells = run_study(spec)
+        for cell in cells:
+            print(
+                f"setting={cell.setting} n={cell.n} pi={cell.pi:.6g}: "
+                f"{len(cell.results)} replications done, {len(cell.failures)} failed"
+            )
+        write_replications_csv(cells, rep_path)
+        write_summary_csv(cells, sum_path)
     except BaseException:
         for path in made:
             with contextlib.suppress(OSError):
                 os.rmdir(path)
         raise
-    for cell in cells:
-        print(
-            f"setting={cell.setting} n={cell.n} pi={cell.pi:.6g}: "
-            f"{len(cell.results)} replications done, {len(cell.failures)} failed"
-        )
-    rep_path = os.path.join(args.out_dir, "replications.csv")
-    sum_path = os.path.join(args.out_dir, "summary.csv")
-    write_replications_csv(cells, rep_path)
-    write_summary_csv(cells, sum_path)
     print(f"wrote {rep_path}")
     print(f"wrote {sum_path}")
     return EXIT_OK
@@ -218,12 +213,6 @@ _MEMBERSHIP = np.array(["0,", "1,", "0,0", "1,0", "0,1", "1,1"])
 def _membership(by_quad, by_stat, defined) -> np.ndarray:
     """scan's two membership cells of each grid point, as one string column."""
     return _MEMBERSHIP[by_quad + 2 * defined + 2 * (defined & by_stat)]
-
-
-def _is_file_path(out: str) -> bool:
-    """Whether ``out`` names a file, new or existing, rather than a device
-    or a pipe such as /dev/stdout, which takes rows as they come."""
-    return os.path.isfile(out) or not os.path.exists(out)
 
 
 def _check_free_space(out: str, least: int, what: str) -> None:
@@ -267,7 +256,7 @@ def cmd_scan(args) -> int:
     coeffs = quad_coefficients(scores, args.alpha)
     cset = invert_score_test(coeffs)
     mismatches = 0
-    with open(args.out, "w", newline="") as handle:
+    with _output(args.out) as handle:
         handle.write(_SCAN_HEADER)
         for theta in _grid(args.theta_min, args.theta_max, args.grid_points):
             s = score_statistic(scores, theta)
@@ -292,29 +281,6 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-@contextlib.contextmanager
-def _replacing(path: str):
-    """A handle on a new file beside ``path``, which replaces it only once
-    the body completes: a failed run leaves ``path`` as it was."""
-    fd, temp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=f".{os.path.basename(path)}.")
-    try:
-        with open(fd, "w", newline="") as handle:
-            # The permissions open(path, "w") leaves: path's own, or those
-            # the umask gives a new file.
-            if os.path.exists(path):
-                shutil.copymode(path, temp)
-            else:
-                umask = os.umask(0)
-                os.umask(umask)
-                os.chmod(temp, 0o666 & ~umask)
-            yield handle
-        os.replace(temp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(temp)
-        raise
-
-
 def cmd_weakiv_limit(args) -> int:
     if args.samples < 1:
         raise InvalidConfigError("--samples must be at least 1")
@@ -322,9 +288,7 @@ def cmd_weakiv_limit(args) -> int:
     rng = np.random.Generator(np.random.PCG64(args.seed))
     # The header "draw" and the shortest row, "0.0", each with its newline.
     _check_free_space(args.out, 5 + 4 * args.samples, f"{args.samples} draws")
-    # A device or a pipe holds no file to keep and must not be replaced.
-    out = _replacing(os.path.realpath(args.out)) if _is_file_path(args.out) else open(args.out, "w", newline="")
-    with out as handle:
+    with _output(args.out) as handle:
         handle.write("draw\n")
         for lo in range(0, args.samples, _LIMIT_BLOCK):
             _write_rows(handle, sample_weak_limit(cfg, rng, min(_LIMIT_BLOCK, args.samples - lo)))
@@ -362,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--g", default="cellmean", choices=sorted(_G_NAMES))
     simulate.add_argument("--r", default="cellmean", choices=sorted(_R_NAMES))
     simulate.add_argument("--out-dir", required=True, dest="out_dir")
-    simulate.set_defaults(func=cmd_simulate)
+    # Not flags: the propensity, folds and clipping the study fits with.
+    simulate.set_defaults(func=cmd_simulate, propensity="known:0.5", folds=5, clip_eps=0.01)
 
     scan = sub.add_parser("scan", help="compare the set against the statistic on a theta grid")
     _add_data_flags(scan)

@@ -10,7 +10,11 @@ writing it shows through.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import os
+import shutil
+import tempfile
 import warnings
 from dataclasses import dataclass
 
@@ -345,12 +349,48 @@ def write_csv(data: Dataset, path: str, schema: CsvSchema = CsvSchema()) -> None
 SCAN_BLOCK = 4096
 
 
+def _is_file_path(path: str) -> bool:
+    """Whether ``path`` names a file, new or existing, rather than a device
+    or a pipe such as /dev/stdout, which takes rows as they come.  A path
+    that ends in a separator names a directory, which open refuses."""
+    return not path.endswith(os.sep) and (os.path.isfile(path) or not os.path.exists(path))
+
+
+@contextlib.contextmanager
+def _output(path: str):
+    """The package's one way to write a file: a text handle whose writes
+    reach ``path`` only once the body completes, so a failed run leaves it
+    as it was.  The handle is on a new file beside the real path, with the
+    permissions open(path, "w") would leave, which then replaces it.  A
+    device or a pipe holds no file to keep and is written directly."""
+    if not _is_file_path(path):
+        with open(path, "w", newline="") as handle:
+            yield handle
+        return
+    path = os.path.realpath(path)
+    fd, temp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=f".{os.path.basename(path)}.")
+    try:
+        with open(fd, "w", newline="") as handle:
+            if os.path.exists(path):
+                shutil.copymode(path, temp)
+            else:
+                umask = os.umask(0)
+                os.umask(umask)
+                os.chmod(temp, 0o666 & ~umask)
+            yield handle
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(temp)
+        raise
+
+
 def _write_columns(path: str, header, *columns) -> None:
     """Write a CSV file: ``header`` through csv.writer, then the rows of the
     equal-length columns (1-D numpy arrays, lists or tuples; none for a
     header alone) as ``str`` text: exact floats, plain ints and unquoted
     strings, so a numpy string array is written as-is.  Pass bools as ints."""
-    with open(path, "w", newline="") as handle:
+    with _output(path) as handle:
         csv.writer(handle, lineterminator="\n").writerow(header)
         _write_rows(handle, *columns)
 

@@ -94,7 +94,6 @@ class QuadCoefficients(NamedTuple):
     b: float
     c: float
     delta: float
-    n: int
     z_crit: float
     a_scale: float = 1.0
     delta_scale: float = 0.0
@@ -146,7 +145,6 @@ def quad_coefficients(scores: ScoreSample, alpha: float) -> QuadCoefficients:
         b=b,
         c=c,
         delta=delta,
-        n=n,
         z_crit=z,
         a_scale=a_scale,
         delta_scale=delta_scale,
@@ -283,11 +281,6 @@ def invert_score_test(coeffs: QuadCoefficients) -> ConfidenceSet:
     if coeffs.ma:
         return ConfidenceSet("point", coeffs.mb / coeffs.ma, coeffs.mb / coeffs.ma)
     return _EMPTY
-
-
-def score_confidence_set(scores: ScoreSample, alpha: float) -> ConfidenceSet:
-    """Convenience wrapper: coefficients plus inversion in one call."""
-    return invert_score_test(quad_coefficients(scores, alpha))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ from latescore import (
     ReplicationResult,
     ScoreSample,
     drml_estimate,
-    score_confidence_set,
+    invert_score_test,
+    quad_coefficients,
 )
 from latescore.inference import _z_crit, zero_tolerances
 from latescore.nuisance import _cell_mean_predictions, _sigmoid_inplace
@@ -635,7 +636,7 @@ def reference_replication(params, spec, rep_id):
     folds = reference_make_folds(params.n, spec.learner.K, _splitmix64(rep_seed))
     scores = reference_compute_scores(data, reference_cell_mean_cross_fit(data, spec.learner, folds))
     truth = functional_oracle(params.pi, params.treatment_shift)
-    cset = score_confidence_set(scores, spec.alpha)
+    cset = invert_score_test(quad_coefficients(scores, spec.alpha))
     drml = drml_estimate(scores, spec.alpha)
     return ReplicationResult(
         rep_id=rep_id,

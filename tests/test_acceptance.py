@@ -29,7 +29,6 @@ from latescore import (
     quad_coefficients,
     run_study,
     sample_weak_limit,
-    score_confidence_set,
 )
 from latescore.cli import main as cli_main
 from latescore.simulation import (
@@ -52,7 +51,7 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 def make_coeffs(a: float, b: float, c: float) -> QuadCoefficients:
     return QuadCoefficients(
-        a=a, b=b, c=c, delta=b * b - 4.0 * a * c, n=2,
+        a=a, b=b, c=c, delta=b * b - 4.0 * a * c,
         z_crit=math.sqrt(Z2), a_scale=max(abs(a), 1.0),
     )
 
@@ -132,7 +131,7 @@ def test_criterion_2_case_coverage_and_totality():
     for i in range(n_fuzz):
         a, b, c = a_col[i], b_col[i], c_col[i]
         co = QuadCoefficients(
-            a=a, b=b, c=c, delta=b * b - 4.0 * a * c, n=2, z_crit=z, a_scale=max(abs(a), 1.0)
+            a=a, b=b, c=c, delta=b * b - 4.0 * a * c, z_crit=z, a_scale=max(abs(a), 1.0)
         )
         tags.add(invert_score_test(co).tag)
     elapsed = time.monotonic() - t0
@@ -297,12 +296,12 @@ def test_criterion_8_equivariance_suite():
         psi_a = rng.standard_normal(50) + mean_a
         psi_b = rng.standard_normal(50) + rng.uniform(-1, 1) * psi_a
         s = ScoreSample(psi_a=psi_a, psi_b=psi_b)
-        base_set = score_confidence_set(s, 0.05)
+        base_set = invert_score_test(quad_coefficients(s, 0.05))
         base_drml = drml_estimate(s, 0.05)
         base_pts = np.asarray(base_set.endpoints())
         for kappa in kappas:
             shifted = ScoreSample(psi_a=psi_a, psi_b=psi_b + kappa * psi_a)
-            cs = score_confidence_set(shifted, 0.05)
+            cs = invert_score_test(quad_coefficients(shifted, 0.05))
             assert cs.tag == base_set.tag
             if base_pts.size:
                 scale = np.maximum(np.abs(base_pts + kappa), 1.0)
@@ -315,7 +314,7 @@ def test_criterion_8_equivariance_suite():
             )
         for lam in lambdas:
             scaled = ScoreSample(psi_a=psi_a, psi_b=lam * psi_b)
-            cs = score_confidence_set(scaled, 0.05)
+            cs = invert_score_test(quad_coefficients(scaled, 0.05))
             assert cs.tag == base_set.tag
             if base_pts.size:
                 scale = np.maximum(np.abs(lam * base_pts), 1.0)
@@ -373,7 +372,8 @@ def test_criterion_10_score_set_approaches_the_wald_interval_at_rate_1_over_n():
             data = dgp_generate(params, rep_seed)
             folds = make_folds(n, spec.learner.K, _splitmix64(rep_seed))
             scores = compute_scores(data, cross_fit(data, spec.learner, folds))
-            cset, wald = score_confidence_set(scores, spec.alpha), drml_estimate(scores, spec.alpha)
+            cset = invert_score_test(quad_coefficients(scores, spec.alpha))
+            wald = drml_estimate(scores, spec.alpha)
             tags.add(cset.tag)
             shift.append(n * ((cset.lo + cset.hi) / 2.0 - wald.phi_hat))
             gap.append(abs(cset.diameter() / wald.diameter() - 1.0))

@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import itertools
 import math
@@ -413,6 +414,15 @@ class TestSimulate:
         monkeypatch.chdir(tmp_path)
         assert main([*argv[:-1], "skipped/../new/study"]) == status
         _assert_one_error_line(capsys)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_failed_write_removes_the_directories_it_made(self, tmp_path, capsys, monkeypatch):
+        def full_disk(handle, *columns):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr("latescore.data._write_rows", full_disk)
+        assert main(["simulate", "--n", "100", "--reps", "2", "--out-dir", str(tmp_path / "new" / "study")]) == 2
+        _assert_one_error(capsys)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("error, status", [
@@ -1046,46 +1056,164 @@ class TestWeakIVLimit:
             _assert_one_error_line(capsys)
             _assert_no_files(out_dir)
 
-    def test_new_and_replaced_files_keep_the_permissions_open_gives(self, tmp_path):
-        new, existing = tmp_path / "new.csv", tmp_path / "existing.csv"
-        existing.write_text("")
-        existing.chmod(0o604)
+
+# Each file a command writes: the command line that writes it into an output
+# directory d, its name there, and the row writer and call of it that a
+# failure is injected into: the call that writes the file's rows, or for
+# scan's grid and weakiv-limit, which call the writer a block at a time, the
+# second call.
+_OUTPUTS = {
+    "analyze --out": (
+        lambda data, d: ["analyze", "--data", data, *_CELL_MEANS, "--out", f"{d}/t.csv"],
+        "t.csv", "latescore.data._write_rows", 1,
+    ),
+    "scan --out": (
+        lambda data, d: _scan_argv(data, -5.0, 5.0, SCAN_BLOCK + 5, f"{d}/t.csv"),
+        "t.csv", "latescore.cli._write_rows", 2,
+    ),
+    "scan --dump-scores": (
+        lambda data, d: [*_scan_argv(data, -5.0, 5.0, 11, f"{d}/t.csv"), "--dump-scores"],
+        "t.csv.scores.csv", "latescore.data._write_rows", 1,
+    ),
+    "simulate replications.csv": (
+        lambda data, d: ["simulate", "--n", "200", "--reps", "3", "--out-dir", d],
+        "replications.csv", "latescore.data._write_rows", 1,
+    ),
+    "simulate summary.csv": (
+        lambda data, d: ["simulate", "--n", "200", "--reps", "3", "--out-dir", d],
+        "summary.csv", "latescore.data._write_rows", 2,
+    ),
+    "weakiv-limit --out": (
+        lambda data, d: ["weakiv-limit", *TestWeakIVLimit._FULL_RANK, "--samples", str(_LIMIT_BLOCK + 10),
+                         "--out", f"{d}/t.csv"],
+        "t.csv", "latescore.cli._write_rows", 2,
+    ),
+}
+_CELL_MEANS = ["--propensity", "known:0.5", "--g", "cellmean", "--r", "cellmean"]
+
+
+@pytest.fixture(scope="module")
+def output_data(tmp_path_factory):
+    """A dataset of more than one writer's block of rows, so that a --dump-scores
+    file is written in two."""
+    return _export_dgp(tmp_path_factory.mktemp("data"), pi=5.0, n=SCAN_BLOCK + 100, seed=3, name="d.csv")
+
+
+def _assert_one_error(capsys):
+    """One error line; unlike _assert_one_error_line, progress lines printed
+    before the failure are allowed."""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def _no_temporary_files(directory):
+    return not [name for name in os.listdir(directory) if name.startswith(".")]
+
+
+@pytest.mark.parametrize("output", list(_OUTPUTS))
+class TestOutputFiles:
+    """Every command writes its files one way: a regular file is replaced
+    only once it is written in full, a device or a pipe takes the rows as
+    they come."""
+
+    @staticmethod
+    def _written(output, data, directory):
+        """The bytes ``output`` holds after a run into a fresh ``directory``."""
+        argv, name, _, _ = _OUTPUTS[output]
+        directory.mkdir()
+        assert main(argv(data, str(directory))) == 0
+        return (directory / name).read_bytes()
+
+    def test_a_failed_run_leaves_an_existing_out_as_it_was(self, tmp_path, capsys, monkeypatch, output_data, output):
+        argv, name, writer, failing = _OUTPUTS[output]
+        calls = []
+
+        def write_rows(handle, *columns):
+            # Writes the first block of the failing call, then finds the disk full.
+            calls.append(None)
+            if len(calls) < failing:
+                return _write_rows(handle, *columns)
+            _write_rows(handle, *(column[:SCAN_BLOCK] for column in columns))
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(writer, write_rows)
+        (tmp_path / name).write_bytes(b"kept\n")
+        assert main(argv(output_data, str(tmp_path))) == 2
+        _assert_one_error(capsys)
+        assert len(calls) == failing
+        assert (tmp_path / name).read_bytes() == b"kept\n"
+        assert _no_temporary_files(tmp_path)
+
+    def test_new_and_replaced_files_keep_the_permissions_open_gives(self, tmp_path, output_data, output):
+        argv, name, _, _ = _OUTPUTS[output]
+        new, existing = tmp_path / "new", tmp_path / "existing"
+        existing.mkdir()
+        (existing / name).write_text("")
+        (existing / name).chmod(0o604)
+        new.mkdir()
         umask = os.umask(0o027)
         try:
-            for out in (new, existing):
-                assert main(["weakiv-limit", *self._FULL_RANK, "--samples", "10", "--out", str(out)]) == 0
+            for directory in (new, existing):
+                assert main(argv(output_data, str(directory))) == 0
         finally:
             os.umask(umask)
-        assert new.stat().st_mode & 0o777 == 0o640
-        assert existing.stat().st_mode & 0o777 == 0o604
+        assert (new / name).stat().st_mode & 0o777 == 0o640
+        assert (existing / name).stat().st_mode & 0o777 == 0o604
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-    def test_a_pipe_out_takes_the_rows_and_stays_a_pipe(self, tmp_path):
+    def test_a_pipe_out_takes_the_rows_and_stays_a_pipe(self, tmp_path, output_data, output):
         # As /dev/stdout or /dev/null would: such a file is written, never replaced.
-        pipe = tmp_path / "pipe"
+        argv, name, _, _ = _OUTPUTS[output]
+        want = self._written(output, output_data, tmp_path / "file")
+        directory = tmp_path / "pipe"
+        directory.mkdir()
+        pipe = directory / name
         os.mkfifo(pipe)
         got = []
         reader = threading.Thread(target=lambda: got.append(pipe.read_bytes()), daemon=True)
         reader.start()
-        assert main(["weakiv-limit", *self._FULL_RANK, "--samples", "1000", "--out", str(pipe)]) == 0
+        assert main(argv(output_data, str(directory))) == 0
         reader.join(timeout=10)
         assert not reader.is_alive()
         assert stat.S_ISFIFO(os.stat(pipe).st_mode)
-        assert got[0].startswith(b"draw\n") and got[0].count(b"\n") == 1001
-        assert list(tmp_path.iterdir()) == [pipe]
+        assert got == [want]
+        assert _no_temporary_files(directory)
 
-    def test_a_directory_out_exits_2(self, tmp_path, capsys):
-        assert main(["weakiv-limit", *self._FULL_RANK, "--samples", "10", "--out", str(tmp_path)]) == 2
-        _assert_one_error_line(capsys)
-        assert list(tmp_path.iterdir()) == []
+    def test_a_directory_out_exits_2(self, tmp_path, capsys, output_data, output):
+        argv, name, _, _ = _OUTPUTS[output]
+        (tmp_path / name).mkdir()
+        assert main(argv(output_data, str(tmp_path))) == 2
+        _assert_one_error(capsys)
+        assert list((tmp_path / name).iterdir()) == []
+        assert _no_temporary_files(tmp_path)
 
-    def test_a_symlinked_out_writes_its_target(self, tmp_path):
-        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    def test_a_symlinked_out_writes_its_target(self, tmp_path, output_data, output):
+        argv, name, _, _ = _OUTPUTS[output]
+        want = self._written(output, output_data, tmp_path / "file")
+        target = tmp_path / "target.csv"
         target.write_text("")
+        (tmp_path / "link").mkdir()
+        link = tmp_path / "link" / name
         link.symlink_to(target)
-        assert main(["weakiv-limit", *self._FULL_RANK, "--samples", "10", "--out", str(link)]) == 0
+        assert main(argv(output_data, str(tmp_path / "link"))) == 0
         assert link.is_symlink()
-        assert len(_read_rows(target)) == 10
+        assert target.read_bytes() == want
+        assert _no_temporary_files(tmp_path) and _no_temporary_files(tmp_path / "link")
+
+
+@pytest.mark.parametrize("output", ["analyze --out", "scan --out", "weakiv-limit --out"])
+@pytest.mark.parametrize("exists", [False, True])
+def test_an_out_ending_in_a_separator_exits_2(tmp_path, capsys, output_data, output, exists):
+    # As open refuses it: neither a new file nor an existing one of the name is written.
+    argv, name, _, _ = _OUTPUTS[output]
+    if exists:
+        (tmp_path / name).write_bytes(b"kept\n")
+    out = f"{tmp_path}/{name}"
+    assert main([f"{arg}/" if arg == out else arg for arg in argv(output_data, str(tmp_path))]) == 2
+    _assert_one_error(capsys)
+    assert os.listdir(tmp_path) == ([name] if exists else [])
+    if exists:
+        assert (tmp_path / name).read_bytes() == b"kept\n"
 
 
 class TestNegativeNumbers:

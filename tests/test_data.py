@@ -1,3 +1,4 @@
+import contextlib
 import io
 import tracemalloc
 import warnings
@@ -578,8 +579,8 @@ _BLOCK = 8
 
 
 class _Recorder(io.StringIO):
-    """Stands in for the file _write_columns opens: counts its writes and
-    keeps its text when closed."""
+    """Stands in for the handle _write_columns writes through: counts its
+    writes and keeps its text when closed."""
 
     writes = 0
 
@@ -595,7 +596,7 @@ class _Recorder(io.StringIO):
 def _written(header, *columns):
     handle = _Recorder()
     with mock.patch.object(data_module, "SCAN_BLOCK", _BLOCK), \
-            mock.patch.object(data_module, "open", lambda *args, **kwargs: handle, create=True):
+            mock.patch.object(data_module, "_output", lambda path: contextlib.closing(handle)):
         data_module._write_columns("unused.csv", header, *columns)
     return handle
 

@@ -25,7 +25,6 @@ from latescore import (
     invert_score_test,
     make_folds,
     quad_coefficients,
-    score_confidence_set,
     score_statistic,
 )
 from latescore.inference import dn_statistic
@@ -39,7 +38,7 @@ WHOLE_LINE = ConfidenceSet("whole_line")
 
 def make_coeffs(a, b, c):
     return QuadCoefficients(
-        a=a, b=b, c=c, delta=b * b - 4.0 * a * c, n=2, z_crit=Z975, a_scale=max(abs(a), 1.0)
+        a=a, b=b, c=c, delta=b * b - 4.0 * a * c, z_crit=Z975, a_scale=max(abs(a), 1.0)
     )
 
 
@@ -150,7 +149,7 @@ class TestQuadCoefficients:
         assert (co.a, co.b, co.c) == (0.0, 0.0, 0.0)
         assert co.degenerate
         with pytest.raises(DegenerateDataError):
-            score_confidence_set(s, 0.05)
+            invert_score_test(quad_coefficients(s, 0.05))
 
     @pytest.mark.parametrize("swap", [False, True])
     def test_a_nonzero_score_vector_whose_moments_underflow_raises(self, swap):
@@ -493,8 +492,8 @@ class TestEquivariance:
         s = random_scores(rng, strong=True)
         kappa = 1.75
         shifted = ScoreSample(psi_a=s.psi_a, psi_b=s.psi_b + kappa * s.psi_a)
-        c1 = score_confidence_set(s, 0.05)
-        c2 = score_confidence_set(shifted, 0.05)
+        c1 = invert_score_test(quad_coefficients(s, 0.05))
+        c2 = invert_score_test(quad_coefficients(shifted, 0.05))
         assert c1.tag == c2.tag
         assert np.allclose(
             np.asarray(c2.endpoints()), np.asarray(c1.endpoints()) + kappa, rtol=1e-10, atol=1e-10
@@ -509,8 +508,8 @@ class TestEquivariance:
         s = random_scores(rng, strong=True)
         lam = 2.5
         scaled = ScoreSample(psi_a=s.psi_a, psi_b=lam * s.psi_b)
-        c1 = score_confidence_set(s, 0.05)
-        c2 = score_confidence_set(scaled, 0.05)
+        c1 = invert_score_test(quad_coefficients(s, 0.05))
+        c2 = invert_score_test(quad_coefficients(scaled, 0.05))
         assert c1.tag == c2.tag
         assert np.allclose(
             np.asarray(c2.endpoints()), lam * np.asarray(c1.endpoints()), rtol=1e-10, atol=1e-10
@@ -535,7 +534,8 @@ class TestEquivariance:
 
             def score_set(s):
                 scaled = Dataset(y=data.y * s, a=data.a, z=data.z, x=data.x)
-                return score_confidence_set(compute_scores(scaled, cross_fit(scaled, spec, folds)), 0.05)
+                scores = compute_scores(scaled, cross_fit(scaled, spec, folds))
+                return invert_score_test(quad_coefficients(scores, 0.05))
 
             unit = score_set(1.0)
             for s in self.OUTCOME_UNITS:
@@ -600,7 +600,7 @@ class TestRatioEstimateInSet:
             psi_a = x + math.sqrt(target * np.mean(x * x) / (n - target))
             k = float(rng.choice([-2.5, 7.0, 0.3, 1.0, 4.0, -1e3]))
             scores = ScoreSample(psi_a=psi_a, psi_b=k * psi_a)
-            cset = score_confidence_set(scores, 0.05)
+            cset = invert_score_test(quad_coefficients(scores, 0.05))
             assert cset.tag in ("point", "whole_line"), (n, k, cset)
             assert cset.contains(drml_estimate(scores, 0.05).phi_hat), (n, k, cset)
 
@@ -618,7 +618,7 @@ class TestRatioEstimateInSet:
             psi_a = x + (-m + math.sqrt(t * (np.mean(x * x) - m * m) / (n - t)))
             k = float(rng.choice([4.0, -2.0, 0.5, 3.7, 1e-3]))
             scores = ScoreSample(psi_a=psi_a, psi_b=k * psi_a)
-            cset = score_confidence_set(scores, 0.05)
+            cset = invert_score_test(quad_coefficients(scores, 0.05))
             assert cset.contains(drml_estimate(scores, 0.05).phi_hat), (n, k, cset)
 
     @settings(max_examples=300, deadline=None)
@@ -631,7 +631,7 @@ class TestRatioEstimateInSet:
         if zero_a:
             scores = ScoreSample(psi_a=np.zeros(scores.n), psi_b=scores.psi_b)
         try:
-            cset = score_confidence_set(scores, alpha)
+            cset = invert_score_test(quad_coefficients(scores, alpha))
         except DegenerateDataError as exc:  # moments outside double precision, or all zero
             assert re.search("double precision|identically zero", str(exc))
             assume(False)
@@ -659,7 +659,7 @@ class TestInversionAgainstReference:
         abc[tangent, 2] = abc[tangent, 1] ** 2 / (4.0 * abc[tangent, 0])
         tags = set()
         for a, b, c in abc.tolist():
-            co = QuadCoefficients(a, b, c, b * b - 4.0 * a * c, 2, Z975, max(abs(a), 1.0))
+            co = QuadCoefficients(a, b, c, b * b - 4.0 * a * c, Z975, max(abs(a), 1.0))
             got = invert_score_test(co)
             assert _bits(got) == _bits(reference_inversion(co)), (a, b, c)
             tags.add(got.tag)

@@ -20,10 +20,11 @@ from latescore import (
     cross_fit,
     dgp_generate,
     drml_estimate,
+    invert_score_test,
     make_folds,
+    quad_coefficients,
     run_replication,
     run_study,
-    score_confidence_set,
 )
 from latescore.simulation import _CELL_BLOCK as _B
 from latescore.simulation import (
@@ -325,7 +326,7 @@ class TestPointSetHoldsTheEstimate:
         data = dgp_generate(DgpParams(pi=spec.pi_for(n), n=n), seed)
         folds = make_folds(n, spec.learner.K, _splitmix64(seed))
         scores = compute_scores(data, cross_fit(data, spec.learner, folds))
-        cset = score_confidence_set(scores, spec.alpha)
+        cset = invert_score_test(quad_coefficients(scores, spec.alpha))
         phi_hat = drml_estimate(scores, spec.alpha).phi_hat
         assert cset.tag == "point"
         assert cset.contains(phi_hat)
