@@ -23,15 +23,11 @@ import sys
 
 import numpy as np
 
-from .data import SCAN_BLOCK, CsvSchema, _is_file_path, _output, _write_columns, _write_rows, load_csv, make_folds
-from .errors import CsvParseError, DegenerateDataError, InvalidConfigError
-from .inference import (
-    drml_estimate,
-    invert_score_test,
-    quad_coefficients,
-    score_statistic,
-    zero_tolerances,
+from .data import (
+    SCAN_BLOCK, CsvSchema, _is_file_path, _output, _together, _write_columns, _write_rows, load_csv, make_folds,
 )
+from .errors import CsvParseError, DegenerateDataError, InvalidConfigError
+from .inference import drml_estimate, invert_score_test, quad_coefficients, score_statistic
 from .nuisance import LearnerSpec, cross_fit
 from .scores import compute_scores
 from .simulation import StudySpec, run_study, write_replications_csv, write_summary_csv
@@ -118,7 +114,6 @@ def cmd_analyze(args) -> int:
     data, scores = _fit_scores(args)
     coeffs = quad_coefficients(scores, args.alpha)
     cset = invert_score_test(coeffs)
-    tol_a, tol_delta = zero_tolerances(coeffs)
     drml = drml_estimate(scores, args.alpha)
     z = coeffs.z_crit
     dn0, weak = coeffs.dn0, coeffs.dn0 <= z * z
@@ -131,8 +126,8 @@ def cmd_analyze(args) -> int:
         row = dict(
             n=data.n, alpha=args.alpha, phi_hat=drml.phi_hat, sigma2_hat=drml.sigma2_hat, wald_lo=drml.wald_lo,
             wald_hi=drml.wald_hi, set_tag=cset.tag, set_e1=e1, set_e2=e2, dn0=dn0, weak_instrument=int(weak),
-            a=coeffs.a, b=coeffs.b, c=coeffs.c, delta=coeffs.delta, zero_tol_a=tol_a, zero_tol_delta=tol_delta,
-            diam_score=diam_s, diam_wald=diam_w, diam_ratio=ratio,
+            a=coeffs.a, b=coeffs.b, c=coeffs.c, delta=coeffs.delta, zero_tol_a=coeffs.tol_a,
+            zero_tol_delta=coeffs.tol_delta, diam_score=diam_s, diam_wald=diam_w, diam_ratio=ratio,
         )
         _write_columns(args.out, row, *([v] for v in row.values()))
 
@@ -145,7 +140,7 @@ def cmd_analyze(args) -> int:
     print(f"weak instrument  : {'yes' if weak else 'no'}")
     print(
         f"quadratic        : a={coeffs.a:.6g} b={coeffs.b:.6g} c={coeffs.c:.6g} "
-        f"delta={coeffs.delta:.6g} (zero tolerances {tol_a:.3g}, {tol_delta:.3g})"
+        f"delta={coeffs.delta:.6g} (zero tolerances {coeffs.tol_a:.3g}, {coeffs.tol_delta:.3g})"
     )
     if math.isfinite(ratio):
         print(f"diameter ratio   : {ratio:.6g}")
@@ -193,8 +188,9 @@ def cmd_simulate(args) -> int:
                 f"setting={cell.setting} n={cell.n} pi={cell.pi:.6g}: "
                 f"{len(cell.results)} replications done, {len(cell.failures)} failed"
             )
-        write_replications_csv(cells, rep_path)
-        write_summary_csv(cells, sum_path)
+        with _together():
+            write_replications_csv(cells, rep_path)
+            write_summary_csv(cells, sum_path)
     except BaseException:
         for path in made:
             with contextlib.suppress(OSError):
@@ -256,28 +252,29 @@ def cmd_scan(args) -> int:
     coeffs = quad_coefficients(scores, args.alpha)
     cset = invert_score_test(coeffs)
     mismatches = 0
-    with _output(args.out) as handle:
-        handle.write(_SCAN_HEADER)
-        for theta in _grid(args.theta_min, args.theta_max, args.grid_points):
-            s = score_statistic(scores, theta)
-            defined = ~np.isnan(s)
-            by_stat = np.abs(s) <= coeffs.z_crit
-            by_quad = cset.contains(theta)
-            # The quadratic and its band over theta**2 where |theta| > 1, as
-            # a*t*t + b*t*w + c*w*w with w = 1/|theta| and t = theta*w: finite
-            # wherever S_n is defined, and unscaled where |theta| <= 1.
-            w = 1.0 / np.maximum(1.0, np.abs(theta))
-            t = theta * w
-            quad = coeffs.a * t * t + coeffs.b * t * w + coeffs.c * w * w
-            band = 1e-6 * (abs(coeffs.a) * t * t + abs(coeffs.b) * np.abs(t) * w + abs(coeffs.c) * w * w)
-            mismatches += int(np.count_nonzero(defined & (by_quad != by_stat) & (np.abs(quad) > band)))
-            _write_rows(handle, theta, s, _membership(by_quad, by_stat, defined))
+    with _together():
+        with _output(args.out) as handle:
+            handle.write(_SCAN_HEADER)
+            for theta in _grid(args.theta_min, args.theta_max, args.grid_points):
+                s = score_statistic(scores, theta)
+                defined = ~np.isnan(s)
+                by_stat = np.abs(s) <= coeffs.z_crit
+                by_quad = cset.contains(theta)
+                # The quadratic and its band over theta**2 where |theta| > 1, as
+                # a*t*t + b*t*w + c*w*w with w = 1/|theta| and t = theta*w: finite
+                # wherever S_n is defined, and unscaled where |theta| <= 1.
+                w = 1.0 / np.maximum(1.0, np.abs(theta))
+                t = theta * w
+                quad = coeffs.a * t * t + coeffs.b * t * w + coeffs.c * w * w
+                band = 1e-6 * (abs(coeffs.a) * t * t + abs(coeffs.b) * np.abs(t) * w + abs(coeffs.c) * w * w)
+                mismatches += int(np.count_nonzero(defined & (by_quad != by_stat) & (np.abs(quad) > band)))
+                _write_rows(handle, theta, s, _membership(by_quad, by_stat, defined))
+        if args.dump_scores:
+            _write_columns(args.out + ".scores.csv", ["psi_a", "psi_b"], scores.psi_a, scores.psi_b)
     print(f"score set: {cset.tag} {cset}")
     print(f"mismatches outside boundary band: {mismatches}")
     if args.dump_scores:
-        scores_path = args.out + ".scores.csv"
-        _write_columns(scores_path, ["psi_a", "psi_b"], scores.psi_a, scores.psi_b)
-        print(f"wrote {scores_path}")
+        print(f"wrote {args.out}.scores.csv")
     return EXIT_OK
 
 

@@ -11,6 +11,7 @@ writing it shows through.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import csv
 import os
 import shutil
@@ -308,11 +309,7 @@ def _load_cells(path: str, schema: CsvSchema) -> Dataset:
             y.append(_parse_float(cells[col_index[schema.outcome]], row_num, schema.outcome))
             a.append(_parse_binary(cells[col_index[schema.treatment]], row_num, schema.treatment))
             z.append(_parse_binary(cells[col_index[schema.instrument]], row_num, schema.instrument))
-            x.append(
-                tuple(
-                    _parse_float(cells[col_index[c]], row_num, c) for c in schema.covariates
-                )
-            )
+            x.append(tuple(_parse_float(cells[col_index[c]], row_num, c) for c in schema.covariates))
     if len(y) < 2:
         raise CsvParseError(f"{path} has fewer than 2 rows of data")
     return Dataset(y=y, a=a, z=z, x=np.array(x, dtype=float).reshape(len(y), -1))
@@ -356,33 +353,54 @@ def _is_file_path(path: str) -> bool:
     return not path.endswith(os.sep) and (os.path.isfile(path) or not os.path.exists(path))
 
 
+_held: contextvars.ContextVar[list[tuple[str, str]] | None] = contextvars.ContextVar("_held", default=None)
+
+
+@contextlib.contextmanager
+def _together():
+    """Rename each file that ``_output`` writes in the body over its path
+    only once the whole body completes, so a failed run that writes several
+    files leaves every one as it was and no new file behind."""
+    held = []
+    token = _held.set(held)
+    try:
+        yield
+        while held:
+            os.replace(*held.pop(0))
+    finally:
+        _held.reset(token)
+        for temp, _ in held:
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+
+
 @contextlib.contextmanager
 def _output(path: str):
     """The package's one way to write a file: a text handle whose writes
-    reach ``path`` only once the body completes, so a failed run leaves it
-    as it was.  The handle is on a new file beside the real path, with the
-    permissions open(path, "w") would leave, which then replaces it.  A
-    device or a pipe holds no file to keep and is written directly."""
+    reach ``path`` only once the body (or the enclosing ``_together``)
+    completes, so a failed run leaves it as it was.  The handle is on a new
+    file beside the real path, with the permissions open(path, "w") would
+    leave, which then replaces it.  A device or a pipe is written directly."""
     if not _is_file_path(path):
         with open(path, "w", newline="") as handle:
             yield handle
         return
+    held = _held.get()
+    if held is None:
+        with _together(), _output(path) as handle:
+            yield handle
+        return
     path = os.path.realpath(path)
     fd, temp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=f".{os.path.basename(path)}.")
-    try:
-        with open(fd, "w", newline="") as handle:
-            if os.path.exists(path):
-                shutil.copymode(path, temp)
-            else:
-                umask = os.umask(0)
-                os.umask(umask)
-                os.chmod(temp, 0o666 & ~umask)
-            yield handle
-        os.replace(temp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(temp)
-        raise
+    held.append((temp, path))
+    with open(fd, "w", newline="") as handle:
+        if os.path.exists(path):
+            shutil.copymode(path, temp)
+        else:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(temp, 0o666 & ~umask)
+        yield handle
 
 
 def _write_columns(path: str, header, *columns) -> None:

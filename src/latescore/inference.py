@@ -30,12 +30,11 @@ from .scores import ScoreSample
 
 #: Relative tolerance for treating a or delta as zero when classifying
 #: the quadratic, and mean(psi_a) as zero in the ratio estimator; the
-#: matching absolute tolerances of the quadratic are exposed through
-#: :func:`zero_tolerances` for auditing.
+#: quadratic's absolute bands are ``QuadCoefficients.tol_a`` and ``.tol_delta``.
 ZERO_TOL = 1e-12
 
 #: delta is also treated as zero within this many times its rounding
-#: scale (``QuadCoefficients.delta_scale``): 64 ulps.
+#: scale: 64 ulps.
 DELTA_ROUNDING = 64 * sys.float_info.epsilon
 
 
@@ -77,13 +76,8 @@ def score_statistic(scores: ScoreSample, theta: float | np.ndarray) -> float | n
 class QuadCoefficients(NamedTuple):
     """Coefficients of the membership inequality a*t^2 + b*t + c <= 0.
 
-    ``a_scale`` is the magnitude of the two cancelling terms in a and is
-    the reference against which a is treated as zero.  ``delta_scale`` is
-    the scale of delta's rounding error: the larger of |b| times b's
-    cancelling terms, and 4|a| and 4|c| times c's and a's.  Where a, b or c
-    cancels, as a does when D_n(0) is near z^2, it exceeds b^2 and 4|ac|
-    by the same factor.  ``degenerate`` marks identically-zero score data,
-    for which no set is meaningful.
+    ``tol_a`` and ``tol_delta`` are the absolute bands within which a and
+    delta count as zero when the set is classified.
     ``ma``/``mb`` are the score means where the coefficients come from
     scores; a point set is then {mb/ma}, the ratio estimate bit for bit.
     ``dn0`` is then D_n(0), ``dn_statistic(psi_a, 0.0)`` bit for bit: as a =
@@ -95,9 +89,8 @@ class QuadCoefficients(NamedTuple):
     c: float
     delta: float
     z_crit: float
-    a_scale: float = 1.0
-    delta_scale: float = 0.0
-    degenerate: bool = False
+    tol_a: float
+    tol_delta: float
     ma: float | None = None
     mb: float | None = None
     dn0: float | None = None
@@ -106,8 +99,11 @@ class QuadCoefficients(NamedTuple):
 def quad_coefficients(scores: ScoreSample, alpha: float) -> QuadCoefficients:
     """Assemble the quadratic from the empirical score moments.
 
-    Moments whose products leave double precision, as in scores of order
-    1e-160 or 1e160, give no reliable quadratic and raise
+    Each zero band is ZERO_TOL times the larger of the terms that cancel in
+    its coefficient, with no absolute floor, so it is free of units; delta's
+    is at least DELTA_ROUNDING times delta_scale, which binds only where a,
+    b or c cancels.  Moments whose products leave double precision (scores
+    of order 1e-160 or 1e160) and identically-zero scores raise
     :class:`DegenerateDataError`.
     """
     z = _z_crit(alpha)
@@ -121,7 +117,8 @@ def quad_coefficients(scores: ScoreSample, alpha: float) -> QuadCoefficients:
     c = n * mb * mb - z2 * mbb
     delta = b * b - 4.0 * a * c
     # Each of a, b and c is a difference of two products, and its scale the
-    # larger one; delta rounds to within some ulps of delta_scale.
+    # larger one; delta rounds to within some ulps of delta_scale: the larger
+    # of |b| times b's scale, and 4|a| and 4|c| times c's and a's.
     a_scale = max(n * ma * ma, z2 * maa)
     b_scale = 2.0 * max(abs(n * ma * mb), abs(z2 * mab))
     c_scale = max(n * mb * mb, z2 * mbb)
@@ -132,23 +129,25 @@ def quad_coefficients(scores: ScoreSample, alpha: float) -> QuadCoefficients:
     # below the smallest normal double although the factors of one product
     # are all nonzero (a nonzero score vector whose moments are both zero
     # has underflowed).
+    delta_terms = max(b * b, 4.0 * abs(a * c))
     products = (
         (a_scale, ma != 0.0 or maa != 0.0 or scores.psi_a.any()),
         (b_scale, (ma != 0.0 and mb != 0.0) or mab != 0.0),
         (c_scale, mb != 0.0 or mbb != 0.0 or scores.psi_b.any()),
-        (max(b * b, 4.0 * abs(a * c)), b != 0.0 or (a != 0.0 and c != 0.0)),
+        (delta_terms, b != 0.0 or (a != 0.0 and c != 0.0)),
     )
     if any(nonzero and larger < sys.float_info.min for larger, nonzero in products):
         raise DegenerateDataError("the quadratic's coefficients underflow double precision")
+    if maa == 0.0 and mbb == 0.0:
+        raise DegenerateDataError("both score vectors are identically zero")
     return QuadCoefficients(
         a=a,
         b=b,
         c=c,
         delta=delta,
         z_crit=z,
-        a_scale=a_scale,
-        delta_scale=delta_scale,
-        degenerate=(maa == 0.0 and mbb == 0.0),
+        tol_a=ZERO_TOL * a_scale,
+        tol_delta=max(ZERO_TOL * delta_terms, DELTA_ROUNDING * delta_scale),
         ma=ma,
         mb=mb,
         # Where ma != 0, maa > 0: a zero maa there was refused as underflow above.
@@ -215,26 +214,10 @@ _EMPTY = ConfidenceSet("empty", math.inf, -math.inf)
 _WHOLE_LINE = ConfidenceSet("whole_line")
 
 
-def zero_tolerances(coeffs: QuadCoefficients) -> tuple[float, float]:
-    """Absolute thresholds below which a and delta are classified as zero.
-
-    Each is ZERO_TOL times the larger of the terms that cancel in it, with
-    no absolute floor, so the classification does not depend on the units
-    of the outcome or the treatment.  delta's is at least DELTA_ROUNDING
-    times its rounding scale, which binds only where a, b or c cancel.
-    """
-    tol_a = ZERO_TOL * coeffs.a_scale
-    tol_delta = max(
-        ZERO_TOL * max(coeffs.b * coeffs.b, 4.0 * abs(coeffs.a * coeffs.c)),
-        DELTA_ROUNDING * coeffs.delta_scale,
-    )
-    return tol_a, tol_delta
-
-
 def invert_score_test(coeffs: QuadCoefficients) -> ConfidenceSet:
     """Solve a*theta^2 + b*theta + c <= 0 exactly, by case analysis.
 
-    a and delta count as zero within the bands of :func:`zero_tolerances`.
+    a and delta count as zero within the record's bands ``tol_a`` and ``tol_delta``.
     Each verdict is reached once, in this order:
 
     - a = 0, delta != 0, b != 0: (-inf, -c/b] if b > 0 else [-c/b, inf)
@@ -248,8 +231,6 @@ def invert_score_test(coeffs: QuadCoefficients) -> ConfidenceSet:
     The ratio estimate mb/ma satisfies the inequality wherever ma != 0, so
     from scores "positive everywhere" is rounding, and the set is {mb/ma}:
     a set from scores is empty only when psi_a is identically zero.
-    Identically-zero score data (``coeffs.degenerate``) has no set and
-    raises :class:`DegenerateDataError`.
     At delta = 0 the quadratic is a*(theta + b/(2a))^2; for a < 0 this
     is a downward parabola with maximum zero, so the inequality holds
     everywhere and only a > 0 pins the set to the vertex.  That branch
@@ -258,10 +239,8 @@ def invert_score_test(coeffs: QuadCoefficients) -> ConfidenceSet:
     multiple of psi_a and delta vanishes identically.  The ratio estimate
     mb/ma satisfies the inequality, so in exact arithmetic it is the vertex.
     """
-    if coeffs.degenerate:
-        raise DegenerateDataError("both score vectors are identically zero")
     a, b, c, delta = coeffs.a, coeffs.b, coeffs.c, coeffs.delta
-    tol_a, tol_delta = zero_tolerances(coeffs)
+    tol_a, tol_delta = coeffs.tol_a, coeffs.tol_delta
     if abs(a) <= tol_a:
         if b != 0.0 and abs(delta) > tol_delta:
             if b > 0.0:
@@ -306,7 +285,8 @@ def drml_estimate(scores: ScoreSample, alpha: float) -> DrmlResult:
     mean(psi_a)^2; the interval is phi_hat -/+ z * sigma_hat / sqrt(n).
     The denominator is weak, and :class:`WeakDenominatorError` raised, when
     |mean(psi_a)| <= ZERO_TOL * sqrt(mean(psi_a^2)), a rule free of units,
-    or when mean(psi_a)^2 underflows double precision.
+    or when mean(psi_a)^2 underflows double precision.  An estimate or a
+    variance estimate that overflows raises :class:`DegenerateDataError`.
     """
     z = _z_crit(alpha)
     n = scores.n
@@ -318,9 +298,12 @@ def drml_estimate(scores: ScoreSample, alpha: float) -> DrmlResult:
         )
     phi_hat = mb / ma
     # mean((psi_b - phi_hat*psi_a)^2), in one buffer.
-    resid = np.multiply(scores.psi_a, phi_hat)
-    np.subtract(scores.psi_b, resid, out=resid)
-    sigma2 = float(np.add.reduce(np.multiply(resid, resid, out=resid))) / n / (ma * ma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = np.multiply(scores.psi_a, phi_hat)
+        np.subtract(scores.psi_b, resid, out=resid)
+        sigma2 = float(np.add.reduce(np.multiply(resid, resid, out=resid))) / n / (ma * ma)
+    if not (math.isfinite(phi_hat) and math.isfinite(sigma2)):
+        raise DegenerateDataError(f"the Wald interval overflows: phi_hat={phi_hat}, sigma2_hat={sigma2}")
     half = z * math.sqrt(sigma2 / n)
     return DrmlResult(
         phi_hat=phi_hat,

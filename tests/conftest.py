@@ -1,6 +1,8 @@
 import csv
 import math
+import sys
 from contextlib import contextmanager
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from latescore import (
     invert_score_test,
     quad_coefficients,
 )
-from latescore.inference import _z_crit, zero_tolerances
+from latescore.inference import _z_crit
 from latescore.nuisance import _cell_mean_predictions, _sigmoid_inplace
 from latescore.scores import functional_oracle
 from latescore.simulation import _draw, _splitmix64, aggregate, replication_seed
@@ -241,6 +243,78 @@ def iv_data(n, seed):
     a = (-0.2 + z + 0.5 * x[:, 0] + u > 0).astype(int)
     y = a + 0.5 * x[:, 0] - 0.25 * x[:, 1] + u + rng.standard_normal(n)
     return Dataset(y=y, a=a, z=z, x=x)
+
+
+# The score quadratic as it was before its record carried the zero bands:
+# the record kept the scales a and delta cancel at and the all-zero flag,
+# and zero_tolerances turned the scales into the bands.  Kept as the
+# reference the record's bands are compared against, and to give
+# reference_invert_score_test the records it reads.
+ZERO_TOL = 1e-12
+DELTA_ROUNDING = 64 * sys.float_info.epsilon
+
+
+class ReferenceQuadCoefficients(NamedTuple):
+    a: float
+    b: float
+    c: float
+    delta: float
+    z_crit: float
+    a_scale: float = 1.0
+    delta_scale: float = 0.0
+    degenerate: bool = False
+    ma: float | None = None
+    mb: float | None = None
+    dn0: float | None = None
+
+
+def reference_quad_coefficients(scores, alpha):
+    z = _z_crit(alpha)
+    n = scores.n
+    if n < 2:
+        raise InvalidConfigError(f"need at least 2 score pairs, got {n}")
+    z2 = z * z
+    ma, mb, maa, mbb, mab = scores.moments()
+    a = n * ma * ma - z2 * maa
+    b = -2.0 * n * ma * mb + 2.0 * z2 * mab
+    c = n * mb * mb - z2 * mbb
+    delta = b * b - 4.0 * a * c
+    a_scale = max(n * ma * ma, z2 * maa)
+    b_scale = 2.0 * max(abs(n * ma * mb), abs(z2 * mab))
+    c_scale = max(n * mb * mb, z2 * mbb)
+    delta_scale = max(abs(b) * b_scale, 4.0 * abs(a) * c_scale, 4.0 * abs(c) * a_scale)
+    if not (math.isfinite(delta) and math.isfinite(delta_scale)):
+        raise DegenerateDataError("the quadratic's coefficients overflow double precision")
+    products = (
+        (a_scale, ma != 0.0 or maa != 0.0 or scores.psi_a.any()),
+        (b_scale, (ma != 0.0 and mb != 0.0) or mab != 0.0),
+        (c_scale, mb != 0.0 or mbb != 0.0 or scores.psi_b.any()),
+        (max(b * b, 4.0 * abs(a * c)), b != 0.0 or (a != 0.0 and c != 0.0)),
+    )
+    if any(nonzero and larger < sys.float_info.min for larger, nonzero in products):
+        raise DegenerateDataError("the quadratic's coefficients underflow double precision")
+    return ReferenceQuadCoefficients(
+        a=a,
+        b=b,
+        c=c,
+        delta=delta,
+        z_crit=z,
+        a_scale=a_scale,
+        delta_scale=delta_scale,
+        degenerate=(maa == 0.0 and mbb == 0.0),
+        ma=ma,
+        mb=mb,
+        dn0=n * ma * ma / maa if ma != 0.0 else 0.0,
+    )
+
+
+def zero_tolerances(coeffs):
+    tol_a = ZERO_TOL * coeffs.a_scale
+    tol_delta = max(
+        ZERO_TOL * max(coeffs.b * coeffs.b, 4.0 * abs(coeffs.a * coeffs.c)),
+        DELTA_ROUNDING * coeffs.delta_scale,
+    )
+    return tol_a, tol_delta
 
 
 # invert_score_test as it was before each verdict had one exit: two

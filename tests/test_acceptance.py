@@ -51,8 +51,8 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 def make_coeffs(a: float, b: float, c: float) -> QuadCoefficients:
     return QuadCoefficients(
-        a=a, b=b, c=c, delta=b * b - 4.0 * a * c,
-        z_crit=math.sqrt(Z2), a_scale=max(abs(a), 1.0),
+        a=a, b=b, c=c, delta=b * b - 4.0 * a * c, z_crit=math.sqrt(Z2),
+        tol_a=1e-12 * max(abs(a), 1.0), tol_delta=1e-12 * max(b * b, 4.0 * abs(a * c)),
     )
 
 
@@ -127,11 +127,14 @@ def test_criterion_2_case_coverage_and_totality():
     abc[tangent, 2] = abc[tangent, 1] ** 2 / (4.0 * abc[tangent, 0])
 
     a_col, b_col, c_col = abc[:, 0], abc[:, 1], abc[:, 2]
+    # make_coeffs' bands, elementwise.
+    tol_a_col = 1e-12 * np.maximum(np.abs(a_col), 1.0)
+    tol_delta_col = 1e-12 * np.maximum(b_col * b_col, 4.0 * np.abs(a_col * c_col))
     z = math.sqrt(Z2)
     for i in range(n_fuzz):
         a, b, c = a_col[i], b_col[i], c_col[i]
         co = QuadCoefficients(
-            a=a, b=b, c=c, delta=b * b - 4.0 * a * c, z_crit=z, a_scale=max(abs(a), 1.0)
+            a=a, b=b, c=c, delta=b * b - 4.0 * a * c, z_crit=z, tol_a=tol_a_col[i], tol_delta=tol_delta_col[i]
         )
         tags.add(invert_score_test(co).tag)
     elapsed = time.monotonic() - t0

@@ -39,12 +39,12 @@ from latescore import (
 )
 import latescore
 from latescore import errors, simulation
-from latescore.inference import score_statistic, zero_tolerances
+from latescore.inference import score_statistic
 from latescore.cli import _NEGATIVE_NUMBER, SCAN_BLOCK, _grid, _membership, main
 from latescore.data import _write_rows
 from latescore.weakiv import _LIMIT_BLOCK, WeakIVConfig
 
-from conftest import instrument_is_weak, iv_data
+from conftest import instrument_is_weak, iv_data, reference_quad_coefficients, zero_tolerances
 
 
 def _export_dgp(tmp_path, pi, n, seed, name):
@@ -171,6 +171,15 @@ class TestAnalyze:
         _assert_one_error_line(capsys)
         _assert_no_files(out_path.parent)
 
+    def test_a_variance_estimate_that_overflows_exits_3_writing_nothing(self, tmp_path, capsys):
+        # The five score moments are finite, but mean(resid^2)/mean(psi_a)^2 is not.
+        data = dgp_generate(DgpParams(pi=0.01, n=400), seed=7)
+        data_path = str(tmp_path / "big.csv")
+        write_csv(Dataset(y=data.y * 1e152, a=data.a, z=data.z, x=data.x), data_path)
+        out_path = tmp_path / "out" / "o.csv"
+        argv = ["analyze", "--data", data_path, *_CELL_MEANS, "--out", str(out_path)]
+        _exits_3_warning_nothing(capsys, argv, out_path.parent)
+
     @pytest.mark.parametrize("g, r", [("ols", "logit"), ("ols", "cellmean"), ("cellmean", "logit"),
                                       ("cellmean", "cellmean")])
     def test_outcomes_near_the_double_range_exit_3(self, tmp_path, capsys, g, r):
@@ -231,7 +240,7 @@ def test_analysis_row_matches_the_f_string_writer(tmp_path, reference_row_writer
     _, _, write_analysis = reference_row_writers
     write_analysis(
         str(tmp_path / "reference.csv"), data.n, 0.05, drml, cset, *instrument_is_weak(scores, 0.05),
-        coeffs, *zero_tolerances(coeffs), diam_s, diam_w, ratio,
+        coeffs, *zero_tolerances(reference_quad_coefficients(scores, 0.05)), diam_s, diam_w, ratio,
     )
     assert out_path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
@@ -1199,6 +1208,34 @@ class TestOutputFiles:
         assert link.is_symlink()
         assert target.read_bytes() == want
         assert _no_temporary_files(tmp_path) and _no_temporary_files(tmp_path / "link")
+
+
+@pytest.mark.parametrize("output, names", [
+    ("simulate summary.csv", ["replications.csv", "summary.csv"]),
+    ("scan --dump-scores", ["t.csv", "t.csv.scores.csv"]),
+])
+def test_a_run_that_fails_in_its_last_file_leaves_every_file_as_it_was(
+    tmp_path, capsys, monkeypatch, output_data, output, names
+):
+    # The first file is complete when the second finds the disk full; it
+    # must not replace its old copy alone.
+    argv, _, writer, failing = _OUTPUTS[output]
+    calls = []
+
+    def write_rows(handle, *columns):
+        calls.append(None)
+        if len(calls) < failing:
+            return _write_rows(handle, *columns)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(writer, write_rows)
+    for name in names:
+        (tmp_path / name).write_bytes(b"kept\n")
+    assert main(argv(output_data, str(tmp_path))) == 2
+    _assert_one_error(capsys)
+    assert len(calls) == failing
+    assert [(tmp_path / name).read_bytes() for name in names] == [b"kept\n"] * 2
+    assert _no_temporary_files(tmp_path)
 
 
 @pytest.mark.parametrize("output", ["analyze --out", "scan --out", "weakiv-limit --out"])

@@ -29,7 +29,7 @@ from latescore import (
 )
 from latescore.inference import dn_statistic
 
-from conftest import iv_data
+from conftest import ReferenceQuadCoefficients, iv_data, reference_quad_coefficients, zero_tolerances
 
 Z975 = 1.959963984540054
 EMPTY = ConfidenceSet("empty", math.inf, -math.inf)
@@ -38,7 +38,8 @@ WHOLE_LINE = ConfidenceSet("whole_line")
 
 def make_coeffs(a, b, c):
     return QuadCoefficients(
-        a=a, b=b, c=c, delta=b * b - 4.0 * a * c, z_crit=Z975, a_scale=max(abs(a), 1.0)
+        a=a, b=b, c=c, delta=b * b - 4.0 * a * c, z_crit=Z975,
+        tol_a=1e-12 * max(abs(a), 1.0), tol_delta=1e-12 * max(b * b, 4.0 * abs(a * c)),
     )
 
 
@@ -141,15 +142,11 @@ class TestQuadCoefficients:
         assert co.a == pytest.approx(2.0 - z2, abs=1e-12)
         assert co.b == 0.0
         assert co.c == 0.0
-        assert not co.degenerate
 
     def test_all_zero_scores_flagged(self):
         s = ScoreSample(psi_a=np.zeros(4), psi_b=np.zeros(4))
-        co = quad_coefficients(s, 0.05)
-        assert (co.a, co.b, co.c) == (0.0, 0.0, 0.0)
-        assert co.degenerate
-        with pytest.raises(DegenerateDataError):
-            invert_score_test(quad_coefficients(s, 0.05))
+        with pytest.raises(DegenerateDataError, match="^both score vectors are identically zero$"):
+            quad_coefficients(s, 0.05)
 
     @pytest.mark.parametrize("swap", [False, True])
     def test_a_nonzero_score_vector_whose_moments_underflow_raises(self, swap):
@@ -404,6 +401,20 @@ class TestDrmlEstimate:
         with pytest.raises(WeakDenominatorError, match="score confidence set"):
             drml_estimate(s, 0.05)
 
+    def test_an_overflowing_variance_estimate_is_degenerate_without_a_warning(self):
+        # mean(psi_a) = 1e-9 under a unit spread: phi_hat is finite, but the
+        # residuals' squares, and with them sigma2_hat, overflow.
+        rng = np.random.Generator(np.random.PCG64(3))
+        psi_a = rng.standard_normal(50)
+        psi_a += 1e-9 - psi_a.mean()
+        for sd in (1e146, 1e150, 1e153):
+            s = ScoreSample(psi_a=psi_a, psi_b=rng.normal(0.0, sd, 50))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DegenerateDataError, match="the Wald interval overflows") as caught:
+                    drml_estimate(s, 0.05)
+            assert type(caught.value) is DegenerateDataError
+
     def test_wald_symmetric_with_exact_diameter(self):
         rng = np.random.Generator(np.random.PCG64(12))
         for _ in range(50):
@@ -584,9 +595,9 @@ class TestRatioEstimateInSet:
 
     def test_the_point_atom_near_the_weak_boundary(self):
         # psi_b = k*psi_a with D_n(0) within 1e-9 to 1e-1 of z^2: a nearly
-        # cancels, which multiplies delta's rounding error by
-        # a_scale/|a|.  Exactly, delta = 0, and the set is the point {k}
-        # (a > 0) or the whole line (a < 0).
+        # cancels, which multiplies delta's rounding error by the larger of
+        # a's two cancelling terms over |a|.  Exactly, delta = 0, and the set
+        # is the point {k} (a > 0) or the whole line (a < 0).
         rng = np.random.Generator(np.random.PCG64(17))
         z2 = Z975 * Z975
         for _ in range(3000):
@@ -639,7 +650,11 @@ class TestRatioEstimateInSet:
 
 
 def _bits(cset):
-    return cset.tag, struct.pack("<2d", cset.lo, cset.hi)
+    return cset.tag, _float_bits(cset.lo, cset.hi)
+
+
+def _float_bits(*values):
+    return struct.pack(f"<{len(values)}d", *values)
 
 
 class TestInversionAgainstReference:
@@ -659,9 +674,14 @@ class TestInversionAgainstReference:
         abc[tangent, 2] = abc[tangent, 1] ** 2 / (4.0 * abc[tangent, 0])
         tags = set()
         for a, b, c in abc.tolist():
-            co = QuadCoefficients(a, b, c, b * b - 4.0 * a * c, Z975, max(abs(a), 1.0))
+            delta = b * b - 4.0 * a * c
+            co = QuadCoefficients(
+                a, b, c, delta, Z975, 1e-12 * max(abs(a), 1.0), 1e-12 * max(b * b, 4.0 * abs(a * c))
+            )
+            ref = ReferenceQuadCoefficients(a, b, c, delta, Z975, max(abs(a), 1.0))
+            assert _float_bits(co.tol_a, co.tol_delta) == _float_bits(*zero_tolerances(ref)), (a, b, c)
             got = invert_score_test(co)
-            assert _bits(got) == _bits(reference_inversion(co)), (a, b, c)
+            assert _bits(got) == _bits(reference_inversion(ref)), (a, b, c)
             tags.add(got.tag)
         assert len(tags) == 7
 
@@ -683,8 +703,11 @@ class TestInversionAgainstReference:
                 psi_b = float(rng.choice([4.0, -2.0, 0.5, 3.7, 1e-3])) * psi_a
             else:
                 psi_b = rng.standard_normal(n) + rng.uniform(-1.0, 1.0) * psi_a
-            co = quad_coefficients(ScoreSample(psi_a=psi_a, psi_b=psi_b), 0.05)
-            got, want = invert_score_test(co), reference_inversion(co)
+            scores = ScoreSample(psi_a=psi_a, psi_b=psi_b)
+            co, ref = quad_coefficients(scores, 0.05), reference_quad_coefficients(scores, 0.05)
+            assert co[:5] + co[-3:] == ref[:5] + ref[-3:], (i, co)
+            assert _float_bits(co.tol_a, co.tol_delta) == _float_bits(*zero_tolerances(ref)), (i, co)
+            got, want = invert_score_test(co), reference_inversion(ref)
             if want.tag == "empty" and co.ma:
                 want = ConfidenceSet("point", co.mb / co.ma, co.mb / co.ma)
                 mended += 1
