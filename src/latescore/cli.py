@@ -26,7 +26,7 @@ import numpy as np
 from .data import (
     SCAN_BLOCK, CsvSchema, _is_file_path, _output, _together, _write_columns, _write_rows, load_csv, make_folds,
 )
-from .errors import CsvParseError, DegenerateDataError, InvalidConfigError
+from .errors import DegenerateDataError, InvalidConfigError
 from .inference import drml_estimate, invert_score_test, quad_coefficients, score_statistic
 from .nuisance import LearnerSpec, cross_fit
 from .scores import compute_scores
@@ -355,7 +355,7 @@ def main(argv=None) -> int:
     except DegenerateDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (InvalidConfigError, CsvParseError, OSError) as exc:
+    except (InvalidConfigError, OSError) as exc:
         # load_csv reports unreadable input as CsvParseError, so an OSError
         # here comes from an output file or directory.
         print(f"error: {exc}", file=sys.stderr)

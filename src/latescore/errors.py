@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto stable exit codes: configuration and parsing
-problems exit with status 2, degenerate-data conditions with status 3.
-Every class belongs to exactly one of the two families.
+The CLI maps these onto stable exit codes: every class derives from
+exactly one of InvalidConfigError (configuration and parsing problems,
+status 2) and DegenerateDataError (degenerate data, status 3).
 """
 
 
@@ -14,7 +14,7 @@ class InvalidConfigError(LatescoreError):
     """A parameter or flag combination violates a precondition."""
 
 
-class CsvParseError(LatescoreError):
+class CsvParseError(InvalidConfigError):
     """A data file could not be parsed; the message names row and column."""
 
 

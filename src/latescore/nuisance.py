@@ -247,10 +247,8 @@ def _cell_mean_predictions(folds, key, counts, targets):
     ``targets`` maps a name to per-unit values.  One pass per target
     tabulates each fold's target sums per (z, 1{x1 > 0}) cell.  Fold k is
     fitted on the sum of the other folds' tables, added in fold order: the
-    total minus fold k could cancel in a small cell.  The fitted means are
-    checked in the cells that hold units, at z=1 then z=0 for each target,
-    with NuisancePredictions' message, as :class:`DegenerateDataError`.
-    Returns one (pred at z=1, pred at z=0) pair per target.
+    total minus fold k could cancel in a small cell.  Returns one (pred at
+    z=1, pred at z=0) pair per target.
     """
     K, T = folds.K, len(targets)
     sums = [np.bincount(key, weights=w, minlength=4 * K) for w in targets.values()]
@@ -267,11 +265,6 @@ def _cell_mean_predictions(folds, key, counts, targets):
     # Spread over the unit's own z, which a prediction does not depend on,
     # so that a unit reads its predictions at its key.
     means = np.repeat(means.reshape(2 * T, K, 1, 2), 2, axis=2).reshape(2 * T, 4 * K)
-    finite = np.isfinite(means[:, tables[0].reshape(-1) > 0]).all(axis=1)
-    for t, name in enumerate(targets):
-        for z_level in (1, 0):
-            if not finite[2 * t + z_level]:
-                raise DegenerateDataError(f"{name}{z_level} contains non-finite predictions")
     preds = [row.take(key) for row in means]
     return [(preds[2 * t + 1], preds[2 * t]) for t in range(T)]
 
@@ -312,10 +305,9 @@ def cross_fit(data: Dataset, spec: LearnerSpec, folds: FoldAssignment) -> Nuisan
     per-fold sums; OLS and logistic fits visit the folds one by one.  In
     the known-propensity mode m1 is a read-only stride-0 view of the one
     clipped value, with no fitting.  All propensities are clipped to
-    [clip_eps, 1 - clip_eps].  Cell-mean predictions are checked on the
-    fitted tables, those of models fitted fold by fold once every fold is
-    done, in the order g1, g0, r1, r0, m1.  Non-finite predictions, which
-    finite data gives only by overflow, raise :class:`DegenerateDataError`.
+    [clip_eps, 1 - clip_eps].  The per-unit predictions are checked once,
+    in the order g1, g0, r1, r0, m1: non-finite ones, which finite data
+    gives only by overflow, raise :class:`DegenerateDataError`.
     """
     if folds.n != data.n:
         raise InvalidConfigError(f"folds cover {folds.n} units but the data has {data.n}")
@@ -389,11 +381,10 @@ def cross_fit(data: Dataset, spec: LearnerSpec, folds: FoldAssignment) -> Nuisan
     (g1, g0), (r1, r0) = preds["g"], preds["r"]
     if spec.m_learner == "logistic":
         np.clip(m1, spec.clip_eps, 1.0 - spec.clip_eps, out=m1)
-        per_fold.append("m")
-    # Every prediction is in range: cell means of a 0/1 treatment lie in
-    # [0, 1], and logistic fits and every m1 are clipped.  Only a model
-    # fitted per fold can still give non-finite ones unchecked.
+    # Cell means of a 0/1 treatment lie in [0, 1], and logistic fits and
+    # every m1 are clipped, so only overflow can make a prediction unusable.
+    # A cell that no unit reads is never checked.
     for name, pred in zip(("g1", "g0", "r1", "r0", "m1"), (g1, g0, r1, r0, m1)):
-        if name[0] in per_fold and not np.isfinite(pred).all():
+        if not np.isfinite(pred).all():
             raise DegenerateDataError(f"{name} contains non-finite predictions")
     return _trusted(NuisancePredictions, g1=g1, g0=g0, r1=r1, r0=r0, m1=m1)

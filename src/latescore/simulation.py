@@ -87,11 +87,7 @@ def _draw(params: DgpParams, rng: np.random.Generator, size: int):
 def dgp_generate(params: DgpParams, seed: int) -> Dataset:
     """Draw one sample from the law, deterministically in the seed."""
     x, z, a, u = _draw(params, np.random.Generator(np.random.PCG64(seed)), params.n)
-    # 2*sign(u) + treatment_shift*a, in one buffer.  (np.sign is several
-    # times slower writing over its input than into a new array.)
-    y = np.sign(u)
-    y *= 2.0
-    y += params.treatment_shift * a
+    y = 2.0 * np.sign(u) + params.treatment_shift * a
     # n >= 2, a and z are boolean, and y is finite with a finite shift.
     return _trusted(Dataset, y=y, a=a.astype(int), z=z.astype(int), x=x.reshape(-1, 1))
 

@@ -774,9 +774,9 @@ def _message(fit):
 
 
 class TestCellMeanPredictionChecks:
-    """With cell means and a known propensity, cross_fit checks its fitted
-    tables instead of the NuisancePredictions constructor checking five
-    n-length arrays; it must raise what that constructor raises."""
+    """cross_fit checks each per-unit prediction once, after every fold, in
+    the order g1, g0, r1, r0, m1, whichever learner made it; it must raise
+    the NuisancePredictions constructor's message, as DegenerateDataError."""
 
     @pytest.mark.parametrize("big_z, name", [([1], "g1"), ([0], "g0"), ([0, 1], "g1")])
     def test_overflowing_outcomes_name_the_first_non_finite_prediction(
@@ -792,6 +792,17 @@ class TestCellMeanPredictionChecks:
         data, folds = _overflow_data([0])
         spec = LearnerSpec(g_learner="cell_mean", r_learner="logistic", m_learner="logistic", K=2)
         assert _message(lambda: cross_fit(data, spec, folds)) == "g0 contains non-finite predictions"
+
+    def test_cell_mean_g_is_named_before_an_overflowing_propensity_fit(self):
+        # Covariates of order 1e200 overflow the propensity's Hessian but
+        # leave the cells, split on their sign, as they are.
+        rng = np.random.default_rng(5)
+        i, z, a, x = np.arange(40), rng.integers(0, 2, 40), rng.integers(0, 2, 40), 1e200 * rng.standard_normal(40)
+        folds = FoldAssignment(fold_of=i % 2, K=2)
+        spec = LearnerSpec(g_learner="cell_mean", r_learner="cell_mean", m_learner="logistic", K=2)
+        for y, name in ((np.where(z == 1, 1e308, 0.25 * i), "g1"), (0.25 * i, "m1")):
+            data = Dataset(y=y, a=a, z=z, x=x)
+            assert _message(lambda: cross_fit(data, spec, folds)) == f"{name} contains non-finite predictions"
 
     @pytest.mark.parametrize("g_learner", ["cell_mean", "ols_linear"])
     @pytest.mark.parametrize("m_learner", ["known_constant", "logistic"])
