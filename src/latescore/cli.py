@@ -27,7 +27,7 @@ from .data import (
     SCAN_BLOCK, CsvSchema, _is_file_path, _output, _together, _write_columns, _write_rows, load_csv, make_folds,
 )
 from .errors import DegenerateDataError, InvalidConfigError
-from .inference import drml_estimate, invert_score_test, quad_coefficients, score_statistic
+from .inference import _z_crit, drml_estimate, invert_score_test, quad_coefficients, score_statistic
 from .nuisance import LearnerSpec, cross_fit
 from .scores import compute_scores
 from .simulation import StudySpec, run_study, write_replications_csv, write_summary_csv
@@ -103,6 +103,7 @@ def _add_data_flags(sub) -> None:
 
 
 def _fit_scores(args):
+    _z_crit(args.alpha)  # refuses a bad --alpha before any data is read
     data = load_csv(args.data, _schema(args))
     spec = _learner_spec(args)
     folds = make_folds(data.n, spec.K, args.seed)

@@ -5,7 +5,8 @@ the instrument z are binary and the covariate vector x has a common
 dimension across rows.  Containers hold read-only arrays and cannot be
 written through.  A public constructor views an input array that needs
 no cast rather than copying it, so the caller's array stays writable and
-writing it shows through.
+writing it shows through.  The indicators a and z are held as int8, one
+byte per unit, so an indicator input is viewed only when it is int8.
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CsvParseError, InvalidConfigError
+
+
+# The dtype of a dataset's 0/1 treatment and instrument columns.
+_INDICATOR = np.dtype(np.int8)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -48,6 +53,8 @@ class Dataset:
     The arrays are read-only views of the inputs, without a copy where no
     cast is needed, so the dataset shares memory with its inputs: the
     caller's arrays stay writable, and writing them changes the dataset.
+    y and x are held as float64 and a and z as int8, so an indicator input
+    is viewed only when it is already int8.
 
     Parameters
     ----------
@@ -84,8 +91,8 @@ class Dataset:
             raise InvalidConfigError("instrument column contains values other than 0/1")
         if not np.all(np.isfinite(y)) or not np.all(np.isfinite(x)):
             raise InvalidConfigError("outcome and covariates must be finite")
-        # Cast only now: a cast first would truncate a 0.5 to a valid 0.
-        a, z = a.astype(int, copy=False), z.astype(int, copy=False)
+        # Cast only now: a cast first would turn a 0.5 or a 256 into a valid 0.
+        a, z = a.astype(_INDICATOR, copy=False), z.astype(_INDICATOR, copy=False)
         self.y, self.a, self.z, self.x = (_read_only(arr) for arr in (y, a, z, x))
 
     @property

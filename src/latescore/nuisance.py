@@ -166,6 +166,8 @@ def fit_logistic(design: np.ndarray, labels: np.ndarray) -> LogisticModel:
     class yield the MLE's limit, an infinite coefficient there of the
     class's sign and zero slopes.  Under perfect separation the iteration
     cap stops the divergence and the model is returned with ``converged=False``.
+    A step that leaves a NaN coefficient, as an overflowing Hessian does,
+    ends the fit at once with all-NaN coefficients and ``converged=False``.
     """
     labels = np.asarray(labels, dtype=float)
     design = np.asarray(design, dtype=float)
@@ -203,6 +205,10 @@ def fit_logistic(design: np.ndarray, labels: np.ndarray) -> LogisticModel:
             hess = hess + (1e-10 * max(np.trace(hess), 1.0) / d) * np.eye(d)
             step = np.linalg.solve(hess, grad)
         beta = beta + step
+        if np.isnan(beta).any():
+            # Every later probability and gradient would be NaN as well.
+            beta = np.full(d, math.nan)
+            break
     saturated = bool(np.max(np.abs(np.dot(design, beta, out=p), out=p)) > 30.0)
     return LogisticModel(beta=beta, converged=converged, warning=(not converged) or saturated)
 

@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, _check_integer, _read_only, _trusted, _write_columns, make_folds
+from .data import _INDICATOR, Dataset, _check_integer, _read_only, _trusted, _write_columns, make_folds
 from .errors import DegenerateDataError, InvalidConfigError, LatescoreError
 from .inference import _z_crit, drml_estimate, invert_score_test, quad_coefficients
 from .nuisance import LearnerSpec, NuisancePredictions, cross_fit
@@ -89,7 +89,7 @@ def dgp_generate(params: DgpParams, seed: int) -> Dataset:
     x, z, a, u = _draw(params, np.random.Generator(np.random.PCG64(seed)), params.n)
     y = 2.0 * np.sign(u) + params.treatment_shift * a
     # n >= 2, a and z are boolean, and y is finite with a finite shift.
-    return _trusted(Dataset, y=y, a=a.astype(int), z=z.astype(int), x=x.reshape(-1, 1))
+    return _trusted(Dataset, y=y, a=a.astype(_INDICATOR), z=z.astype(_INDICATOR), x=x.reshape(-1, 1))
 
 
 def _norm_cdf(t: float) -> float:

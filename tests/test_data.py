@@ -21,6 +21,7 @@ from latescore import (
     ScoreSample,
     StudySpec,
     WeakIVConfig,
+    dgp_generate,
     load_csv,
     make_folds,
     sample_weak_limit,
@@ -28,6 +29,7 @@ from latescore import (
 )
 from latescore import data as data_module
 from latescore.cli import _MEMBERSHIP
+from latescore.simulation import _draw
 from latescore.weakiv import estimate_weakiv_config, sample_bivariate_normal
 
 
@@ -181,8 +183,10 @@ def test_public_constructors_check_before_casting(build):
 
 def test_public_constructors_leave_the_callers_arrays_writable():
     columns = dict(
-        y=np.array([0.5, 1.0]), a=np.array([1, 0]), z=np.array([0, 1]), x=np.array([[0.25], [0.5]])
+        y=np.array([0.5, 1.0]), a=np.array([1, 0], dtype=np.int8), z=np.array([0, 1], dtype=np.int8),
+        x=np.array([[0.25], [0.5]]),
     )
+    wide = dict(a=np.array([1, 0]), z=np.array([0, 1]))
     predictions = {name: np.array(values) for name, values in _PREDICTIONS.items()}
     fold_of = np.array([0, 1, 1, 0])
     scores = dict(psi_a=np.array([0.5, -1.0]), psi_b=np.array([2.0, 0.0]))
@@ -190,6 +194,8 @@ def test_public_constructors_leave_the_callers_arrays_writable():
     # (container, its array inputs, whether it holds views of them)
     built = [
         (Dataset(**columns), columns, True),
+        # A copy: int64 indicators are cast to int8.
+        (Dataset(**dict(columns, **wide)), wide, False),
         (NuisancePredictions(**predictions), predictions, True),
         (FoldAssignment(fold_of=fold_of, K=2), {"fold_of": fold_of}, True),
         # A copy: the cached moments need score arrays nobody can write.
@@ -215,6 +221,48 @@ def _write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+class TestIndicatorWidth:
+    """a and z are held as int8, with the values given, on every path that builds a dataset."""
+
+    A, Z = [1, 0, 1], [0, 1, 1]
+
+    @staticmethod
+    def _assert_int8(data, a, z):
+        for held, want in ((data.a, a), (data.z, z)):
+            assert held.dtype == np.int8 and held.tolist() == want
+
+    @pytest.mark.parametrize("form", [list, np.int64, bool, float], ids=["list", "int64", "bool", "float"])
+    def test_the_public_constructor(self, form):
+        a, z = (v if form is list else np.array(v, dtype=form) for v in (self.A, self.Z))
+        data = Dataset(y=[0.5, 1.0, 2.0], a=a, z=z, x=[[0.0], [1.0], [2.0]])
+        self._assert_int8(data, self.A, self.Z)
+
+    @pytest.mark.parametrize("value", [0.5, 2, 256, -255])
+    def test_a_value_other_than_0_or_1_is_refused_before_the_cast(self, value):
+        # int8 would read 256 as 0 and -255 as 1.
+        with pytest.raises(InvalidConfigError, match="treatment column"):
+            Dataset(y=[0.5, 1.0], a=np.array([value, 1]), z=[0, 1], x=[[0.0], [1.0]])
+
+    def test_load_csv_on_the_column_path(self, tmp_path, monkeypatch):
+        path = _write(tmp_path, "y,a,z,x1\n0.5,1,0,0\n1,0,1,1\n2,1,1,2\n")
+
+        def refuse(*args):
+            raise AssertionError("a clean file reached the per-cell parser")
+
+        monkeypatch.setattr(data_module, "_load_cells", refuse)
+        self._assert_int8(load_csv(path), self.A, self.Z)
+
+    def test_load_csv_on_the_per_cell_path(self, tmp_path):
+        path = _write(tmp_path, 'y,a,z,x1\n"0.5",1,0,0\n1,0.0,1,1\n2,1,1.0,2\n')
+        assert data_module._load_columns(path, CsvSchema()) is None
+        self._assert_int8(load_csv(path), self.A, self.Z)
+
+    def test_dgp_generate(self):
+        params = DgpParams(pi=1.0, n=500)
+        _, z, a, _ = _draw(params, np.random.Generator(np.random.PCG64(3)), params.n)
+        self._assert_int8(dgp_generate(params, 3), a.astype(int).tolist(), z.astype(int).tolist())
 
 
 class TestCsvSchema:

@@ -22,6 +22,7 @@ from latescore import (
     fit_ols,
     make_folds,
 )
+from latescore import nuisance
 from latescore.nuisance import _predict
 
 
@@ -163,6 +164,21 @@ class TestFitLogistic:
         model = fit_logistic(_design(x.reshape(-1, 1)), labels)
         assert model.converged
         assert not model.warning
+
+    def test_a_nan_coefficient_ends_the_fit(self, monkeypatch):
+        # Covariates of order 1e200 overflow the Hessian, so the first step
+        # leaves beta = [nan, 0]; every later probability and gradient is NaN.
+        calls = []
+        sigmoid = nuisance._sigmoid_inplace
+        monkeypatch.setattr(nuisance, "_sigmoid_inplace", lambda *args: calls.append(1) or sigmoid(*args))
+        rng = np.random.Generator(np.random.PCG64(0))
+        x = rng.standard_normal(20_000) * 1e200
+        labels = (rng.random(20_000) < 0.5).astype(float)
+        with np.errstate(all="ignore"):
+            model = fit_logistic(_design(x.reshape(-1, 1)), labels)
+        assert len(calls) <= 3
+        assert np.isnan(model.beta).all() and model.beta.shape == (2,)
+        assert (model.converged, model.warning) == (False, True)
 
 
 class TestFitCellMean:

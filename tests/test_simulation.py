@@ -26,6 +26,7 @@ from latescore import (
     run_replication,
     run_study,
 )
+from latescore.data import _INDICATOR
 from latescore.simulation import _CELL_BLOCK as _B
 from latescore.simulation import (
     N_CELLS,
@@ -104,7 +105,8 @@ class TestDgpGenerate:
         params = DgpParams(pi=pi, n=n, treatment_shift=shift)
         data = dgp_generate(params, seed)
         x, z, a, y = reference_dgp(params, np.random.Generator(np.random.PCG64(seed)), n)
-        for got, want in ((data.x, x.reshape(-1, 1)), (data.z, z), (data.a, a.astype(int)), (data.y, y)):
+        z, a = z.astype(_INDICATOR), a.astype(_INDICATOR)
+        for got, want in ((data.x, x.reshape(-1, 1)), (data.z, z), (data.a, a), (data.y, y)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
