@@ -103,11 +103,12 @@ def _add_data_flags(sub) -> None:
 
 
 def _fit_scores(args):
-    _z_crit(args.alpha)  # refuses a bad --alpha before any data is read
-    data = load_csv(args.data, _schema(args))
+    # A bad --alpha or learner flag is refused before any data is read.
+    _z_crit(args.alpha)
     spec = _learner_spec(args)
-    folds = make_folds(data.n, spec.K, args.seed)
-    preds = cross_fit(data, spec, folds)
+    data = load_csv(args.data, _schema(args))
+    # The folds are not kept: n int64s that the scores do not read.
+    preds = cross_fit(data, spec, make_folds(data.n, spec.K, args.seed))
     return data, compute_scores(data, preds)
 
 

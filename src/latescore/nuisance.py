@@ -308,8 +308,10 @@ def cross_fit(data: Dataset, spec: LearnerSpec, folds: FoldAssignment) -> Nuisan
     For each fold the learners are fitted on its complement and used to
     predict inside the fold; g and r are predicted at both instrument
     levels by switching the z feature (or cell).  Cell means are read from
-    per-fold sums; OLS and logistic fits visit the folds one by one.  In
-    the known-propensity mode m1 is a read-only stride-0 view of the one
+    per-fold sums.  OLS and logistic fits take two passes over the folds:
+    every fold is fitted before any is predicted, and the training designs
+    are freed before the predictions are allocated.  In the
+    known-propensity mode m1 is a read-only stride-0 view of the one
     clipped value, with no fitting.  All propensities are clipped to
     [clip_eps, 1 - clip_eps].  The per-unit predictions are checked once,
     in the order g1, g0, r1, r0, m1: non-finite ones, which finite data
@@ -322,8 +324,6 @@ def cross_fit(data: Dataset, spec: LearnerSpec, folds: FoldAssignment) -> Nuisan
     n = data.n
     if spec.m_learner == "known_constant":
         m1 = np.broadcast_to(float(min(max(spec.m_value, spec.clip_eps), 1.0 - spec.clip_eps)), (n,))
-    else:
-        m1 = np.empty(n)
 
     learners = {"g": (spec.g_learner, data.y), "r": (spec.r_learner, data.a)}
     cell = {name: target for name, (learner, target) in learners.items() if learner == "cell_mean"}
@@ -348,35 +348,50 @@ def cross_fit(data: Dataset, spec: LearnerSpec, folds: FoldAssignment) -> Nuisan
         preds.update(zip(cell, _cell_mean_predictions(folds, key, counts, cell)))
     del key  # n int64s, which the regression fits below do not read
     per_fold = [name for name in learners if name not in preds]
-    for name in per_fold:
-        preds[name] = (np.empty(n), np.empty(n))
     if per_fold or spec.m_learner == "logistic":
         # Units sorted by fold, stably: fold k's test units are one slice of
-        # ``order`` and its training units the two slices around it.  Every
-        # design is gathered from the data into the start of one
-        # buffer, sized for the largest training complement, as a contiguous
-        # column-major view: a row slice of a larger array would have another
-        # column stride, which BLAS rounds differently.  Beside the outputs
-        # this holds ``order``, the buffer and one label vector.  Per fold,
-        # g and r fit on [1, z, x], then the propensity on [1, x] with z as
-        # its labels; the test units' [1, x] and then [1, z, x] follow, the
-        # latter predicted at z=1 and at z=0 by overwriting its z column.
-        # A key of 16 bits or fewer takes numpy's radix sort, not timsort.
+        # ``order`` and its training units the two slices around it.  Two
+        # passes over the folds.  The fit pass gathers each training design
+        # into the start of one buffer, sized for the largest training
+        # complement, as a contiguous column-major view: a row slice of a
+        # larger array would have another column stride, which BLAS rounds
+        # differently.  Per fold, g and r fit on [1, z, x], then the
+        # propensity on [1, x] with z as its labels; only the models are
+        # kept.  The buffer and the label vector are freed before the
+        # predict pass allocates the outputs and a buffer sized for the
+        # largest fold, which takes each fold's test units' [1, x] and then
+        # [1, z, x], the latter predicted at z=1 and at z=0 by overwriting
+        # its z column.  A key of 16 bits or fewer takes numpy's radix
+        # sort, not timsort.
         order = np.argsort(folds.fold_of.astype(np.min_scalar_type(folds.K - 1)), kind="stable")
         sizes = z_counts.sum(axis=1)
         ends = np.cumsum(sizes).tolist()
+        spans = list(zip([0, *ends], ends))
         size = n - int(sizes.min())
         buffer, labels = np.empty(size * (2 + data.p)), np.empty(size)
-        for lo, hi in zip([0, *ends], ends):
-            test, train = order[lo:hi], (order[:lo], order[hi:])
+        fitted = []  # per fold: the g and r models by name, and the propensity's
+        for lo, hi in spans:
+            train = (order[:lo], order[hi:])
             features = _design(buffer, train, data.x, data.z)
             models = {}
             for name in per_fold:
                 learner, target = learners[name]
                 fit = fit_ols if learner == "ols_linear" else fit_logistic
                 models[name] = fit(features, _gather(labels, target, train))
+            m_model = None
             if spec.m_learner == "logistic":
                 m_model = fit_logistic(_design(buffer, train, data.x), _gather(labels, data.z, train))
+            fitted.append((models, m_model))
+        del buffer, labels, features  # a view left bound would keep the buffer
+
+        for name in per_fold:
+            preds[name] = (np.empty(n), np.empty(n))
+        if spec.m_learner == "logistic":
+            m1 = np.empty(n)
+        buffer = np.empty(int(sizes.max()) * (2 + data.p))
+        for (lo, hi), (models, m_model) in zip(spans, fitted):
+            test = order[lo:hi]
+            if m_model is not None:
                 m1[test] = _predict(m_model, _design(buffer, (test,), data.x))
             block = _design(buffer, (test,), data.x, data.z)
             for column, z_level in enumerate((1.0, 0.0)):

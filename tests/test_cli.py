@@ -202,20 +202,23 @@ class TestAnalyze:
         assert status == 2
         _assert_one_error_line(capsys)
 
-    def test_peak_memory_on_a_large_file(self, tmp_path):
-        # 200,000 rows of two covariates, read by column; with a and z held as
-        # int8 the run peaks at 24.1 MB, and with int64 indicators at 26.9 MB.
+    @pytest.mark.parametrize("propensity, bound", [("known:0.5", 19_500_000), ("logit", 20_500_000)])
+    def test_peak_memory_on_a_large_file(self, tmp_path, propensity, bound):
+        # 200,000 rows of two covariates, read by column.  Cross-fitting in two
+        # passes, with the folds dropped once it returns, the run peaks at
+        # 17.7 MB with a known propensity and 18.5 MB with a logistic one; with
+        # the outputs allocated before the first fit, at 24.1 and 25.6 MB.
         path = str(tmp_path / "large.csv")
         write_csv(iv_data(200_000, 5), path, CsvSchema(covariates=("x1", "x2")))
         argv = ["analyze", "--data", path, "--covariates", "x1,x2", "--g", "ols", "--r", "logit",
-                "--propensity", "known:0.5"]
+                "--propensity", propensity]
         tracemalloc.start()
         try:
             assert main(argv) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 25_500_000
+        assert peak <= bound
 
     def test_no_covariates(self, tmp_path, capsys):
         data_path = _export_dgp(tmp_path, pi=5.0, n=300, seed=39, name="nocov.csv")
@@ -294,6 +297,25 @@ def test_a_bad_alpha_exits_2_before_any_data_is_read(tmp_path, capsys, monkeypat
     assert main([*argv, "--data", str(tmp_path / "d.csv"), "--out", str(tmp_path / "o.csv")]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: alpha must lie in (0, 1), got {alpha}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze"],
+    ["scan", "--theta-min", "-1", "--theta-max", "1"],
+], ids=["analyze", "scan"])
+@pytest.mark.parametrize("flag", [
+    ["--propensity", "known:abc"],
+    ["--folds", "1"],
+    ["--clip-eps", "0.7"],
+], ids=["propensity", "folds", "clip-eps"])
+def test_a_bad_learner_flag_exits_2_before_any_data_is_read(tmp_path, capsys, monkeypatch, argv, flag):
+    def refuse(*args):
+        raise AssertionError("the data was read")
+
+    monkeypatch.setattr(latescore.cli, "load_csv", refuse)
+    assert main([*argv, *flag, "--data", str(tmp_path / "d.csv"), "--out", str(tmp_path / "o.csv")]) == 2
+    _assert_one_error_line(capsys)
     assert list(tmp_path.iterdir()) == []
 
 

@@ -741,12 +741,15 @@ class TestRegressionCrossFitAgainstSortedDesign:
 
 
 class TestCrossFitMemory:
-    """The regression path holds one training design, one label vector and
-    the outputs: no whole-sample sorted design, no per-fold copy of it, no
-    fold key during the fits and no n_train temporary in the logistic
-    saturation check.  At n = 200,000 and p = 2 the sorted design and its
-    per-fold copies peaked at 31.7 MB with a known propensity and 33.0 MB
-    with a logistic one."""
+    """The regression path runs in two passes.  The fit pass holds the fold
+    order, one training design and one label vector, and keeps only the
+    models; the predict pass holds the fold order, the outputs and one
+    test design.  So the training design and the outputs are never held at
+    once, and the fold key, a whole-sample sorted design and per-fold
+    copies of it are never held at all.  At n = 200,000 and p = 2 a single
+    pass, with the outputs allocated before the fits, peaked at 17.2 MB
+    with a known propensity and 18.8 MB with a logistic one; the sorted
+    design and its per-fold copies at 31.7 and 33.0 MB."""
 
     @staticmethod
     def _peak(spec):
@@ -762,11 +765,11 @@ class TestCrossFitMemory:
         finally:
             tracemalloc.stop()
 
-    def test_known_propensity_peak_is_at_most_18_5_mb(self):
-        assert self._peak(_regression_spec(5, m_logistic=False)) <= 18_500_000
+    def test_known_propensity_peak_is_at_most_12_mb(self):
+        assert self._peak(_regression_spec(5, m_logistic=False)) <= 12_000_000
 
-    def test_logistic_propensity_peak_is_at_most_20_mb(self):
-        assert self._peak(_regression_spec(5, m_logistic=True)) <= 20_000_000
+    def test_logistic_propensity_peak_is_at_most_13_6_mb(self):
+        assert self._peak(_regression_spec(5, m_logistic=True)) <= 13_600_000
 
 
 def _overflow_data(big_z):
