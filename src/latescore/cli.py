@@ -31,7 +31,7 @@ from .inference import _z_crit, drml_estimate, invert_score_test, quad_coefficie
 from .nuisance import LearnerSpec, cross_fit
 from .scores import compute_scores
 from .simulation import StudySpec, run_study, write_replications_csv, write_summary_csv
-from .weakiv import _LIMIT_BLOCK, WeakIVConfig, sample_weak_limit
+from .weakiv import WeakIVConfig, sample_weak_limit
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -289,8 +289,8 @@ def cmd_weakiv_limit(args) -> int:
     _check_free_space(args.out, 5 + 4 * args.samples, f"{args.samples} draws")
     with _output(args.out) as handle:
         handle.write("draw\n")
-        for lo in range(0, args.samples, _LIMIT_BLOCK):
-            _write_rows(handle, sample_weak_limit(cfg, rng, min(_LIMIT_BLOCK, args.samples - lo)))
+        for lo in range(0, args.samples, SCAN_BLOCK):
+            _write_rows(handle, sample_weak_limit(cfg, rng, min(SCAN_BLOCK, args.samples - lo)))
     print(f"wrote {args.samples} draws to {args.out}")
     return EXIT_OK
 

@@ -347,9 +347,9 @@ def write_csv(data: Dataset, path: str, schema: CsvSchema = CsvSchema()) -> None
     _write_columns(path, header, data.y, data.a, data.z, *data.x.T)
 
 
-# The package's one block of rows: _write_rows formats and writes this many
-# rows at a time, and scan evaluates its grid this many points at a time,
-# which bounds the text and the temporaries each holds.
+# The package's one block of rows: _write_rows writes, scan evaluates, the
+# limit sampler draws and the calibrator counts this many rows, points, pairs
+# or cells at a time, which bounds the text and the temporaries each holds.
 SCAN_BLOCK = 4096
 
 

@@ -109,18 +109,3 @@ def _score(weight, target, fit1, fit0, treated):
     out -= fit0
     return out
 
-
-def functional_oracle(pi: float, treatment_shift: float = 0.0) -> float:
-    """True target ratio for the simulated family of laws.
-
-    In that family Y = 2*sign(U) + treatment_shift*A with U independent of
-    (Z, X), so the intent-to-treat contrast of Y equals treatment_shift
-    times the contrast of A and the ratio is treatment_shift exactly.
-    With pi = 0 the instrument has no effect on treatment and the ratio
-    is undefined.
-    """
-    if pi == 0.0:
-        raise InvalidConfigError(
-            "the target ratio is undefined at pi=0 (zero instrument effect on treatment)"
-        )
-    return treatment_shift

@@ -7,9 +7,11 @@ the sample size n:
     A = 1{pi * Z * 1{X > 0} + U > 0},
     Y = 2 * sign(U) + treatment_shift * A,
 
-with sign(0) = 0.  The default treatment_shift of 0 makes the target
-ratio zero.  The weak-instrument regime uses pi = 0.15 / sqrt(n), the
-strong regime pi = 5.
+with sign(0) = 0.  U is independent of (Z, X), so the intent-to-treat
+contrast of Y is treatment_shift times that of A: the target ratio is
+treatment_shift exactly, and undefined at pi = 0, where Z does not move A.
+The weak-instrument regime uses pi = 0.15 / sqrt(n), the strong regime
+pi = 5.
 
 Replications are independent tasks keyed by (master seed, n, rep_id)
 through a splitmix64 mixer, so results do not depend on execution order.
@@ -28,7 +30,7 @@ from .data import _INDICATOR, Dataset, _check_integer, _read_only, _trusted, _wr
 from .errors import DegenerateDataError, InvalidConfigError, LatescoreError
 from .inference import _z_crit, drml_estimate, invert_score_test, quad_coefficients
 from .nuisance import LearnerSpec, NuisancePredictions, cross_fit
-from .scores import compute_scores, functional_oracle
+from .scores import compute_scores
 
 _MASK64 = (1 << 64) - 1
 
@@ -251,14 +253,15 @@ def run_replication(params: DgpParams, spec: StudySpec, rep_id: int) -> Replicat
     folds = make_folds(params.n, spec.learner.K, fold_seed)
     preds = cross_fit(data, spec.learner, folds)
     scores = compute_scores(data, preds)
-    truth = functional_oracle(params.pi, params.treatment_shift)
+    if params.pi == 0.0:
+        raise InvalidConfigError("the target ratio is undefined at pi=0 (zero instrument effect on treatment)")
     coeffs = quad_coefficients(scores, spec.alpha)
     cset = invert_score_test(coeffs)
     drml = drml_estimate(scores, spec.alpha)
     return ReplicationResult(
         rep_id=rep_id,
-        covered_score=cset.contains(truth),
-        covered_wald=drml.contains(truth),
+        covered_score=cset.contains(params.treatment_shift),
+        covered_wald=drml.contains(params.treatment_shift),
         diam_score=cset.diameter(),
         diam_wald=drml.diameter(),
         set_tag=cset.tag,

@@ -21,18 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _check_integer
+from .data import SCAN_BLOCK, _check_integer
 from .errors import DecompositionError, InvalidConfigError
-from .simulation import _CELL_BLOCK, N_CELLS, DgpParams, cell_probabilities, draw_oracle_cells, oracle_cell_values
+from .simulation import N_CELLS, DgpParams, cell_probabilities, draw_oracle_cells, oracle_cell_values
 
 # Oracle draws per batch in the calibrator, which bounds its memory.  The
 # batch edges fix the order in which the random stream is read.
 _ORACLE_BATCH = 1_000_000
-
-# Pairs per block in the limit sampler, which bounds its temporaries to a
-# block's worth.  Blocks read the random stream in order, so, unless a
-# denominator is exactly zero, the draws do not depend on the block size.
-_LIMIT_BLOCK = 65_536
 
 
 def _cholesky_2x2(sigma: np.ndarray) -> np.ndarray:
@@ -126,12 +121,13 @@ def sample_weak_limit(cfg: WeakIVConfig, rng: np.random.Generator, size: int) ->
     An exactly-zero denominator (a probability-zero event) triggers a
     redraw, which leaves the distribution unchanged.  Parameters whose
     draws overflow double precision are rejected.  The pairs are drawn
-    ``_LIMIT_BLOCK`` at a time, each block's redraws following its pairs, so
-    ``weakiv-limit``, which draws a block a call, writes these same draws.
+    ``SCAN_BLOCK`` at a time, each block's redraws following its pairs, so
+    the temporaries hold a block and ``weakiv-limit``, which draws a block a
+    call, writes these same draws.
     """
     draws = np.empty(_check_integer(size, "size", least=0))
-    for lo in range(0, draws.size, _LIMIT_BLOCK):
-        _draw_into(cfg, rng, draws[lo : lo + _LIMIT_BLOCK])
+    for lo in range(0, draws.size, SCAN_BLOCK):
+        _draw_into(cfg, rng, draws[lo : lo + SCAN_BLOCK])
     return draws
 
 
@@ -206,8 +202,8 @@ def estimate_weakiv_config(
         cells = draw_oracle_cells(params, rng, m)
         # np.bincount casts its input to intp, eight bytes a cell: count a
         # block at a time, not the whole uint8 batch at once.
-        for lo in range(0, m, _CELL_BLOCK):
-            counts += np.bincount(cells[lo : lo + _CELL_BLOCK], minlength=N_CELLS)
+        for lo in range(0, m, SCAN_BLOCK):
+            counts += np.bincount(cells[lo : lo + SCAN_BLOCK], minlength=N_CELLS)
         total += m
     means = counts @ _cell_terms(params) / total
     c_a, c_b, cov = _limit_parameters(means, params.n)

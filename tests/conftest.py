@@ -23,7 +23,6 @@ from latescore import (
 )
 from latescore.inference import _z_crit
 from latescore.nuisance import _cell_mean_predictions, _sigmoid_inplace
-from latescore.scores import functional_oracle
 from latescore.simulation import _draw, _splitmix64, aggregate, replication_seed
 from latescore.weakiv import sample_bivariate_normal
 
@@ -709,13 +708,12 @@ def reference_replication(params, spec, rep_id):
     data = Dataset(y=y, a=a, z=z, x=x.reshape(-1, 1))
     folds = reference_make_folds(params.n, spec.learner.K, _splitmix64(rep_seed))
     scores = reference_compute_scores(data, reference_cell_mean_cross_fit(data, spec.learner, folds))
-    truth = functional_oracle(params.pi, params.treatment_shift)
     cset = invert_score_test(quad_coefficients(scores, spec.alpha))
     drml = drml_estimate(scores, spec.alpha)
     return ReplicationResult(
         rep_id=rep_id,
-        covered_score=cset.contains(truth),
-        covered_wald=drml.contains(truth),
+        covered_score=cset.contains(params.treatment_shift),
+        covered_wald=drml.contains(params.treatment_shift),
         diam_score=cset.diameter(),
         diam_wald=drml.diameter(),
         set_tag=cset.tag,

@@ -42,7 +42,7 @@ from latescore import errors, simulation
 from latescore.inference import score_statistic
 from latescore.cli import _NEGATIVE_NUMBER, SCAN_BLOCK, _grid, _membership, main
 from latescore.data import _write_rows
-from latescore.weakiv import _LIMIT_BLOCK, WeakIVConfig
+from latescore.weakiv import WeakIVConfig
 
 from conftest import instrument_is_weak, iv_data, reference_quad_coefficients, zero_tolerances
 
@@ -1013,7 +1013,7 @@ class TestWeakIVLimit:
             write_draws(handle, draws)
         assert out_path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
-    @pytest.mark.parametrize("samples", [1, _LIMIT_BLOCK, _LIMIT_BLOCK + 1, 2 * _LIMIT_BLOCK + 3])
+    @pytest.mark.parametrize("samples", [1, SCAN_BLOCK, SCAN_BLOCK + 1, 2 * SCAN_BLOCK + 3])
     def test_samples_each_block_once_and_writes_it_before_the_next(self, tmp_path, monkeypatch, samples):
         events = []
 
@@ -1030,10 +1030,10 @@ class TestWeakIVLimit:
         monkeypatch.setattr("latescore.cli._write_rows", write_rows)
         out = tmp_path / "d.csv"
         assert main(["weakiv-limit", *self._FULL_RANK, "--samples", str(samples), "--out", str(out)]) == 0
-        blocks = math.ceil(samples / _LIMIT_BLOCK)
+        blocks = math.ceil(samples / SCAN_BLOCK)
         assert [kind for kind, _ in events] == ["sample", "write"] * blocks
         assert [block.size for _, block in events[::2]] == [
-            min(_LIMIT_BLOCK, samples - lo) for lo in range(0, samples, _LIMIT_BLOCK)
+            min(SCAN_BLOCK, samples - lo) for lo in range(0, samples, SCAN_BLOCK)
         ]
         assert all(written is drawn for (_, drawn), (_, written) in zip(events[::2], events[1::2]))
         assert len(_read_rows(out)) == samples
@@ -1051,9 +1051,9 @@ class TestWeakIVLimit:
         out = str(tmp_path / "d.csv")
         # A first run makes the lazy imports and caches, which later runs keep.
         assert main(["weakiv-limit", *self._FULL_RANK, "--samples", "10", "--out", out]) == 0
-        # Four and eight blocks: a writer that holds the draws at once peaks
-        # above the bound at eight, a streaming one stays flat.
-        for samples in (4 * _LIMIT_BLOCK, 8 * _LIMIT_BLOCK):
+        # 64 and 128 blocks: a writer that holds the draws at once peaks
+        # above the bound at both, a streaming one stays flat.
+        for samples in (262_144, 524_288):
             tracemalloc.start()
             try:
                 tracemalloc.reset_peak()
@@ -1062,7 +1062,7 @@ class TestWeakIVLimit:
                 peak = tracemalloc.get_traced_memory()[1] - before
             finally:
                 tracemalloc.stop()
-            assert peak <= 4_000_000, samples
+            assert peak <= 1_000_000, samples
 
     @staticmethod
     def _fail_after_one_block():
@@ -1084,7 +1084,7 @@ class TestWeakIVLimit:
         samples = 1000
         if how == "after-a-block":
             monkeypatch.setattr("latescore.cli.sample_weak_limit", self._fail_after_one_block())
-            samples = _LIMIT_BLOCK + 1000
+            samples = SCAN_BLOCK + 1000
         status = main([
             "weakiv-limit", "--ca", "1e-150", "--cb", "1e200", "--s11", "1", "--s12", "0",
             "--s22", "1", "--samples", str(samples), "--out", str(out),
@@ -1145,7 +1145,7 @@ _OUTPUTS = {
         "summary.csv", "latescore.data._write_rows", 2,
     ),
     "weakiv-limit --out": (
-        lambda data, d: ["weakiv-limit", *TestWeakIVLimit._FULL_RANK, "--samples", str(_LIMIT_BLOCK + 10),
+        lambda data, d: ["weakiv-limit", *TestWeakIVLimit._FULL_RANK, "--samples", str(SCAN_BLOCK + 10),
                          "--out", f"{d}/t.csv"],
         "t.csv", "latescore.cli._write_rows", 2,
     ),

@@ -12,7 +12,6 @@ from latescore import (
     ScoreSample,
     compute_scores,
 )
-from latescore.scores import functional_oracle
 
 
 def _preds(n, g1, g0, r1, r0, m1):
@@ -144,52 +143,6 @@ class TestComputeScores:
         with pytest.raises(InvalidConfigError, match="scores must be finite") as caught:
             ScoreSample(psi_a=[1.0, math.inf], psi_b=[0.0, 0.0])
         assert not isinstance(caught.value, DegenerateDataError)
-
-
-def _mc_itt_ratio(draw_fn, draws, seed):
-    """Independent oracle: ratio of intent-to-treat contrasts by simulation.
-
-    ``draw_fn(rng, size)`` must return (y1, y0, a1, a0): potential outcomes
-    and treatments under both instrument levels.
-    """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    y1, y0, a1, a0 = draw_fn(rng, draws)
-    return float(np.mean(y1 - y0) / np.mean(a1 - a0))
-
-
-class TestFunctionalOracle:
-    def test_zero_for_default_family(self):
-        for pi in (0.01, 0.15, 1.0, 5.0):
-            assert functional_oracle(pi) == 0.0
-
-    def test_undefined_at_pi_zero(self):
-        with pytest.raises(InvalidConfigError):
-            functional_oracle(0.0)
-
-    def test_treatment_shift_three_against_mc_oracle(self):
-        pi = 1.0
-
-        def draw(rng, size):
-            u = rng.standard_normal(size)
-            x = rng.standard_normal(size)
-            a1 = ((pi * (x > 0) + u) > 0).astype(float)
-            a0 = (u > 0).astype(float)
-            y1 = 2.0 * np.sign(u) + 3.0 * a1
-            y0 = 2.0 * np.sign(u) + 3.0 * a0
-            return y1, y0, a1, a0
-
-        oracle = _mc_itt_ratio(draw, draws=10_000_000, seed=23)
-        assert oracle == pytest.approx(3.0, abs=1e-9)
-        assert functional_oracle(pi, treatment_shift=3.0) == 3.0
-
-    def test_perfect_compliance_identity_outcome(self):
-        # A equals Z and Y equals A: the contrast ratio is exactly one
-        def draw(rng, size):
-            a1 = np.ones(size)
-            a0 = np.zeros(size)
-            return a1.copy(), a0.copy(), a1, a0
-
-        assert _mc_itt_ratio(draw, draws=1000, seed=1) == pytest.approx(1.0)
 
 
 class TestScoreSample:

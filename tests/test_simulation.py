@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from statistics import NormalDist
 
@@ -313,6 +314,74 @@ class TestRunReplication:
         r1 = run_replication(params, spec, rep_id=7)
         r2 = run_replication(params, spec, rep_id=7)
         assert r1 == r2
+
+
+def _mc_itt_ratio(draw_fn, draws, seed):
+    """Independent oracle: ratio of intent-to-treat contrasts by simulation.
+
+    ``draw_fn(rng, size)`` must return (y1, y0, a1, a0): potential outcomes
+    and treatments under both instrument levels.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    y1, y0, a1, a0 = draw_fn(rng, draws)
+    return float(np.mean(y1 - y0) / np.mean(a1 - a0))
+
+
+class TestTargetRatio:
+    """run_replication scores coverage against the law's target ratio, its
+    treatment_shift, which is undefined at pi = 0."""
+
+    @pytest.mark.parametrize("pi", [0.0, -0.0])
+    def test_undefined_at_pi_zero(self, pi):
+        spec = StudySpec(setting="strong", n_grid=(500,), reps=1, seed=0)
+        message = "the target ratio is undefined at pi=0 (zero instrument effect on treatment)"
+        with pytest.raises(InvalidConfigError, match=re.escape(message)):
+            run_replication(DgpParams(pi=pi, n=500, treatment_shift=3.0), spec, rep_id=0)
+
+    @pytest.mark.parametrize("shift", [0.0, 3.0])
+    def test_coverage_is_membership_of_the_shift(self, shift):
+        # At seed 0, these four replications cover with both sets, miss with
+        # both, and cover with one set only.
+        n = 1500
+        spec = StudySpec(setting="strong", n_grid=(n,), reps=1, seed=0)
+        params = DgpParams(pi=spec.pi_for(n), n=n, treatment_shift=shift)
+        outcomes = set()
+        for rep_id in (0, 8, 12, 26):
+            seed = replication_seed(spec.seed, n, rep_id)
+            data = dgp_generate(params, seed)
+            folds = make_folds(n, spec.learner.K, _splitmix64(seed))
+            scores = compute_scores(data, cross_fit(data, spec.learner, folds))
+            cset = invert_score_test(quad_coefficients(scores, spec.alpha))
+            drml = drml_estimate(scores, spec.alpha)
+            result = run_replication(params, spec, rep_id)
+            assert result.covered_score == cset.contains(shift)
+            assert result.covered_wald == drml.contains(shift)
+            outcomes.add((result.covered_score, result.covered_wald))
+        assert outcomes == set(itertools.product([False, True], repeat=2))
+
+    def test_the_laws_ratio_is_the_shift(self):
+        params = DgpParams(pi=1.0, n=2, treatment_shift=3.0)
+
+        def draw(rng, size):
+            u = rng.standard_normal(size)
+            x = rng.standard_normal(size)
+            a1 = ((params.pi * (x > 0) + u) > 0).astype(float)
+            a0 = (u > 0).astype(float)
+            y1 = 2.0 * np.sign(u) + 3.0 * a1
+            y0 = 2.0 * np.sign(u) + 3.0 * a0
+            return y1, y0, a1, a0
+
+        oracle = _mc_itt_ratio(draw, draws=10_000_000, seed=23)
+        assert oracle == pytest.approx(params.treatment_shift, abs=1e-9)
+
+    def test_perfect_compliance_identity_outcome(self):
+        # A equals Z and Y equals A: the contrast ratio is exactly one
+        def draw(rng, size):
+            a1 = np.ones(size)
+            a0 = np.zeros(size)
+            return a1.copy(), a0.copy(), a1, a0
+
+        assert _mc_itt_ratio(draw, draws=1000, seed=1) == pytest.approx(1.0)
 
 
 class TestPointSetHoldsTheEstimate:

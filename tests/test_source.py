@@ -61,3 +61,48 @@ def test_the_check_finds_third_party_imports():
         "from . import data\nfrom .errors import InvalidConfigError\nimport hypothesis.strategies\n"
     )
     assert _third_party_imports(source) == ["hypothesis", "numpy", "scipy"]
+
+
+# The private names one module may take from a sibling: any from ``data``,
+# which holds the shared container and output helpers, and the normal
+# quantile that both the CLI and the study check alpha with.
+_SHARED_PRIVATE = {("inference", "_z_crit")}
+
+
+def _private_sibling_imports(source: str) -> list[str]:
+    """The leading-underscore names, as ``module.name``, that the source
+    imports from a sibling module (``.name`` or ``latescore.name``) other
+    than ``data`` and outside ``_SHARED_PRIVATE``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom) or node.module is None:
+            continue
+        if node.level == 1:
+            module = node.module
+        elif node.level == 0 and node.module.startswith("latescore."):
+            module = node.module.removeprefix("latescore.")
+        else:
+            continue
+        if module != "data":
+            found.update(
+                f"{module}.{alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_") and (module, alias.name) not in _SHARED_PRIVATE
+            )
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", _SOURCES, ids=lambda path: path.name)
+def test_no_module_imports_a_private_name_from_a_sibling_but_data(path):
+    assert _private_sibling_imports(path.read_text()) == []
+
+
+def test_the_check_finds_private_sibling_imports():
+    source = (
+        "from .data import _check_integer, SCAN_BLOCK\nfrom .inference import _z_crit, _dn_ratio\n"
+        "from .weakiv import _LIMIT_BLOCK, WeakIVConfig\nfrom .simulation import _CELL_BLOCK as block\n"
+        "from numpy import _private\nfrom latescore.simulation import _draw\nfrom latescore.data import _output\n"
+    )
+    assert _private_sibling_imports(source) == [
+        "inference._dn_ratio", "simulation._CELL_BLOCK", "simulation._draw", "weakiv._LIMIT_BLOCK",
+    ]

@@ -18,6 +18,7 @@ from latescore import (
 )
 from latescore import weakiv
 from latescore.cli import main
+from latescore.data import SCAN_BLOCK
 from latescore.simulation import cell_probabilities, oracle_cell_values
 from latescore.weakiv import estimate_weakiv_config, sample_bivariate_normal
 
@@ -210,7 +211,7 @@ class TestSampleWeakLimit:
         assert ks_distance(-d1, d2) < 0.02
 
 
-_B = weakiv._LIMIT_BLOCK
+_B = SCAN_BLOCK
 
 
 class TestBlockSampler:
@@ -520,10 +521,10 @@ class TestCalibratorAgainstFullArrayCells:
 
 class TestCalibratorCounts:
     def test_count_slices_do_not_change_the_calibration(self, monkeypatch):
-        # 250,003 draws in one batch, counted in slices of 65,536 and of 999.
+        # 250,003 draws in one batch, counted in slices of 4,096 and of 999.
         params = DgpParams(pi=0.15 / math.sqrt(5000), n=5000)
         want = estimate_weakiv_config(params, oracle_draws=250_003, seed=6)
-        monkeypatch.setattr(weakiv, "_CELL_BLOCK", 999)
+        monkeypatch.setattr(weakiv, "SCAN_BLOCK", 999)
         got = estimate_weakiv_config(params, oracle_draws=250_003, seed=6)
         assert got.sigma_ab.tobytes() == want.sigma_ab.tobytes()
         for name in ("c_a", "c_b", "ca_se", "cb_se", "ca_violated", "cb_violated", "draws"):
