@@ -161,8 +161,6 @@ def _missing_dirs(path: str) -> list[str]:
 
 
 def cmd_simulate(args) -> int:
-    if args.pi is not None and args.setting != "custom":
-        raise InvalidConfigError(f"--pi applies to --setting custom only, not {args.setting}")
     try:
         n_grid = tuple(int(v) for v in args.n.split(","))
     except ValueError:

@@ -16,8 +16,6 @@ import contextvars
 import csv
 import os
 import shutil
-import tempfile
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,7 +231,9 @@ def _load_columns(path: str, schema: CsvSchema):
     Columns the schema does not name may hold any text.  Returns None,
     rather than raising, for anything the per-cell parser might treat
     differently (short or blank lines, cells np.loadtxt cannot read, values
-    outside the schema's domain), so every error comes from there.
+    outside the schema's domain), so every error comes from there.  No
+    warnings filter is set, which would change every thread's: loadtxt's
+    one warning here, for a file with no data, cannot fire after the scan.
     """
     needed = [schema.outcome, schema.treatment, schema.instrument, *schema.covariates]
     try:
@@ -261,15 +261,13 @@ def _load_columns(path: str, schema: CsvSchema):
         return None
     if rows < 2:
         return None
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            table = np.loadtxt(
-                path, delimiter=",", skiprows=1, comments=None, dtype=float, encoding="utf-8",
-                ndmin=2, usecols=[header.index(name) for name in needed],
-            )
-        except (ValueError, Warning):
-            return None
+    try:
+        table = np.loadtxt(
+            path, delimiter=",", skiprows=1, comments=None, dtype=float, encoding="utf-8",
+            ndmin=2, usecols=[header.index(name) for name in needed],
+        )
+    except ValueError:
+        return None
     if table.shape != (rows, len(needed)):
         return None
     y, x = table[:, 0].copy(), np.ascontiguousarray(table[:, 3:])
@@ -386,8 +384,11 @@ def _output(path: str):
     """The package's one way to write a file: a text handle whose writes
     reach ``path`` only once the body (or the enclosing ``_together``)
     completes, so a failed run leaves it as it was.  The handle is on a new
-    file beside the real path, with the permissions open(path, "w") would
-    leave, which then replaces it.  A device or a pipe is written directly."""
+    file beside the real path, ``.<name>.<16 random hex digits>``, which
+    then replaces it.  It is made with open(temp, "x"), so the umask applies
+    as it does for open(path, "w") and is never set, and a name already
+    taken raises FileExistsError and is left alone; an existing target's
+    mode is copied onto it.  A device or a pipe is written directly."""
     if not _is_file_path(path):
         with open(path, "w", newline="") as handle:
             yield handle
@@ -398,15 +399,11 @@ def _output(path: str):
             yield handle
         return
     path = os.path.realpath(path)
-    fd, temp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=f".{os.path.basename(path)}.")
-    held.append((temp, path))
-    with open(fd, "w", newline="") as handle:
+    temp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.urandom(8).hex()}")
+    with open(temp, "x", newline="") as handle:
+        held.append((temp, path))
         if os.path.exists(path):
             shutil.copymode(path, temp)
-        else:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(temp, 0o666 & ~umask)
         yield handle
 
 

@@ -218,6 +218,8 @@ class StudySpec:
     def __post_init__(self) -> None:
         if self.setting not in ("weak", "strong", "custom"):
             raise InvalidConfigError(f"unknown setting {self.setting!r}")
+        if self.setting != "custom" and self.pi is not None:
+            raise InvalidConfigError(f"pi applies to setting='custom' only, not {self.setting!r}")
         if self.setting == "custom" and self.pi is None:
             raise InvalidConfigError("setting='custom' requires pi")
         if self.setting == "custom" and self.pi == 0.0:
@@ -247,14 +249,14 @@ class StudySpec:
 
 def run_replication(params: DgpParams, spec: StudySpec, rep_id: int) -> ReplicationResult:
     """Generate, cross-fit, score and test a single replication."""
+    if params.pi == 0.0:
+        raise InvalidConfigError("the target ratio is undefined at pi=0 (zero instrument effect on treatment)")
     rep_seed = replication_seed(spec.seed, params.n, rep_id)
     fold_seed = _splitmix64(rep_seed)
     data = dgp_generate(params, rep_seed)
     folds = make_folds(params.n, spec.learner.K, fold_seed)
     preds = cross_fit(data, spec.learner, folds)
     scores = compute_scores(data, preds)
-    if params.pi == 0.0:
-        raise InvalidConfigError("the target ratio is undefined at pi=0 (zero instrument effect on treatment)")
     coeffs = quad_coefficients(scores, spec.alpha)
     cset = invert_score_test(coeffs)
     drml = drml_estimate(scores, spec.alpha)

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import os
 import tracemalloc
 import warnings
 from unittest import mock
@@ -719,6 +720,53 @@ class TestWriteColumns:
     def test_a_header_alone_for_no_rows(self):
         handle = _written(["draw"], np.array([]))
         assert handle.text == "draw\n" and handle.writes == 1
+
+
+class TestNoProcessWideState:
+    """Reading and writing files leaves the umask and the warning filters,
+    which every thread shares, as they were."""
+
+    def test_files_are_written_without_the_umask(self, tmp_path):
+        new, existing = tmp_path / "new.csv", tmp_path / "existing.csv"
+        existing.write_text("old\n")
+        existing.chmod(0o604)
+        umask = os.umask(0o027)
+        try:
+            with mock.patch.object(os, "umask", side_effect=AssertionError("the umask was read")):
+                for path in (new, existing):
+                    data_module._write_columns(str(path), ["v"], [1.5, 2])
+        finally:
+            os.umask(umask)
+        for path, mode in ((new, 0o640), (existing, 0o604)):
+            assert path.read_text() == "v\n1.5\n2\n"
+            assert path.stat().st_mode & 0o777 == mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["existing.csv", "new.csv"]
+
+    def test_load_csv_reads_under_the_callers_warning_filters(self, tmp_path, monkeypatch):
+        path = _write(tmp_path, "y,a,z,x1\n1.0,0,1,0.5\n2.0,1,0,-0.5\n")
+        loadtxt, seen = np.loadtxt, []
+
+        def recording_loadtxt(*args, **kwargs):
+            seen.append(list(warnings.filters))
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", recording_loadtxt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            callers = list(warnings.filters)
+            data = load_csv(path)
+        assert seen == [callers]  # the column path ran, under the caller's filters
+        assert list(data.y) == [1.0, 2.0]
+
+    def test_a_taken_temporary_name_is_left_alone(self, tmp_path):
+        target, taken = tmp_path / "out.csv", tmp_path / f".out.csv.{'ab' * 8}"
+        target.write_text("kept\n")
+        taken.write_text("not ours\n")
+        with mock.patch.object(os, "urandom", return_value=b"\xab" * 8), pytest.raises(FileExistsError):
+            data_module._write_columns(str(target), ["v"], [1.0])
+        assert target.read_text() == "kept\n"
+        assert taken.read_text() == "not ours\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name, target.name]
 
 
 class _Sink:

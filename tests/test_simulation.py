@@ -26,6 +26,7 @@ from latescore import (
     quad_coefficients,
     run_replication,
     run_study,
+    simulation,
 )
 from latescore.data import _INDICATOR
 from latescore.simulation import _CELL_BLOCK as _B
@@ -332,7 +333,11 @@ class TestTargetRatio:
     treatment_shift, which is undefined at pi = 0."""
 
     @pytest.mark.parametrize("pi", [0.0, -0.0])
-    def test_undefined_at_pi_zero(self, pi):
+    def test_undefined_at_pi_zero(self, pi, monkeypatch):
+        def dgp_generate(params, seed):
+            raise AssertionError("the sample was drawn")
+
+        monkeypatch.setattr(simulation, "dgp_generate", dgp_generate)
         spec = StudySpec(setting="strong", n_grid=(500,), reps=1, seed=0)
         message = "the target ratio is undefined at pi=0 (zero instrument effect on treatment)"
         with pytest.raises(InvalidConfigError, match=re.escape(message)):
@@ -360,6 +365,8 @@ class TestTargetRatio:
         assert outcomes == set(itertools.product([False, True], repeat=2))
 
     def test_the_laws_ratio_is_the_shift(self):
+        # Y(1) - Y(0) = 3 (A(1) - A(0)) unit by unit, so the ratio of the
+        # intent-to-treat contrasts is the shift at any number of draws.
         params = DgpParams(pi=1.0, n=2, treatment_shift=3.0)
 
         def draw(rng, size):
@@ -371,7 +378,10 @@ class TestTargetRatio:
             y0 = 2.0 * np.sign(u) + 3.0 * a0
             return y1, y0, a1, a0
 
-        oracle = _mc_itt_ratio(draw, draws=10_000_000, seed=23)
+        y1, y0, a1, a0 = draw(np.random.Generator(np.random.PCG64(23)), 100_000)
+        assert np.array_equal(y1 - y0, params.treatment_shift * (a1 - a0))
+        assert np.count_nonzero(a1 != a0) > 0
+        oracle = _mc_itt_ratio(draw, draws=100_000, seed=23)
         assert oracle == pytest.approx(params.treatment_shift, abs=1e-9)
 
     def test_perfect_compliance_identity_outcome(self):
@@ -438,7 +448,8 @@ class TestReplicationAgainstReference:
     def test_same_bits_or_same_error(self, reference_engine, setting, pi, K, extra, seed, rep_id, shift):
         n = K + extra
         learner = LearnerSpec(g_learner="cell_mean", r_learner="cell_mean", m_learner="known_constant", K=K)
-        spec = StudySpec(setting=setting, pi=pi, n_grid=(n,), reps=1, seed=seed, learner=learner)
+        custom_pi = pi if setting == "custom" else None
+        spec = StudySpec(setting=setting, pi=custom_pi, n_grid=(n,), reps=1, seed=seed, learner=learner)
         params = DgpParams(pi=spec.pi_for(n), n=n, treatment_shift=shift)
         # The reference sums its tables without the package's np.errstate.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -539,6 +550,8 @@ class TestStudySpecValidation:
         dict(setting="custom", pi=math.inf),
         dict(setting="custom", pi=-math.inf),
         dict(seed=2**64),
+        dict(setting="weak", pi=0.3),  # each of these settings fixes its own pi
+        dict(setting="strong", pi=5.0),
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(InvalidConfigError):

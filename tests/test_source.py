@@ -106,3 +106,54 @@ def test_the_check_finds_private_sibling_imports():
     assert _private_sibling_imports(source) == [
         "inference._dn_ratio", "simulation._CELL_BLOCK", "simulation._draw", "weakiv._LIMIT_BLOCK",
     ]
+
+
+# State that every thread of the process shares: the umask, the working
+# directory, the warning filters and numpy's floating-point error mode
+# (np.errstate, which is per context, is the way to set that one).
+_PROCESS_WIDE = {
+    "os.umask", "os.chdir", "warnings.catch_warnings", "warnings.simplefilter",
+    "warnings.filterwarnings", "warnings.resetwarnings", "numpy.seterr",
+}
+
+
+def _process_wide_names(source: str) -> list[str]:
+    """The names of ``_PROCESS_WIDE`` that the source reads, resolved
+    through its absolute imports, so ``np.seterr`` and ``from os import
+    umask as u`` count."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                top = alias.name.split(".")[0]
+                imported[alias.asname or top] = alias.name if alias.asname else top
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            for alias in node.names:
+                imported[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    found = set()
+    for node in ast.walk(tree):
+        attrs = []
+        while isinstance(node, ast.Attribute):
+            attrs.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id in imported:
+            name = ".".join([imported[node.id], *reversed(attrs)])
+            if name in _PROCESS_WIDE:
+                found.add(name)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", _SOURCES, ids=lambda path: path.name)
+def test_no_module_changes_process_wide_state(path):
+    assert _process_wide_names(path.read_text()) == []
+
+
+def test_the_check_finds_process_wide_state():
+    source = (
+        "import os, os.path\nimport warnings as w\nimport numpy as np\nfrom os import chdir as cd\n"
+        "from numpy import seterr\nos.umask(0)\nwith w.catch_warnings():\n    w.simplefilter('error')\n"
+        "w.filterwarnings('ignore')\nw.resetwarnings()\ncd('/')\nseterr(all='ignore')\nnp.seterr(over='raise')\n"
+        "with np.errstate(over='ignore'):\n    os.path.join(os.getcwd(), 'a')\nw.warn('kept', stacklevel=2)\n"
+    )
+    assert _process_wide_names(source) == sorted(_PROCESS_WIDE)
