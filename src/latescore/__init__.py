@@ -47,6 +47,7 @@ from .simulation import (
     dgp_generate,
     run_replication,
     run_study,
+    score_set,
 )
 from .weakiv import (
     WeakIVConfig,

@@ -23,14 +23,11 @@ import sys
 
 import numpy as np
 
-from .data import (
-    SCAN_BLOCK, CsvSchema, _is_file_path, _output, _together, _write_columns, _write_rows, load_csv, make_folds,
-)
+from .data import SCAN_BLOCK, CsvSchema, _is_file_path, _output, _together, _write_columns, _write_rows, load_csv
 from .errors import DegenerateDataError, InvalidConfigError
-from .inference import _z_crit, drml_estimate, invert_score_test, quad_coefficients, score_statistic
-from .nuisance import LearnerSpec, cross_fit
-from .scores import compute_scores
-from .simulation import StudySpec, run_study, write_replications_csv, write_summary_csv
+from .inference import _z_crit, drml_estimate, score_statistic
+from .nuisance import LearnerSpec
+from .simulation import StudySpec, run_study, score_set, write_replications_csv, write_summary_csv
 from .weakiv import WeakIVConfig, sample_weak_limit
 
 EXIT_OK = 0
@@ -102,20 +99,16 @@ def _add_data_flags(sub) -> None:
     sub.add_argument("--seed", type=_seed, default=0)
 
 
-def _fit_scores(args):
+def _load_score_set(args):
     # A bad --alpha or learner flag is refused before any data is read.
     _z_crit(args.alpha)
     spec = _learner_spec(args)
     data = load_csv(args.data, _schema(args))
-    # The folds are not kept: n int64s that the scores do not read.
-    preds = cross_fit(data, spec, make_folds(data.n, spec.K, args.seed))
-    return data, compute_scores(data, preds)
+    return data, *score_set(data, spec, args.seed, args.alpha)
 
 
 def cmd_analyze(args) -> int:
-    data, scores = _fit_scores(args)
-    coeffs = quad_coefficients(scores, args.alpha)
-    cset = invert_score_test(coeffs)
+    data, scores, coeffs, cset = _load_score_set(args)
     drml = drml_estimate(scores, args.alpha)
     z = coeffs.z_crit
     dn0, weak = coeffs.dn0, coeffs.dn0 <= z * z
@@ -248,9 +241,7 @@ def cmd_scan(args) -> int:
         raise InvalidConfigError("--grid-points must be at least 2")
     # The header and the shortest row, "0.0,nan,0,", each with its newline.
     _check_free_space(args.out, len(_SCAN_HEADER) + 11 * args.grid_points, f"{args.grid_points} grid points")
-    data, scores = _fit_scores(args)
-    coeffs = quad_coefficients(scores, args.alpha)
-    cset = invert_score_test(coeffs)
+    _, scores, coeffs, cset = _load_score_set(args)
     mismatches = 0
     with _together():
         with _output(args.out) as handle:

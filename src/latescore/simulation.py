@@ -1,4 +1,6 @@
-"""Synthetic data-generating process, replication engine and metrics.
+"""Synthetic data-generating process, replication engine and metrics, and
+:func:`score_set`, the one path from data to the score set that
+``analyze``, ``scan`` and each replication share.
 
 One law in the family is parametrized by the instrument strength pi and
 the sample size n:
@@ -247,18 +249,24 @@ class StudySpec:
         return float(self.pi)
 
 
+def score_set(data: Dataset, learner: LearnerSpec, fold_seed: int, alpha: float):
+    """``(scores, coeffs, cset)`` at level ``alpha`` of ``learner`` cross-fitted on
+    ``data`` over ``fold_seed``'s folds.  The Wald estimate is the caller's, so
+    that a weak denominator fails only the callers that report it."""
+    # The folds are not kept: n int64s that the scores do not read.
+    preds = cross_fit(data, learner, make_folds(data.n, learner.K, fold_seed))
+    scores = compute_scores(data, preds)
+    coeffs = quad_coefficients(scores, alpha)
+    return scores, coeffs, invert_score_test(coeffs)
+
+
 def run_replication(params: DgpParams, spec: StudySpec, rep_id: int) -> ReplicationResult:
     """Generate, cross-fit, score and test a single replication."""
     if params.pi == 0.0:
         raise InvalidConfigError("the target ratio is undefined at pi=0 (zero instrument effect on treatment)")
     rep_seed = replication_seed(spec.seed, params.n, rep_id)
-    fold_seed = _splitmix64(rep_seed)
     data = dgp_generate(params, rep_seed)
-    folds = make_folds(params.n, spec.learner.K, fold_seed)
-    preds = cross_fit(data, spec.learner, folds)
-    scores = compute_scores(data, preds)
-    coeffs = quad_coefficients(scores, spec.alpha)
-    cset = invert_score_test(coeffs)
+    scores, coeffs, cset = score_set(data, spec.learner, _splitmix64(rep_seed), spec.alpha)
     drml = drml_estimate(scores, spec.alpha)
     return ReplicationResult(
         rep_id=rep_id,

@@ -26,6 +26,7 @@ from latescore import (
     DegenerateDataError,
     DgpParams,
     LearnerSpec,
+    StudySpec,
     compute_scores,
     cross_fit,
     dgp_generate,
@@ -34,6 +35,7 @@ from latescore import (
     load_csv,
     make_folds,
     quad_coefficients,
+    run_replication,
     sample_weak_limit,
     write_csv,
 )
@@ -42,6 +44,7 @@ from latescore import errors, simulation
 from latescore.inference import score_statistic
 from latescore.cli import _NEGATIVE_NUMBER, SCAN_BLOCK, _grid, _membership, main
 from latescore.data import _write_rows
+from latescore.simulation import _splitmix64, replication_seed
 from latescore.weakiv import WeakIVConfig
 
 from conftest import instrument_is_weak, iv_data, reference_quad_coefficients, zero_tolerances
@@ -261,6 +264,52 @@ def test_analysis_row_matches_the_f_string_writer(tmp_path, reference_row_writer
         coeffs, *zero_tolerances(reference_quad_coefficients(scores, 0.05)), diam_s, diam_w, ratio,
     )
     assert out_path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def _analyze_replication(tmp_path, capsys, params, spec, rep_id):
+    """Run analyze on the sample of replication ``rep_id``, with the study's
+    learners and fold seed: its exit status, its stderr and its --out path."""
+    rep_seed = replication_seed(spec.seed, params.n, rep_id)
+    data_path, out_path = str(tmp_path / "d.csv"), tmp_path / "o.csv"
+    write_csv(dgp_generate(params, rep_seed), data_path)
+    capsys.readouterr()
+    status = main([
+        "analyze", "--data", data_path, "--g", "cellmean", "--r", "cellmean", "--propensity", "known:0.5",
+        "--seed", str(_splitmix64(rep_seed)), "--out", str(out_path),
+    ])
+    return status, capsys.readouterr().err, out_path
+
+
+def test_analyze_and_run_replication_agree_bit_for_bit(tmp_path, capsys):
+    # Seed 7, reps 0-39 of these three laws: 41 finite intervals, 2 two
+    # rays, 73 whole lines and 4 points.
+    keys = ["set_tag", "phi_hat", "dn0", "diam_score", "diam_wald"]
+    tags = set()
+    for setting, pi, n in [("weak", None, 600), ("strong", None, 600), ("custom", 0.2, 30)]:
+        spec = StudySpec(setting=setting, pi=pi, n_grid=(n,), reps=40, seed=7)
+        params = DgpParams(pi=spec.pi_for(n), n=n)
+        for rep_id in range(spec.reps):
+            result = run_replication(params, spec, rep_id)
+            status, _, out_path = _analyze_replication(tmp_path, capsys, params, spec, rep_id)
+            assert status == 0
+            row = _read_rows(out_path)[0]
+            # Floats are written as str(value), which reads back bit for bit.
+            assert [row[k] for k in keys] == [str(getattr(result, k)) for k in keys], (setting, n, rep_id)
+            tags.add(result.set_tag)
+    assert tags == {"finite_interval", "two_rays", "whole_line", "point"}
+
+
+@pytest.mark.parametrize("n, rep_id", [(12, 73), (12, 128), (30, 91)],
+                         ids=["zero-scores", "degenerate-fold", "weak-denominator"])
+def test_analyze_fails_where_run_replication_fails(tmp_path, capsys, n, rep_id):
+    spec = StudySpec(setting="custom", pi=0.2, n_grid=(n,), seed=7)
+    params = DgpParams(pi=0.2, n=n)
+    with pytest.raises(DegenerateDataError) as failure:
+        run_replication(params, spec, rep_id)
+    status, err, out_path = _analyze_replication(tmp_path, capsys, params, spec, rep_id)
+    assert status == 3
+    assert err == f"error: {failure.value}\n"
+    assert not out_path.exists()
 
 
 class TestIngestErrors:
@@ -794,7 +843,7 @@ class TestScan:
         def point(coeffs):
             return ConfidenceSet("point", coeffs.mb / coeffs.ma, coeffs.mb / coeffs.ma)
 
-        monkeypatch.setattr(latescore.cli, "invert_score_test", point)
+        monkeypatch.setattr(simulation, "invert_score_test", point)
         data, schema = iv_data(2000, 3), CsvSchema(covariates=("x1", "x2"))
         counts = []
         for s in (1.0, 1e-9):
@@ -814,7 +863,7 @@ class TestScan:
         # a*theta**2 overflows beyond |theta| of about 2.5e153 on these
         # data, while S_n stays defined up to about 1.3e154: every grid
         # point is a defined non-member that the planted set claims.
-        monkeypatch.setattr(latescore.cli, "invert_score_test", lambda coeffs: ConfidenceSet("whole_line"))
+        monkeypatch.setattr(simulation, "invert_score_test", lambda coeffs: ConfidenceSet("whole_line"))
         data_path = _export_dgp(tmp_path, pi=5.0, n=400, seed=41, name="d.csv")
         for theta_min, theta_max in ((1e150, 1.3e154), (-1.3e154, -1e150)):
             out_path = str(tmp_path / "s.csv")
@@ -863,10 +912,10 @@ class TestScan:
     def test_a_grid_whose_text_exceeds_the_free_space_exits_2_before_reading_data(
         self, tmp_path, capsys, monkeypatch
     ):
-        def no_fit(args):
-            raise AssertionError("fitted a grid that cannot be written")
+        def no_load(*args):
+            raise AssertionError("read the data of a grid that cannot be written")
 
-        monkeypatch.setattr("latescore.cli._fit_scores", no_fit)
+        monkeypatch.setattr("latescore.cli.load_csv", no_load)
         out_path = tmp_path / "out" / "s.csv"
         out_path.parent.mkdir()
         # 11 bytes a row at the least: about twice the free space.
@@ -910,10 +959,10 @@ class TestScan:
         assert status == 2
 
     def test_grid_width_beyond_double_range_exits_2_before_fitting(self, tmp_path, capsys, monkeypatch):
-        def no_fit(args):
-            raise AssertionError("fitted a grid that cannot be scanned")
+        def no_load(*args):
+            raise AssertionError("read the data of a grid that cannot be scanned")
 
-        monkeypatch.setattr("latescore.cli._fit_scores", no_fit)
+        monkeypatch.setattr("latescore.cli.load_csv", no_load)
         out_path = tmp_path / "out" / "s.csv"
         out_path.parent.mkdir()
         assert main(_scan_argv(str(tmp_path / "unread.csv"), -1e308, 1e308, 5, str(out_path))) == 2

@@ -157,3 +157,57 @@ def test_the_check_finds_process_wide_state():
         "with np.errstate(over='ignore'):\n    os.path.join(os.getcwd(), 'a')\nw.warn('kept', stacklevel=2)\n"
     )
     assert _process_wide_names(source) == sorted(_PROCESS_WIDE)
+
+
+# The steps of the one path from data to the score set, simulation.score_set.
+# compute_scores is not among them: oracle_cell_values scores the 24 cells
+# with the true nuisances, and no folds or fits.
+_PATH_STEPS = {"make_folds", "cross_fit", "quad_coefficients", "invert_score_test"}
+
+
+def _path_step_calls(source: str) -> list[str]:
+    """``function: step`` for each call to a ``_PATH_STEPS`` function, by its
+    own name, by an import alias or as an attribute, where ``function`` is
+    the innermost function that makes it (``<module>`` at top level)."""
+    tree = ast.parse(source)
+    steps = {step: step for step in _PATH_STEPS}
+    steps.update(
+        (alias.asname or alias.name, alias.name)
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names if alias.name in _PATH_STEPS
+    )
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        elif isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name) and node.func.id in steps:
+                found.add(f"{where}: {steps[node.func.id]}")
+            elif isinstance(node.func, ast.Attribute) and node.func.attr in _PATH_STEPS:
+                found.add(f"{where}: {node.func.attr}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", _SOURCES, ids=lambda path: path.name)
+def test_only_score_set_runs_the_steps_of_the_path(path):
+    allowed = {f"score_set: {step}" for step in _PATH_STEPS} if path.name == "simulation.py" else set()
+    assert set(_path_step_calls(path.read_text())) <= allowed
+
+
+def test_the_check_finds_calls_to_the_steps_of_the_path():
+    source = (
+        "from .inference import invert_score_test as invert, quad_coefficients\nfrom . import nuisance\n"
+        "def fit(data, spec, seed):\n    return nuisance.cross_fit(data, spec, make_folds(data.n, spec.K, seed))\n"
+        "def test(scores):\n    def inner(c):\n        return invert(c)\n"
+        "    return inner(quad_coefficients(scores, 0.05))\n"
+        "cset = invert_score_test\nfolds = make_folds(10, 2, 0)\ncompute_scores(data, preds)\n"
+    )
+    assert _path_step_calls(source) == [
+        "<module>: make_folds", "fit: cross_fit", "fit: make_folds", "inner: invert_score_test",
+        "test: quad_coefficients",
+    ]
